@@ -193,16 +193,6 @@ func (m *Model) ClassifyWS(ws *Workspace, g *Compact, feats *tensor.Matrix, dst 
 	return dst, nil
 }
 
-// GatherFeatures extracts the feature rows of a sample's input vertices
-// into a dense matrix — the real Extract stage of the live runtime.
-func GatherFeatures(s *sampling.Sample, features []float32, dim int) *tensor.Matrix {
-	out := tensor.New(len(s.Input), dim)
-	for local, global := range s.Input {
-		copy(out.Row(local), features[int(global)*dim:(int(global)+1)*dim])
-	}
-	return out
-}
-
 // SeedLabels gathers the labels of a sample's seeds.
 func SeedLabels(s *sampling.Sample, labels []int32) []int32 {
 	return SeedLabelsInto(nil, s, labels)

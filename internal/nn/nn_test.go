@@ -249,24 +249,9 @@ func TestClassifyWSMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestGatherFeaturesAndSeedLabels(t *testing.T) {
+func TestSeedLabels(t *testing.T) {
 	g := testGraph(7, 20, 3)
 	s := sampleFor(t, g, []int32{5}, []int{2})
-	const dim = 3
-	features := make([]float32, 20*dim)
-	for v := 0; v < 20; v++ {
-		for j := 0; j < dim; j++ {
-			features[v*dim+j] = float32(v*100 + j)
-		}
-	}
-	m := GatherFeatures(s, features, dim)
-	for local, global := range s.Input {
-		for j := 0; j < dim; j++ {
-			if m.At(local, j) != float32(int(global)*100+j) {
-				t.Fatalf("gathered feature (%d,%d) wrong", local, j)
-			}
-		}
-	}
 	labels := make([]int32, 20)
 	labels[5] = 9
 	got := SeedLabels(s, labels)

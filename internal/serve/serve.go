@@ -10,11 +10,12 @@
 //     EWMA of recent batch service times multiplied by the batches
 //     queued ahead) already exceeds its deadline is shed at submit
 //     rather than wasting queue space and GPU work on a guaranteed miss.
+//     A request with nothing queued ahead is always admitted: only
+//     running a batch can correct the estimate.
 //   - Microbatching: Step coalesces pending requests into one shared
 //     minibatch — deduplicated seeds, one k-hop sample, one gather, one
-//     forward — over the training path's pooled zero-alloc machinery
-//     (sampling arenas, nn.NewCompactInto, feature.GatherInto,
-//     nn.ClassifyWS), so the per-batch fixed costs that dominate
+//     forward — run by the same pooled zero-alloc minibatch.Executor a
+//     Trainer uses, so the per-batch fixed costs that dominate
 //     small-request latency amortize across concurrent requests.
 //   - Request-driven caching: every sampled neighborhood feeds vertex
 //     visit counts into cache.Hotness via ApplyDelta, and a periodic
@@ -39,12 +40,12 @@ import (
 	"gnnlab/internal/cache"
 	"gnnlab/internal/feature"
 	"gnnlab/internal/gen"
+	"gnnlab/internal/minibatch"
 	"gnnlab/internal/nn"
 	"gnnlab/internal/obs"
 	"gnnlab/internal/queue"
 	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
-	"gnnlab/internal/tensor"
 	"gnnlab/internal/workload"
 )
 
@@ -148,7 +149,7 @@ type Server struct {
 	d     *gen.Dataset
 	model *nn.Model
 	store *feature.Store
-	alg   sampling.Algorithm
+	ex    *minibatch.Executor
 	smpR  *rng.Rand
 
 	opt     Options
@@ -163,15 +164,11 @@ type Server struct {
 	estBatch atomicFloat
 
 	// Dispatcher-owned microbatch state, reused across Steps.
-	ws      *nn.Workspace
 	batch   []*Ticket
 	seeds   []int32
 	stamp   []int32 // seed dedup: stamp[v] == gen ⇒ seen, slot[v] = pos
 	slot    []int32
 	gen     int32
-	cmp     nn.Compact
-	feats   tensor.Matrix
-	classes []int32
 	visits  []cache.DeltaVisit
 	hot     cache.Hotness
 	batches int
@@ -238,11 +235,10 @@ func New(d *gen.Dataset, opt Options) (*Server, error) {
 		d:       d,
 		model:   model,
 		store:   store,
-		alg:     sampling.ClonePooled(alg),
+		ex:      minibatch.New(alg, d.Graph, store, nil),
 		smpR:    rng.New(opt.Seed ^ 0x5E12F),
 		opt:     opt,
 		pending: queue.New[*Ticket](opt.QueueCap),
-		ws:      nn.NewWorkspace(),
 		batch:   make([]*Ticket, 0, opt.BatchSize),
 		seeds:   make([]int32, 0, opt.BatchSize),
 		stamp:   make([]int32, n),
@@ -281,10 +277,12 @@ func (s *Server) Submit(vertex int32) (*Ticket, Outcome) {
 	now := s.opt.Now()
 	// Projected wait: batches queued ahead of this request times the
 	// EWMA batch service time. Shedding here is the cheap refusal — the
-	// request would expire in queue anyway, so don't occupy a slot.
+	// request would expire in queue anyway, so don't occupy a slot. An
+	// empty queue always admits: one slow Step can lift the estimate past
+	// the deadline, and it only decays when another batch runs.
 	depth := s.pending.Len()
 	batchesAhead := (depth + s.opt.BatchSize) / s.opt.BatchSize
-	if float64(batchesAhead)*s.estBatch.load() > s.opt.Deadline {
+	if depth > 0 && float64(batchesAhead)*s.estBatch.load() > s.opt.Deadline {
 		s.cShedDeadline.Add(1)
 		return nil, ShedDeadline
 	}
@@ -294,7 +292,7 @@ func (s *Server) Submit(vertex int32) (*Ticket, Outcome) {
 	t.deadline = now + s.opt.Deadline
 	ok, closed := s.pending.TryEnqueue(t)
 	if !ok {
-		s.putTicket(t)
+		s.Release(t)
 		if closed {
 			s.cDropped.Add(1)
 			return nil, Closed
@@ -345,18 +343,18 @@ func (s *Server) Step() (completed int, done bool, err error) {
 		return completed, done, nil
 	}
 
-	smp := s.alg.Sample(s.d.Graph, s.seeds, s.smpR)
-	if err := nn.NewCompactInto(&s.cmp, smp); err != nil {
+	smp := s.ex.Sample(s.seeds, s.smpR)
+	if err := s.ex.Compact(); err != nil {
 		return completed, done, err
 	}
-	s.store.GatherInto(&s.feats, smp)
-	s.classes, err = s.model.ClassifyWS(s.ws, &s.cmp, &s.feats, s.classes)
+	s.ex.Gather()
+	classes, err := s.ex.Classify(s.model)
 	if err != nil {
 		return completed, done, err
 	}
 	end := s.opt.Now()
 	for _, t := range s.batch {
-		t.Class = s.classes[t.seedPos]
+		t.Class = classes[t.seedPos]
 		t.Done = true
 		s.hLatency.Observe(end - t.arrive)
 		completed++
@@ -466,6 +464,3 @@ func (s *Server) Release(t *Ticket) {
 	s.free = append(s.free, t)
 	s.freeMu.Unlock()
 }
-
-// putTicket returns an unused ticket (failed admission) to the pool.
-func (s *Server) putTicket(t *Ticket) { s.Release(t) }

@@ -9,7 +9,6 @@ import (
 	"gnnlab/internal/obs"
 	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
-	"gnnlab/internal/tensor"
 	"gnnlab/internal/workload"
 )
 
@@ -123,8 +122,9 @@ func TestServeDeterministic(t *testing.T) {
 }
 
 // TestServeMatchesDirectPath is the differential test: the microbatched
-// server must produce exactly the classes a hand-run of the pooled
-// sample→compact→gather→classify pipeline produces on the same seeds.
+// server, running its minibatch.Executor, must produce exactly the
+// classes a hand-run of the fresh layer-level references
+// (sample→compact→gather→classify) produces on the same seeds.
 func TestServeMatchesDirectPath(t *testing.T) {
 	d := dataset(t)
 	spec := testSpec()
@@ -145,21 +145,16 @@ func TestServeMatchesDirectPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replicate the server's exact pipeline: same prepared algorithm,
-	// same pooled clone, same seed-keyed RNG stream, same model.
+	// Same prepared algorithm, same seed-keyed RNG stream, same model.
 	alg := spec.NewSampler()
 	sampling.Prepare(alg, d.Graph)
-	a := sampling.ClonePooled(alg)
-	r := rng.New(uint64(5) ^ 0x5E12F)
-	smp := a.Sample(d.Graph, seeds, r)
+	smp := sampling.CloneAlgorithm(alg).Sample(d.Graph, seeds, rng.New(uint64(5)^0x5E12F))
 	g, err := nn.NewCompact(smp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var feats tensor.Matrix
-	store := s.store
-	store.GatherInto(&feats, smp)
-	want, err := model.ClassifyWS(nil, g, &feats, nil)
+	feats, _, _ := s.store.Gather(smp)
+	want, err := model.ClassifyWS(nil, g, feats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +219,63 @@ func TestAdmissionShedsOnFullQueue(t *testing.T) {
 func TestAdmissionShedsOnProjectedWait(t *testing.T) {
 	clk := &fakeClock{}
 	s := newServer(t, Options{Seed: 1, BatchSize: 2, QueueCap: 64, Deadline: 0.010, Now: clk.now})
+	if _, out := s.Submit(4); out != Admitted {
+		t.Fatalf("first submit: %v", out)
+	}
 	// Teach the EWMA that a batch takes 1s — far past the 10ms deadline.
 	s.estBatch.store(1.0)
 	if _, out := s.Submit(5); out != ShedDeadline {
-		t.Fatalf("submit with projected wait 1s > deadline 10ms: %v, want ShedDeadline", out)
+		t.Fatalf("submit behind a queued request with projected wait 1s > deadline 10ms: %v, want ShedDeadline", out)
 	}
-	// A relaxed deadline admits again.
+	// A relaxed estimate admits again.
 	s.estBatch.store(1e-4)
 	if _, out := s.Submit(5); out != Admitted {
 		t.Fatalf("submit with projected wait 0.1ms: %v, want Admitted", out)
+	}
+}
+
+// TestAdmissionRecoversFromSlowStep pins the livelock fix: one slow Step
+// lifts the service estimate past the deadline, yet a request arriving at
+// an empty queue is admitted — only running a batch can correct the
+// estimate — and the next fast Step lowers it.
+func TestAdmissionRecoversFromSlowStep(t *testing.T) {
+	const deadline = 0.010
+	// Each cycle reads the clock three times — Submit, Step entry, Step
+	// after the forward pass — and only the last advances it, so a batch
+	// costs stepCost and no request waits in queue.
+	var clock, stepCost float64
+	reads := 0
+	now := func() float64 {
+		if reads++; reads%3 == 0 {
+			clock += stepCost
+		}
+		return clock
+	}
+	s := newServer(t, Options{Seed: 1, Deadline: deadline, EWMAAlpha: 0.5, Now: now})
+	cycle := func() {
+		t.Helper()
+		tk, out := s.Submit(7)
+		if out != Admitted {
+			t.Fatalf("submit on an empty queue with estimate %v: %v, want Admitted", s.estBatch.load(), out)
+		}
+		if _, _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if !tk.Done || tk.Expired {
+			t.Fatalf("admitted request not served: %+v", tk)
+		}
+		s.Release(tk)
+	}
+	stepCost = 5 * deadline
+	cycle()
+	slow := s.estBatch.load()
+	if slow <= deadline {
+		t.Fatalf("estimate %v after a %v Step, want above the %v deadline", slow, stepCost, deadline)
+	}
+	stepCost = deadline / 10
+	cycle()
+	if est := s.estBatch.load(); est >= slow {
+		t.Errorf("estimate %v did not decay from %v after a fast Step", est, slow)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"gnnlab/internal/cache"
 	"gnnlab/internal/fault"
 	"gnnlab/internal/feature"
+	"gnnlab/internal/gen"
+	"gnnlab/internal/minibatch"
 	"gnnlab/internal/nn"
 	"gnnlab/internal/obs"
 	"gnnlab/internal/rng"
@@ -15,11 +17,88 @@ import (
 	"gnnlab/internal/workload"
 )
 
+// referenceTrain is Train spelled out on one goroutine over the fresh
+// layer-level references — CloneAlgorithm + nn.NewCompact + Store.Gather +
+// nn.SeedLabels + Model.LossAndGrad/Predict — with no executor, no pooled
+// buffer and no queue. It mirrors Train's seed derivations and gradient
+// exchange order, nothing else.
+func referenceTrain(t *testing.T, d *gen.Dataset, opts Options) *Result {
+	t.Helper()
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts = opts.withDefaults()
+	spec := workload.Spec{Kind: opts.Model, HiddenDim: opts.HiddenDim, BatchSize: opts.BatchSize}
+	alg := spec.NewSampler()
+	sampling.Prepare(alg, d.Graph)
+	store, err := buildStore(d, alg, opts)
+	check(err)
+	workers := make([]*nn.Model, opts.NumTrainers) // same seed ⇒ same initial parameters
+	for i := range workers {
+		workers[i] = nn.NewModel(opts.Model, spec.NumLayers(), d.FeatureDim, opts.HiddenDim, d.NumClasses, opts.Seed)
+	}
+	model := workers[0]
+	opt := tensor.NewAdam(opts.LR, model.Params())
+	evalSet := holdout(d, opts.EvalSize, opts.Seed)
+	a := sampling.CloneAlgorithm(alg)
+	r := rng.New(opts.Seed)
+
+	res := &Result{Model: model}
+	updates := 0
+	for epoch := 0; epoch < opts.MaxEpochs; epoch++ {
+		batches := sampling.Batches(d.TrainSet, opts.BatchSize, r.Split(uint64(epoch)))
+		var epochLoss float64
+		for start := 0; start < len(batches); start += len(workers) {
+			width := min(len(workers), len(batches)-start)
+			for i := 0; i < width; i++ {
+				idx := start + i
+				s := a.Sample(d.Graph, batches[idx], rng.New(opts.Seed^uint64(epoch)<<20^uint64(idx)))
+				g, err := nn.NewCompact(s)
+				check(err)
+				feats, _, _ := store.Gather(s)
+				loss, _, err := workers[i].LossAndGrad(g, feats, nn.SeedLabels(s, d.Labels))
+				check(err)
+				epochLoss += loss
+			}
+			for i := 1; i < width; i++ {
+				check(nn.AccumulateGrads(model.Params(), workers[i].Params()))
+			}
+			averageGrads(opt.Params(), width)
+			opt.Step()
+			updates++
+			for _, rep := range workers[1:] {
+				check(nn.CopyParams(rep.Params(), model.Params()))
+			}
+		}
+
+		correct, total := 0, 0
+		er := rng.New(opts.Seed ^ 0xEA11)
+		for start := 0; start < len(evalSet); start += opts.BatchSize {
+			s := a.Sample(d.Graph, evalSet[start:min(start+opts.BatchSize, len(evalSet))], er)
+			g, err := nn.NewCompact(s)
+			check(err)
+			feats, _, _ := store.Gather(s)
+			c, err := model.Predict(g, feats, nn.SeedLabels(s, d.Labels))
+			check(err)
+			correct += c
+			total += len(s.Seeds)
+		}
+		acc := float64(correct) / float64(total)
+		res.History = append(res.History, EpochRecord{Epoch: epoch, Loss: epochLoss / float64(len(batches)), EvalAcc: acc, Updates: updates})
+		res.FinalAccuracy, res.CacheHitRate = acc, store.HitRate()
+	}
+	return res
+}
+
 // TestTrainPooledMatchesFresh is the end-to-end bit-identicality contract
 // of the pooled training path: for every data-parallel width and cache
-// configuration, a run with pooled minibatch workspaces produces exactly
-// the loss history, accuracy trajectory, hit rate and final parameters of
-// a run with fresh allocations.
+// configuration — executors sampling on demand or accepting queued
+// samples — Train produces exactly the loss history, accuracy trajectory,
+// hit rate and final parameters of referenceTrain's sequential
+// fresh-allocation run, and surfaces its buffer reuse in the counters.
 func TestTrainPooledMatchesFresh(t *testing.T) {
 	d := convDataset(t)
 	cases := []struct {
@@ -48,12 +127,7 @@ func TestTrainPooledMatchesFresh(t *testing.T) {
 				MaxEpochs:      2,
 				EvalSize:       200,
 			}
-			fresh := base
-			fresh.FreshBuffers = true
-			resF, err := Train(d, fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resF := referenceTrain(t, d, base)
 			pooled := base
 			rec := obs.NewRecorder()
 			pooled.Obs = rec
@@ -74,9 +148,8 @@ func TestTrainPooledMatchesFresh(t *testing.T) {
 			if resF.CacheHitRate != resP.CacheHitRate {
 				t.Errorf("hit rate: fresh %v != pooled %v", resF.CacheHitRate, resP.CacheHitRate)
 			}
-			if resF.Converged != resP.Converged || resF.FinalAccuracy != resP.FinalAccuracy {
-				t.Errorf("outcome: fresh (%v, %v) != pooled (%v, %v)",
-					resF.Converged, resF.FinalAccuracy, resP.Converged, resP.FinalAccuracy)
+			if resF.FinalAccuracy != resP.FinalAccuracy {
+				t.Errorf("final accuracy: fresh %v != pooled %v", resF.FinalAccuracy, resP.FinalAccuracy)
 			}
 			var ckF, ckP bytes.Buffer
 			if err := resF.Model.SaveCheckpoint(&ckF); err != nil {
@@ -138,18 +211,20 @@ func TestTrainPooledRecoversFromCrash(t *testing.T) {
 	}
 }
 
-// TestMinibatchSteadyStateZeroAllocs pins the whole per-minibatch compute
-// path — Compact rebuild, feature gather, label gather, forward+backward,
-// gradient averaging and the optimizer step — at zero heap allocations
-// once the scratch is warm, with and without a feature cache. (Dims are
-// kept small so tensor.MatMul stays on its serial path; the parallel
-// path spawns goroutines, which allocate.)
+// TestMinibatchSteadyStateZeroAllocs pins a trainer's whole per-minibatch
+// path through its executor — pooled sample, Compact rebuild, feature
+// gather, label gather, forward+backward, gradient averaging and the
+// optimizer step — at zero heap allocations once the executor is warm,
+// with and without a feature cache. (Dims are kept small so tensor.MatMul
+// stays on its serial path; the parallel path spawns goroutines, which
+// allocate.)
 func TestMinibatchSteadyStateZeroAllocs(t *testing.T) {
 	d := convDataset(t)
 	spec := workload.Spec{Kind: workload.GraphSAGE, HiddenDim: 16, BatchSize: 16}
 	alg := spec.NewSampler()
 	sampling.Prepare(alg, d.Graph)
-	s := alg.Sample(d.Graph, d.TrainSet[:16], rng.New(7))
+	r := rng.New(7)
+	start := r.State()
 
 	for _, withCache := range []bool{false, true} {
 		name := "nocache"
@@ -174,14 +249,15 @@ func TestMinibatchSteadyStateZeroAllocs(t *testing.T) {
 			}
 			model := nn.NewModel(spec.Kind, spec.NumLayers(), d.FeatureDim, spec.HiddenDim, d.NumClasses, 11)
 			opt := tensor.NewAdam(0.01, model.Params())
-			sc := newMinibatchScratch()
+			ex := minibatch.New(alg, d.Graph, store, d.Labels)
 			run := func() {
-				if err := nn.NewCompactInto(&sc.compact, s); err != nil {
+				r.SetState(start) // the same sample every run, so buffers stop growing
+				ex.Sample(d.TrainSet[:16], r)
+				if err := ex.Compact(); err != nil {
 					t.Fatal(err)
 				}
-				store.GatherInto(&sc.feats, s)
-				sc.labels = nn.SeedLabelsInto(sc.labels, s, d.Labels)
-				if _, _, err := model.LossAndGradWS(sc.ws, &sc.compact, &sc.feats, sc.labels); err != nil {
+				ex.Gather()
+				if _, err := ex.LossAndGrad(model); err != nil {
 					t.Fatal(err)
 				}
 				averageGrads(opt.Params(), 1)

@@ -1,6 +1,8 @@
 // Package train is the live training runtime: real Sampler goroutines
 // feeding real Trainers through the global sample queue, computing real
-// gradients with internal/nn and training to a real accuracy target. It
+// gradients with internal/nn and training to a real accuracy target. Each
+// Trainer, and evaluation, runs its mini-batches on a minibatch.Executor,
+// which owns the Sample→Compact→Gather→Forward chain and its buffers. It
 // backs the convergence experiment (§7.7, Fig 16) and the runnable
 // examples — everything internal/core *simulates*, this package
 // *executes* (at laptop scale, on the labelled community dataset).
@@ -15,6 +17,7 @@ import (
 	"gnnlab/internal/fault"
 	"gnnlab/internal/feature"
 	"gnnlab/internal/gen"
+	"gnnlab/internal/minibatch"
 	"gnnlab/internal/nn"
 	"gnnlab/internal/obs"
 	"gnnlab/internal/queue"
@@ -35,8 +38,9 @@ type Options struct {
 	// mean fewer updates per epoch — the effect Fig 16(b) measures.
 	NumTrainers int
 	// NumSamplers > 0 runs that many concurrent Sampler goroutines
-	// feeding the global queue (the live factored pipeline); 0 samples
-	// inline, which is bit-deterministic.
+	// feeding the global queue (the live factored pipeline); with 0 each
+	// trainer samples its own batch on demand. Both are bit-deterministic
+	// and produce identical runs.
 	NumSamplers int
 	LR          float64
 	// TargetAccuracy stops training once evaluation accuracy reaches it.
@@ -55,12 +59,6 @@ type Options struct {
 	// optimizer lanes) and training counters. Spans only observe: the
 	// trained model and history are identical with or without it.
 	Obs *obs.Recorder
-	// FreshBuffers disables the pooled per-trainer minibatch workspaces
-	// and allocates every buffer fresh — the pre-pooling behavior. The
-	// trained model and history are bit-identical either way
-	// (TestTrainPooledMatchesFresh); the flag exists for differential
-	// testing and as an escape hatch.
-	FreshBuffers bool
 	// Faults injects the plan's trainer-crash events into the live run:
 	// each crash event scheduled for epoch e aborts that epoch mid-way
 	// (discarding its partial updates) and restores the per-epoch
@@ -165,15 +163,11 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 	evalSet := holdout(d, opts.EvalSize, opts.Seed)
 	r := rng.New(opts.Seed)
 
-	// One pooled workspace per trainer (plus reuse for evaluation): the
-	// scratch buffers live for the whole run, so steady-state minibatches
-	// allocate nothing from the Sample handoff to the optimizer step.
-	var scratches []*minibatchScratch
-	if !opts.FreshBuffers {
-		scratches = make([]*minibatchScratch, opts.NumTrainers)
-		for i := range scratches {
-			scratches[i] = newMinibatchScratch()
-		}
+	// One executor per trainer, alive for the whole run: steady-state
+	// minibatches allocate nothing from Sample to the optimizer step.
+	execs := make([]*minibatch.Executor, opts.NumTrainers)
+	for i := range execs {
+		execs[i] = minibatch.New(alg, d.Graph, store, d.Labels)
 	}
 
 	res := &Result{Model: model}
@@ -193,11 +187,14 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 			ck = capture(model, opt, r, store, updates)
 		}
 
-		var epochLoss, acc float64
+		var epochLoss float64
 		for {
 			er := r.Split(uint64(epoch))
 			batches := sampling.Batches(d.TrainSet, opts.BatchSize, er)
-			stream := produceSamples(d, alg, batches, opts, epoch)
+			var stream *sampleStream
+			if opts.NumSamplers > 0 {
+				stream = produceSamples(d, alg, batches, opts, epoch)
+			}
 
 			stopAfter := -1
 			if len(pending) > 0 {
@@ -206,9 +203,11 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 			}
 			var stepCount int
 			var err error
-			epochLoss, stepCount, err = runEpochSteps(model, replicas, opt, store, d, stream, len(batches), opts, scratches, stopAfter)
+			epochLoss, stepCount, err = runEpochSteps(model, replicas, opt, execs, stream, batches, opts, epoch, stopAfter)
 			if errors.Is(err, errInjectedCrash) {
-				stream.abandon()
+				if stream != nil {
+					stream.abandon()
+				}
 				if err := ck.restore(model, replicas, opt, r, store); err != nil {
 					return nil, err
 				}
@@ -226,14 +225,9 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 			break
 		}
 
-		var err error
-		var evalScratch *minibatchScratch
-		if len(scratches) > 0 {
-			// The round's workers are quiesced here, so evaluation can
-			// borrow trainer 0's scratch.
-			evalScratch = scratches[0]
-		}
-		acc, err = evaluate(model, d, store, alg, evalSet, opts, evalScratch)
+		// The round's workers are quiesced here, so evaluation borrows
+		// trainer 0's executor.
+		acc, err := evaluate(model, execs[0], evalSet, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -252,40 +246,21 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 			break
 		}
 	}
-	exportScratchStats(reg, scratches, store)
+	exportScratchStats(reg, execs, store)
 	return res, nil
-}
-
-// minibatchScratch is one trainer's pooled buffers for the whole
-// Sample-to-step path: the reused Compact (generation-stamped renumber
-// table), the gather destination, the seed-label slice and the
-// activation/gradient workspace. A scratch serves one goroutine; Train
-// pools one per trainer and reuses trainer 0's for evaluation.
-type minibatchScratch struct {
-	compact nn.Compact
-	feats   tensor.Matrix
-	labels  []int32
-	ws      *nn.Workspace
-
-	// passes counts pooled minibatch passes; reuses the ones that grew no
-	// workspace backing array (the train.scratch_* counters).
-	passes, reuses int64
-}
-
-func newMinibatchScratch() *minibatchScratch {
-	return &minibatchScratch{ws: nn.NewWorkspace()}
 }
 
 // exportScratchStats publishes the pooled-buffer reuse counters —
 // train.scratch_samples/reuses/grows for the trainer workspaces (the
 // training analogue of measure.scratch_*) and feature.gather_reuse/
 // gather_grow for the Extract-stage destination buffers.
-func exportScratchStats(reg *obs.Registry, scratches []*minibatchScratch, store *feature.Store) {
+func exportScratchStats(reg *obs.Registry, execs []*minibatch.Executor, store *feature.Store) {
 	var passes, reuses, grows int64
-	for _, sc := range scratches {
-		passes += sc.passes
-		reuses += sc.reuses
-		grows += sc.ws.Grows()
+	for _, ex := range execs {
+		p, r, g := ex.Stats()
+		passes += p
+		reuses += r
+		grows += g
 	}
 	reg.Counter("train.scratch_samples").Add(passes)
 	reg.Counter("train.scratch_reuses").Add(reuses)
@@ -398,10 +373,13 @@ func (ck *checkpoint) restore(model *nn.Model, replicas []*nn.Model, opt *tensor
 // replica; the master model doubles as replica 0), gradients are averaged
 // into the master, the optimizer steps, and updated parameters fan back
 // out to the replicas — the live analogue of the gradient exchange in §2.
-// It returns the summed loss and the number of gradient updates.
-// stopAfterRounds >= 0 injects a trainer crash: that many rounds complete,
-// then the epoch aborts with errInjectedCrash (-1 never crashes).
-func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, store *feature.Store, d *gen.Dataset, stream *sampleStream, numBatches int, opts Options, scratches []*minibatchScratch, stopAfterRounds int) (float64, int, error) {
+// Trainer i runs its mini-batch on execs[i]: with a nil stream the
+// executor samples batch idx itself, otherwise it accepts the sample a
+// Sampler goroutine queued for that batch. It returns the summed loss and
+// the number of gradient updates. stopAfterRounds >= 0 injects a trainer
+// crash: that many rounds complete, then the epoch aborts with
+// errInjectedCrash (-1 never crashes).
+func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, execs []*minibatch.Executor, stream *sampleStream, batches [][]int32, opts Options, epoch, stopAfterRounds int) (float64, int, error) {
 	workers := append([]*nn.Model{model}, replicas...)
 	rec := opts.Obs
 	var trainerLanes []obs.Lane
@@ -420,89 +398,58 @@ func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, stor
 	}
 	var epochLoss float64
 	// Round result buffers, hoisted out of the per-round loop: every slot
-	// up to len(round) is overwritten each round before it is read.
+	// up to the round's width is overwritten each round before it is read.
 	losses := make([]float64, len(workers))
 	errs := make([]error, len(workers))
 	updates := 0
-	for start := 0; start < numBatches; start += len(workers) {
+	for start := 0; start < len(batches); start += len(workers) {
 		if updates == stopAfterRounds {
 			return epochLoss, updates, errInjectedCrash
 		}
-		end := start + len(workers)
-		if end > numBatches {
-			end = numBatches
-		}
-		round, err := stream.take(end - start)
-		if err != nil {
-			return 0, 0, err
+		width := min(len(workers), len(batches)-start)
+		var queued []*sampling.Sample
+		if stream != nil {
+			var err error
+			if queued, err = stream.take(width); err != nil {
+				return 0, 0, err
+			}
 		}
 		var wg sync.WaitGroup
-		for i, s := range round {
+		for i := 0; i < width; i++ {
 			wg.Add(1)
-			var sc *minibatchScratch
-			if scratches != nil {
-				sc = scratches[i]
-			}
-			go func(i int, s *sampling.Sample, m *nn.Model, sc *minibatchScratch) {
+			go func(i int) {
 				defer wg.Done()
+				ex, idx := execs[i], start+i
+				if queued != nil {
+					ex.Accept(queued[i])
+				} else if _, errs[i] = sampleOne(ex.Sample, batches[idx], idx, opts, epoch); errs[i] != nil {
+					return
+				}
 				var sp *obs.Span
 				if trainerLanes != nil {
 					sp = trainerLanes[i].Start("minibatch")
 				}
-				var g *nn.Compact
-				if sc != nil {
-					if errs[i] = nn.NewCompactInto(&sc.compact, s); errs[i] != nil {
-						return
-					}
-					g = &sc.compact
-				} else {
-					var err error
-					if g, err = nn.NewCompact(s); err != nil {
-						errs[i] = err
-						return
-					}
+				if errs[i] = ex.Compact(); errs[i] != nil {
+					return
 				}
 				gsp := sp.Child("gather")
-				var feats *tensor.Matrix
-				var hits, misses int
-				if sc != nil {
-					hits, misses = store.GatherInto(&sc.feats, s)
-					feats = &sc.feats
-				} else {
-					feats, hits, misses = store.Gather(s)
-				}
+				hits, misses := ex.Gather()
 				if gsp != nil {
 					gsp.End(obs.Attr{Key: "hits", Value: hits}, obs.Attr{Key: "misses", Value: misses})
 				}
 				cHits.Add(int64(hits))
 				cMisses.Add(int64(misses))
-				var labels []int32
-				if sc != nil {
-					sc.labels = nn.SeedLabelsInto(sc.labels, s, d.Labels)
-					labels = sc.labels
-				} else {
-					labels = nn.SeedLabels(s, d.Labels)
-				}
 				fbsp := sp.Child("forward+backward")
-				if sc != nil {
-					prevGrows := sc.ws.Grows()
-					losses[i], _, errs[i] = m.LossAndGradWS(sc.ws, g, feats, labels)
-					sc.passes++
-					if sc.ws.Grows() == prevGrows {
-						sc.reuses++
-					}
-				} else {
-					losses[i], _, errs[i] = m.LossAndGrad(g, feats, labels)
-				}
+				losses[i], errs[i] = ex.LossAndGrad(workers[i])
 				fbsp.End()
 				if sp != nil {
-					sp.End(obs.Attr{Key: "batch", Value: start + i})
+					sp.End(obs.Attr{Key: "batch", Value: idx})
 				}
 				cBatches.Add(1)
-			}(i, s, workers[i], sc)
+			}(i)
 		}
 		wg.Wait()
-		for i := range round {
+		for i := 0; i < width; i++ {
 			if errs[i] != nil {
 				return 0, 0, errs[i]
 			}
@@ -511,12 +458,12 @@ func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, stor
 		// Gradient exchange: replicas' gradients accumulate into the
 		// master in fixed order, then the averaged update applies.
 		ssp := stepLane.Start("exchange+step")
-		for i := 1; i < len(round); i++ {
+		for i := 1; i < width; i++ {
 			if err := nn.AccumulateGrads(model.Params(), workers[i].Params()); err != nil {
 				return 0, 0, err
 			}
 		}
-		averageGrads(opt.Params(), len(round))
+		averageGrads(opt.Params(), width)
 		opt.Step()
 		updates++
 		cUpdates.Add(1)
@@ -526,7 +473,7 @@ func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, stor
 			}
 		}
 		if ssp != nil {
-			ssp.End(obs.Attr{Key: "round_batches", Value: len(round)})
+			ssp.End(obs.Attr{Key: "round_batches", Value: width})
 		}
 	}
 	return epochLoss, updates, nil
@@ -565,32 +512,36 @@ func buildStore(d *gen.Dataset, alg sampling.Algorithm, opts Options) (*feature.
 	return store, nil
 }
 
-// sampleStream delivers an epoch's samples in batch order, either from an
-// inline (bit-deterministic) pre-sampled slice or streamed live from
-// concurrent Sampler goroutines through the global queue. Streaming
+// sampleStream delivers an epoch's samples in batch order, streamed live
+// from concurrent Sampler goroutines through the global queue. Streaming
 // overlaps the Sample stage with Extract+Train — the factored pipeline —
 // while a reorder buffer keeps delivery order (and therefore training
 // results) independent of goroutine scheduling.
 type sampleStream struct {
-	inline []*sampling.Sample // non-nil for inline mode
-	next   int
-
+	work    *queue.Queue[sampleTask]
 	done    *queue.Queue[indexedSample]
 	pending map[int]*sampling.Sample
-	cancel  func()
+	next    int
 
 	// buf backs take's returned slice, reused across rounds.
 	buf []*sampling.Sample
 }
 
-// abandon stops a live stream mid-epoch (injected crash recovery): the
+// abandon stops the stream mid-epoch (injected crash recovery): the
 // remaining work drains unserved and the done queue closes, so blocked
-// Sampler goroutines wake, drop their samples and exit. Inline streams
-// have nothing to stop.
+// Sampler goroutines wake, drop their samples and exit.
 func (st *sampleStream) abandon() {
-	if st.cancel != nil {
-		st.cancel()
+	for {
+		if _, ok, _ := st.work.TryDequeue(); !ok {
+			break
+		}
 	}
+	st.done.Close()
+}
+
+type sampleTask struct {
+	idx   int
+	seeds []int32
 }
 
 type indexedSample struct {
@@ -608,14 +559,6 @@ func (st *sampleStream) take(k int) ([]*sampling.Sample, error) {
 	out := st.buf[:0]
 	defer func() { st.buf = out }()
 	for len(out) < k {
-		if st.inline != nil {
-			if st.next >= len(st.inline) {
-				return nil, fmt.Errorf("train: sample stream exhausted at %d", st.next)
-			}
-			out = append(out, st.inline[st.next])
-			st.next++
-			continue
-		}
 		if s, ok := st.pending[st.next]; ok {
 			delete(st.pending, st.next)
 			out = append(out, s)
@@ -634,51 +577,44 @@ func (st *sampleStream) take(k int) ([]*sampling.Sample, error) {
 	return out, nil
 }
 
-// produceSamples runs the Sample stage for an epoch, either inline or
-// through the live factored pipeline (Sampler goroutines + global queue).
-// The per-batch RNG streams are keyed by (epoch, batch) so the sampled
-// neighborhoods do not depend on goroutine scheduling; the stream's
-// reorder buffer keeps delivery order deterministic too.
+// produceSamples starts an epoch's Sample stage on the live factored
+// pipeline: Sampler goroutines (at least one) feeding the global queue.
+// Each owns a fresh-allocation clone of alg, because its samples cross
+// the queue and must own their memory. The per-batch RNG streams are
+// keyed by (epoch, batch) so the sampled neighborhoods do not depend on
+// goroutine scheduling — or on whether a Sampler or a trainer's executor
+// draws them; the stream's reorder buffer keeps delivery order
+// deterministic too.
 func produceSamples(d *gen.Dataset, alg sampling.Algorithm, batches [][]int32, opts Options, epoch int) *sampleStream {
-	if opts.NumSamplers <= 0 {
-		out := make([]*sampling.Sample, len(batches))
-		a := sampling.CloneAlgorithm(alg)
-		for i, b := range batches {
-			out[i] = a.Sample(d.Graph, b, rng.New(opts.Seed^uint64(epoch)<<20^uint64(i)))
-		}
-		return &sampleStream{inline: out}
-	}
-
-	type task struct {
-		idx   int
-		seeds []int32
-	}
-	work := queue.New[task](len(batches))
+	numSamplers := max(1, opts.NumSamplers)
+	work := queue.New[sampleTask](len(batches))
 	// The global queue between Samplers and Trainers (§5.2); bounded so
 	// producers feel backpressure like the real host-memory queue.
-	done := queue.New[indexedSample](max(4, 2*opts.NumSamplers))
+	done := queue.New[indexedSample](max(4, 2*numSamplers))
 	for i, b := range batches {
 		// Cannot fail: the queue holds len(batches) slots and is not yet
 		// closed, so every task is accepted.
-		work.Enqueue(task{idx: i, seeds: b})
+		work.Enqueue(sampleTask{idx: i, seeds: b})
 	}
 	work.Close()
 	cSamples := opts.Obs.Registry().Counter("train.samples")
 	cDropped := opts.Obs.Registry().Counter("queue.dropped_enqueues")
-	for w := 0; w < opts.NumSamplers; w++ {
+	for w := 0; w < numSamplers; w++ {
 		var lane obs.Lane
 		if opts.Obs != nil {
 			lane = opts.Obs.Lane("Train", fmt.Sprintf("sampler-%d", w))
 		}
 		go func() {
 			a := sampling.CloneAlgorithm(alg)
+			sample := func(seeds []int32, r *rng.Rand) *sampling.Sample { return a.Sample(d.Graph, seeds, r) }
 			for {
 				t, ok := work.Dequeue()
 				if !ok {
 					return
 				}
 				sp := lane.Start("sample")
-				item := sampleOne(d, a, t.seeds, t.idx, opts, epoch)
+				item := indexedSample{idx: t.idx}
+				item.s, item.err = sampleOne(sample, t.seeds, t.idx, opts, epoch)
 				if sp != nil {
 					sp.End(obs.Attr{Key: "epoch", Value: epoch}, obs.Attr{Key: "batch", Value: t.idx})
 				}
@@ -695,30 +631,20 @@ func produceSamples(d *gen.Dataset, alg sampling.Algorithm, batches [][]int32, o
 			}
 		}()
 	}
-	cancel := func() {
-		for {
-			if _, ok, _ := work.TryDequeue(); !ok {
-				break
-			}
-		}
-		done.Close()
-	}
-	return &sampleStream{done: done, pending: map[int]*sampling.Sample{}, cancel: cancel}
+	return &sampleStream{work: work, done: done, pending: map[int]*sampling.Sample{}}
 }
 
-// sampleOne runs one mini-batch's Sample stage, converting a panicking
-// sampling algorithm (e.g. a buggy user-defined one, §5.1) into an error
-// on the stream instead of a deadlocked pipeline.
-func sampleOne(d *gen.Dataset, a sampling.Algorithm, seedsBatch []int32, idx int, opts Options, epoch int) (item indexedSample) {
-	item.idx = idx
+// sampleOne runs mini-batch idx's Sample stage with its (seed, epoch,
+// batch)-keyed RNG stream, converting a panicking sampling algorithm
+// (e.g. a buggy user-defined one, §5.1) into an error instead of a
+// deadlocked pipeline or a crashed trainer goroutine.
+func sampleOne(sample func([]int32, *rng.Rand) *sampling.Sample, seeds []int32, idx int, opts Options, epoch int) (s *sampling.Sample, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			item.s = nil
-			item.err = fmt.Errorf("train: sampler panicked on batch %d: %v", idx, r)
+			s, err = nil, fmt.Errorf("train: sampler panicked on batch %d: %v", idx, r)
 		}
 	}()
-	item.s = a.Sample(d.Graph, seedsBatch, rng.New(opts.Seed^uint64(epoch)<<20^uint64(idx)))
-	return item
+	return sample(seeds, rng.New(opts.Seed^uint64(epoch)<<20^uint64(idx))), nil
 }
 
 // averageGrads scales accumulated gradients by 1/k — turning k accumulated
@@ -780,50 +706,27 @@ func holdout(d *gen.Dataset, size int, seed uint64) []int32 {
 	return out
 }
 
-// evaluate samples the eval set once (fixed seed, so the eval graph view is
-// stable across epochs) and returns accuracy. A non-nil scratch runs the
-// whole gather+predict path in pooled buffers (sc must not be in use by a
-// trainer goroutine); nil allocates fresh.
-func evaluate(model *nn.Model, d *gen.Dataset, store *feature.Store, alg sampling.Algorithm, evalSet []int32, opts Options, sc *minibatchScratch) (float64, error) {
+// evaluate runs the eval set through ex (which must not be in use by a
+// trainer goroutine) and returns accuracy. The sampling seed is fixed, so
+// the eval graph view is stable across epochs.
+func evaluate(model *nn.Model, ex *minibatch.Executor, evalSet []int32, opts Options) (float64, error) {
 	if len(evalSet) == 0 {
 		return 0, nil
 	}
-	a := sampling.CloneAlgorithm(alg)
-	correct, total := 0, 0
+	correct := 0
 	er := rng.New(opts.Seed ^ 0xEA11)
 	for start := 0; start < len(evalSet); start += opts.BatchSize {
-		end := start + opts.BatchSize
-		if end > len(evalSet) {
-			end = len(evalSet)
+		end := min(start+opts.BatchSize, len(evalSet))
+		ex.Sample(evalSet[start:end], er)
+		if err := ex.Compact(); err != nil {
+			return 0, err
 		}
-		s := a.Sample(d.Graph, evalSet[start:end], er)
-		var c int
-		if sc != nil {
-			if err := nn.NewCompactInto(&sc.compact, s); err != nil {
-				return 0, err
-			}
-			store.GatherInto(&sc.feats, s)
-			sc.labels = nn.SeedLabelsInto(sc.labels, s, d.Labels)
-			var err error
-			c, err = model.PredictWS(sc.ws, &sc.compact, &sc.feats, sc.labels)
-			if err != nil {
-				return 0, err
-			}
-			total += len(sc.labels)
-		} else {
-			g, err := nn.NewCompact(s)
-			if err != nil {
-				return 0, err
-			}
-			feats, _, _ := store.Gather(s)
-			labels := nn.SeedLabels(s, d.Labels)
-			c, err = model.Predict(g, feats, labels)
-			if err != nil {
-				return 0, err
-			}
-			total += len(labels)
+		ex.Gather()
+		c, err := ex.Predict(model)
+		if err != nil {
+			return 0, err
 		}
 		correct += c
 	}
-	return float64(correct) / float64(total), nil
+	return float64(correct) / float64(len(evalSet)), nil
 }

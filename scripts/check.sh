@@ -4,7 +4,8 @@
 # every run exercises real concurrency), and a one-shot smoke run of the
 # quick benchmark profile. The race detector is ~10-20x slower than a
 # plain run — the explicit -timeout keeps slow single-core machines from
-# tripping go test's 600s default.
+# tripping go test's 600s default. Every test runs exactly once, in the
+# full -race suite; the script prints its own wall-clock at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,35 +24,11 @@ go test -short -race -timeout 3600s -run xxx -bench=BenchmarkTable1Breakdown -be
 # and running without paying full benchmark time.
 go test -timeout 3600s -run xxx -bench='BenchmarkSample$' -benchtime=1x ./internal/sampling
 go test -timeout 3600s -run xxx -bench=BenchmarkCacheRank -benchtime=1x ./internal/cache
-# Pooled training-path gate: the zero-alloc pin and the pooled-vs-fresh
-# differential (bit-identical histories, checkpoints and hit rates across
-# data-parallel widths), plus the concurrent pooled trainers under race
-# (covered again by the full -race suite above; -count=1 defeats caching),
-# and a one-iteration smoke of the end-to-end minibatch benchmark that
-# also regenerates BENCH_train.json.
-go test -timeout 3600s -count=1 -run 'TestMinibatchSteadyStateZeroAllocs|TestTrainPooledMatchesFresh' ./internal/train
+# One-iteration smoke of the end-to-end minibatch benchmark, which also
+# regenerates BENCH_train.json.
 go test -timeout 3600s -run xxx -bench=BenchmarkMinibatch -benchtime=1x .
-# Fault-injection determinism suite: empty plans are bit-identical no-ops,
-# seeded plans reproduce across worker counts, and an injected crash
-# recovers live training to the exact uninterrupted loss history.
-go test -timeout 3600s -count=1 -run 'Fault|Resilience|CrashRecovery' ./internal/sim ./internal/fault ./internal/core ./internal/train ./internal/experiments
 # Resilience smoke: the fault sweep end to end through the CLI.
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -faults 3 resilience
-# Dynamic-graph suite under race: the delta/snapshot structural tests, the
-# snapshot-vs-rebuild differentials at every layer (sampling, PreSC,
-# footprint, measure — covered again by the full -race suite above;
-# -count=1 defeats caching), and the snapshot zero-alloc pin.
-go test -race -timeout 3600s -count=1 \
-	-run 'TestSnapshot|TestDelta|TestCompact|TestDegreeRankTop|SnapshotMatchesRebuild|TestSampleSnapshotZeroAllocs|TestHotness' \
-	./internal/graph ./internal/sampling ./internal/cache ./internal/measure
-# Compressed-topology suite under race: packed structural/round-trip
-# tests, the packed-vs-CSR sampling differentials (all 8 variants, gob
-# byte-identical), the decoded-row cache pins, the packed zero-alloc pin,
-# the measure-layer differential and the packed dataset round trip
-# (covered again by the full -race suite above; -count=1 defeats caching).
-go test -race -timeout 3600s -count=1 \
-	-run 'TestPacked|FuzzPackedFromBytes|TestSamplePacked|TestCollectPacked|TestCSRMaxDegreeMemoized|TestParallelMatMulATB' \
-	./internal/graph ./internal/sampling ./internal/measure ./internal/gen ./internal/tensor
 # Graph-storage benchmark smoke: one iteration regenerates BENCH_graph.json
 # (snapshot/compact cost, overlay sampling overhead, O(|Δ|) ApplyDelta,
 # packed compression ratio + decode/sampling overhead).
@@ -69,15 +46,6 @@ go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -packed table2 > /dev/null
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -drift 3 drift
 # Epoch-accounting smoke: the critical-path/what-if report end to end.
 go run ./cmd/gnnlab-bench -scale 16 -gpus 4 -whatif PA > /dev/null
-# Serving suite: the queue lifecycle fixes (done-on-last-item, Reopen
-# maxDepth reset, closed-enqueue drop accounting) and the Close/Reopen
-# stress interleavings under race, the open-loop simulator's conservation
-# and fault invariants, and the live server's admission/deadline/
-# microbatching/zero-alloc pins (covered again by the full -race suite
-# above; -count=1 defeats caching).
-go test -race -timeout 3600s -count=1 \
-	-run 'TestTryDequeue|TestTryEnqueue|TestReopen|TestDropped|TestResetStats|TestCloseReopenStress|TestPoisson|TestTrace|TestServe|TestMaxSustainable|TestAdmission|TestDeadline|TestEWMA|TestRequestDrivenCache' \
-	./internal/queue ./internal/sim ./internal/serve
 # Serving determinism: the open-loop latency report is seed-keyed
 # simulation downstream of measured stage costs, so two runs of the same
 # binary must emit byte-identical tables (csv omits wall-clock footers).
@@ -96,3 +64,4 @@ go test -timeout 3600s -run xxx -bench=BenchmarkServe -benchtime=1x .
 # noise band (see scripts/benchdiff).
 go test -timeout 3600s -run xxx -bench='BenchmarkMeasureParallel|BenchmarkMeasureStoreReplay|BenchmarkSampleArena' -benchtime=1x .
 go run ./scripts/benchdiff -out benchdiff.txt "$BASELINES" .
+echo "check.sh: passed in ${SECONDS}s"
