@@ -11,8 +11,9 @@ package gnnlab
 // Submit×B→Step cycle. The pooled buffers themselves are zero-alloc
 // (pinned at 0 by internal/serve's TestServeSteadyStateZeroAlloc, which
 // stays below tensor's parallel threshold); at this benchmark's batch
-// size the two layer MatMuls cross that threshold, so the steady state
-// is exactly 2 allocs/cycle — parallelRows' goroutine bookkeeping, one
+// size the two layer MatMuls cross that threshold, so on one core the
+// steady state is 0 allocs/cycle and on more it is parallelRows'
+// goroutine bookkeeping — a WaitGroup and one closure per extra core,
 // per large MatMul, nothing per-request. Results land in
 // BENCH_serve.json.
 
@@ -176,7 +177,7 @@ func BenchmarkServe(b *testing.B) {
 		"live_bytes_op":   liveB,
 		"live_allocs_op":  liveO,
 		"live_cache_rate": srv.CacheHitRate(),
-		"cores":           runtime.NumCPU(),
+		"cores":           runtime.GOMAXPROCS(0),
 	}, "", "  ")
 	if err != nil {
 		b.Fatal(err)

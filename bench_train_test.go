@@ -180,7 +180,7 @@ func BenchmarkMinibatch(b *testing.B) {
 		"hidden_dim":     spec.HiddenDim,
 		"batch_size":     spec.BatchSize,
 		"calls":          calls,
-		"cores":          runtime.NumCPU(),
+		"cores":          runtime.GOMAXPROCS(0),
 		"configs":        rows,
 	}, "", "  ")
 	if err != nil {

@@ -95,8 +95,8 @@ func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOu
 }
 
 // BackwardLayer implements Layer.
-func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, ctx any, gradOut *tensor.Matrix) *tensor.Matrix {
-	return c.backward(ws, g, ctx.(*convCtx), gradOut)
+func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, ctx any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+	return c.backward(ws, g, ctx.(*convCtx), gradOut, needInput)
 }
 
 // Forward computes activations for the first numOut local vertices from
@@ -156,12 +156,18 @@ func (c *Conv) forward(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOut int
 
 // Backward consumes the gradient w.r.t. this layer's output, accumulates
 // parameter gradients, and returns the gradient w.r.t. hIn (full Needed[l-1]
-// rows; rows beyond numOut receive only scattered neighbor gradients).
+// rows; rows beyond numOut receive only scattered neighbor gradients). It
+// always computes the input gradient — the reference the model's
+// dead-gradient path is tested against.
 func (c *Conv) Backward(g *Compact, ctx *convCtx, gradOut *tensor.Matrix) *tensor.Matrix {
-	return c.backward(nil, g, ctx, gradOut)
+	return c.backward(nil, g, ctx, gradOut, true)
 }
 
-func (c *Conv) backward(ws *Workspace, g *Compact, ctx *convCtx, gradOut *tensor.Matrix) *tensor.Matrix {
+// backward accumulates the parameter gradients and, when needInput is
+// set, also builds the gradient w.r.t. hIn. Nothing on the input-gradient
+// path feeds a parameter of this layer, so skipping it (returning nil)
+// leaves every Param.Grad bit-identical.
+func (c *Conv) backward(ws *Workspace, g *Compact, ctx *convCtx, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
 	if ctx.mask != nil {
 		tensor.ReLUBackward(gradOut, ctx.mask)
 	}
@@ -171,6 +177,15 @@ func (c *Conv) backward(ws *Workspace, g *Compact, ctx *convCtx, gradOut *tensor
 	wg := wsMatrix(ws, c.InDim, c.OutDim)
 	tensor.MatMulATB(wg, ctx.agg, gradOut)
 	tensor.AXPY(1, wg.Data, c.WNbr.Grad.Data)
+	if c.WSelf != nil {
+		hSelf := wsView(ws, ctx.numOut, c.InDim, ctx.hIn.Data[:ctx.numOut*c.InDim])
+		wsg := wsMatrix(ws, c.InDim, c.OutDim)
+		tensor.MatMulATB(wsg, hSelf, gradOut)
+		tensor.AXPY(1, wsg.Data, c.WSelf.Grad.Data)
+	}
+	if !needInput {
+		return nil
+	}
 
 	gradIn := wsMatrix(ws, ctx.hIn.Rows, c.InDim)
 	// Through the aggregation: gradAgg = gradOut @ WNbrᵀ, scattered back.
@@ -197,10 +212,6 @@ func (c *Conv) backward(ws *Workspace, g *Compact, ctx *convCtx, gradOut *tensor
 	}
 	// Through the self path (SAGE-family).
 	if c.WSelf != nil {
-		hSelf := wsView(ws, ctx.numOut, c.InDim, ctx.hIn.Data[:ctx.numOut*c.InDim])
-		wsg := wsMatrix(ws, c.InDim, c.OutDim)
-		tensor.MatMulATB(wsg, hSelf, gradOut)
-		tensor.AXPY(1, wsg.Data, c.WSelf.Grad.Data)
 		gradSelf := wsMatrix(ws, ctx.numOut, c.InDim)
 		tensor.MatMulABT(gradSelf, gradOut, c.WSelf.Value)
 		tensor.AXPY(1, gradSelf.Data, gradIn.Data[:ctx.numOut*c.InDim])

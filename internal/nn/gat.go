@@ -106,8 +106,8 @@ func (g *GAT) ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut
 }
 
 // BackwardLayer implements Layer.
-func (g *GAT) BackwardLayer(ws *Workspace, c *Compact, ctx any, gradOut *tensor.Matrix) *tensor.Matrix {
-	return g.backward(ws, c, ctx.(*gatCtx), gradOut)
+func (g *GAT) BackwardLayer(ws *Workspace, c *Compact, ctx any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+	return g.backward(ws, c, ctx.(*gatCtx), gradOut, needInput)
 }
 
 // Forward computes activations for the first numOut local vertices.
@@ -183,19 +183,27 @@ func growFloatRows(buf [][]float32, n int) [][]float32 {
 }
 
 // Backward propagates gradOut, accumulating parameter gradients and
-// returning the gradient with respect to hIn.
+// returning the gradient with respect to hIn (always computed here, like
+// Conv.Backward).
 func (g *GAT) Backward(c *Compact, ctx *gatCtx, gradOut *tensor.Matrix) *tensor.Matrix {
-	return g.backward(nil, c, ctx, gradOut)
+	return g.backward(nil, c, ctx, gradOut, true)
 }
 
-func (g *GAT) backward(ws *Workspace, c *Compact, ctx *gatCtx, gradOut *tensor.Matrix) *tensor.Matrix {
+// backward accumulates parameter gradients; the gradient w.r.t. hIn
+// (gradZ @ W_hᵀ summed over heads) is built only when needInput is set,
+// and nil is returned otherwise. gradZ itself feeds W_h's gradient and is
+// always computed.
+func (g *GAT) backward(ws *Workspace, c *Compact, ctx *gatCtx, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
 	if ctx.mask != nil {
 		tensor.ReLUBackward(gradOut, ctx.mask)
 	}
 	tensor.SumRows(gradOut, g.Bias.Grad.Data)
 
 	headDim := g.OutDim / g.NumHeads
-	gradIn := wsMatrix(ws, ctx.hIn.Rows, g.InDim)
+	var gradIn *tensor.Matrix
+	if needInput {
+		gradIn = wsMatrix(ws, ctx.hIn.Rows, g.InDim)
+	}
 	for hi, head := range g.heads {
 		hc := ctx.heads[hi]
 		aL, aR := head.AttnL.Value.Data, head.AttnR.Value.Data
@@ -247,9 +255,11 @@ func (g *GAT) backward(ws *Workspace, c *Compact, ctx *gatCtx, gradOut *tensor.M
 		wg := wsMatrix(ws, g.InDim, headDim)
 		tensor.MatMulATB(wg, ctx.hIn, gradZ)
 		tensor.AXPY(1, wg.Data, head.W.Grad.Data)
-		headGradIn := wsMatrix(ws, ctx.hIn.Rows, g.InDim)
-		tensor.MatMulABT(headGradIn, gradZ, head.W.Value)
-		tensor.AXPY(1, headGradIn.Data, gradIn.Data)
+		if needInput {
+			headGradIn := wsMatrix(ws, ctx.hIn.Rows, g.InDim)
+			tensor.MatMulABT(headGradIn, gradZ, head.W.Value)
+			tensor.AXPY(1, headGradIn.Data, gradIn.Data)
+		}
 	}
 	return gradIn
 }

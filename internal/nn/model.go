@@ -14,10 +14,18 @@ import (
 // working tensors; a nil ws means fresh allocations (the output and
 // context then have unbounded lifetime, with a non-nil ws they are
 // borrowed until the workspace's next pass).
+//
+// BackwardLayer always accumulates the layer's parameter gradients. It
+// computes and returns the gradient w.r.t. hIn only when needInput is
+// set, and returns nil otherwise: the input gradient feeds the layer
+// below and nothing else, so a layer with nothing trainable below it
+// (layer 0 — input features are data, not parameters) skips it, its
+// Needed[0]-row buffers and its scatter, with every Param.Grad unchanged
+// to the bit.
 type Layer interface {
 	Params() []*tensor.Param
 	ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, any)
-	BackwardLayer(ws *Workspace, c *Compact, ctx any, gradOut *tensor.Matrix) *tensor.Matrix
+	BackwardLayer(ws *Workspace, c *Compact, ctx any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix
 }
 
 // Model is a stack of GNN layers ending in a classifier head (the last
@@ -108,10 +116,12 @@ func (m *Model) Backward(g *Compact, ctxs []any, gradLogits *tensor.Matrix) {
 }
 
 // BackwardWS is Backward drawing working tensors from ws (nil = fresh).
+// Layer l's input gradient is read by layer l-1 only, so layer 0 is not
+// asked for one.
 func (m *Model) BackwardWS(ws *Workspace, g *Compact, ctxs []any, gradLogits *tensor.Matrix) {
 	grad := gradLogits
 	for l := len(m.Layers) - 1; l >= 0; l-- {
-		grad = m.Layers[l].BackwardLayer(ws, g, ctxs[l], grad)
+		grad = m.Layers[l].BackwardLayer(ws, g, ctxs[l], grad, l > 0)
 	}
 }
 

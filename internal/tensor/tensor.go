@@ -93,11 +93,7 @@ func MatMul(dst, a, b *Matrix) {
 	// ikj loop order keeps the inner loop streaming over rows of b; large
 	// products partition output rows across cores (bitwise identical to
 	// the serial result).
-	if a.Rows*a.Cols*b.Cols >= parallelThreshold {
-		parallelRows(a.Rows, func(lo, hi int) { matMulRows(dst, a, b, lo, hi) })
-		return
-	}
-	matMulRows(dst, a, b, 0, a.Rows)
+	parallelRows(a.Rows*a.Cols*b.Cols, a.Rows, matMulRows, dst, a, b)
 }
 
 // MatMulATB computes dst = aᵀ @ b (a: k×n, b: k×m, dst: n×m). Large
@@ -109,11 +105,7 @@ func MatMulATB(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulATB shapes (%d×%d)ᵀ@(%d×%d)->(%d×%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if a.Rows*a.Cols*b.Cols >= parallelThreshold {
-		parallelRows(a.Cols, func(lo, hi int) { matMulATBCols(dst, a, b, lo, hi) })
-		return
-	}
-	matMulATBCols(dst, a, b, 0, a.Cols)
+	parallelRows(a.Rows*a.Cols*b.Cols, a.Cols, matMulATBCols, dst, a, b)
 }
 
 // MatMulABT computes dst = a @ bᵀ (a: n×k, b: m×k, dst: n×m).
@@ -122,11 +114,7 @@ func MatMulABT(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulABT shapes (%d×%d)@(%d×%d)ᵀ->(%d×%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if a.Rows*a.Cols*b.Rows >= parallelThreshold {
-		parallelRows(a.Rows, func(lo, hi int) { matMulABTRows(dst, a, b, lo, hi) })
-		return
-	}
-	matMulABTRows(dst, a, b, 0, a.Rows)
+	parallelRows(a.Rows*a.Cols*b.Rows, a.Rows, matMulABTRows, dst, a, b)
 }
 
 // AddBiasRows adds bias (1×cols) to every row of m in place.

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -358,5 +360,281 @@ func TestParallelMatMulDeterministic(t *testing.T) {
 		if x.Data[i] != y.Data[i] {
 			t.Fatalf("parallel MatMul not bitwise deterministic at %d", i)
 		}
+	}
+}
+
+// The kernels' contract, spelled out per output element: one float32
+// accumulator from +0, k ascending. MatMul and MatMulATB skip k where the
+// a factor is zero (so a zero hides an Inf or NaN opposite it); MatMulABT
+// multiplies everything. The references below are that sentence and
+// nothing else; the kernels must match them with ==.
+
+func refMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var acc float32
+			for k := 0; k < a.Cols; k++ {
+				if a.At(i, k) != 0 {
+					acc += a.At(i, k) * b.At(k, j)
+				}
+			}
+			out.Set(i, j, acc)
+		}
+	}
+	return out
+}
+
+func refMatMulATB(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var acc float32
+			for k := 0; k < a.Rows; k++ {
+				if a.At(k, i) != 0 {
+					acc += a.At(k, i) * b.At(k, j)
+				}
+			}
+			out.Set(i, j, acc)
+		}
+	}
+	return out
+}
+
+func refMatMulABT(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var acc float32
+			for k := 0; k < a.Cols; k++ {
+				acc += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, acc)
+		}
+	}
+	return out
+}
+
+// sameBits reports the first element whose bit pattern differs (NaN
+// payloads and the sign of zero included), or -1.
+func sameBits(got, want *Matrix) int {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return 0
+	}
+	for i := range got.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sprinkleZeros zeroes about pct percent of m.
+func sprinkleZeros(m *Matrix, pct int, r *rng.Rand) {
+	for i := range m.Data {
+		if r.Intn(100) < pct {
+			m.Data[i] = 0
+		}
+	}
+}
+
+func TestKernelsExactFoldOrder(t *testing.T) {
+	inf := float32(math.Inf(1))
+	type product struct {
+		name string
+		// operands builds this variant's storage of the logical
+		// rows×K @ K×cols product.
+		operands func(rows, k, cols int, r *rng.Rand) (a, b *Matrix)
+		// opposite returns the b index multiplied with a.Data[ai] for
+		// output column 0.
+		opposite func(a, b *Matrix, ai int) int
+		run      func(dst, a, b *Matrix)
+		ref      func(a, b *Matrix) *Matrix
+		skips    bool
+	}
+	products := []product{
+		{
+			name: "MatMul",
+			operands: func(rows, k, cols int, r *rng.Rand) (*Matrix, *Matrix) {
+				return randomMatrix(rows, k, r), randomMatrix(k, cols, r)
+			},
+			opposite: func(a, b *Matrix, ai int) int { return (ai % a.Cols) * b.Cols },
+			run:      MatMul, ref: refMatMul, skips: true,
+		},
+		{
+			name: "MatMulATB",
+			operands: func(rows, k, cols int, r *rng.Rand) (*Matrix, *Matrix) {
+				return randomMatrix(k, rows, r), randomMatrix(k, cols, r)
+			},
+			opposite: func(a, b *Matrix, ai int) int { return (ai / a.Cols) * b.Cols },
+			run:      MatMulATB, ref: refMatMulATB, skips: true,
+		},
+		{
+			name: "MatMulABT",
+			operands: func(rows, k, cols int, r *rng.Rand) (*Matrix, *Matrix) {
+				return randomMatrix(rows, k, r), randomMatrix(cols, k, r)
+			},
+			opposite: func(a, b *Matrix, ai int) int { return ai % a.Cols },
+			run:      MatMulABT, ref: refMatMulABT, skips: false,
+		},
+	}
+	// Every tail of the 4-wide blocks, rows below GOMAXPROCS (1 row) and
+	// empty operands; all of these sit below parallelThreshold.
+	sizes := []int{0, 1, 3, 4, 5, 63, 64, 65}
+	type shape struct{ rows, k, cols int }
+	var shapes []shape
+	for _, rows := range sizes {
+		for _, k := range sizes {
+			for _, cols := range sizes {
+				shapes = append(shapes, shape{rows, k, cols})
+			}
+		}
+	}
+	// Above the threshold (fanned out), with uneven chunks and tails.
+	for _, s := range []shape{{261, 129, 67}, {67, 261, 129}, {3, 1031, 1027}, {1027, 5, 1031}} {
+		if s.rows*s.k*s.cols < parallelThreshold {
+			t.Fatalf("shape %v is below parallelThreshold", s)
+		}
+		shapes = append(shapes, s)
+	}
+	r := rng.New(10)
+	for _, p := range products {
+		for _, s := range shapes {
+			for _, pct := range []int{0, 33, 100} {
+				a, b := p.operands(s.rows, s.k, s.cols, r)
+				sprinkleZeros(a, pct, r)
+				// An Inf in b opposite a zero in a: the skipping products
+				// must not see it, MatMulABT must turn it into NaN exactly
+				// as the reference does.
+				for ai, v := range a.Data {
+					if v == 0 && len(b.Data) > 0 {
+						b.Data[p.opposite(a, b, ai)] = inf
+						break
+					}
+				}
+				want := p.ref(a, b)
+				got := New(want.Rows, want.Cols)
+				for i := range got.Data {
+					got.Data[i] = float32(math.NaN()) // dst is overwritten, not accumulated into
+				}
+				p.run(got, a, b)
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("%s %dx%dx%d zeros %d%%: element %d = %v, reference %v",
+						p.name, s.rows, s.k, s.cols, pct, i, got.Data[i], want.Data[i])
+				}
+				if p.skips && pct == 100 {
+					for i, v := range got.Data {
+						if math.Float32bits(v) != 0 {
+							t.Fatalf("%s %dx%dx%d all-zero a: element %d = %v, want +0", p.name, s.rows, s.k, s.cols, i, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelRowsCoversEveryRowOnce checks the chunking, the caller's
+// own chunk included, at row counts around the worker count.
+func TestParallelRowsCoversEveryRowOnce(t *testing.T) {
+	visit := func(dst, _, _ *Matrix, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst.Data[i]++ // rows are owned by one chunk: -race sees any overlap
+		}
+	}
+	for _, procs := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for n := 0; n <= 3*procs+1; n++ {
+			hits := New(n, 1)
+			parallelRows(parallelThreshold, n, visit, hits, nil, nil)
+			for i, h := range hits.Data {
+				if h != 1 {
+					t.Errorf("GOMAXPROCS %d, n %d: row %d visited %v times", procs, n, i, h)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestSerialProductsAllocateNothing pins the fan-out harness at zero
+// allocations whenever it does not fan out: below the threshold, and on
+// one core at any size.
+func TestSerialProductsAllocateNothing(t *testing.T) {
+	r := rng.New(13)
+	small := func() (*Matrix, *Matrix, *Matrix) {
+		return New(8, 8), randomMatrix(8, 8, r), randomMatrix(8, 8, r)
+	}
+	dst, a, b := small()
+	if n := testing.AllocsPerRun(10, func() { MatMul(dst, a, b); MatMulATB(dst, a, b); MatMulABT(dst, a, b) }); n != 0 {
+		t.Errorf("products below the threshold allocate %v/op", n)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dst, a, b = New(256, 128), randomMatrix(256, 128, r), randomMatrix(128, 128, r)
+	if n := testing.AllocsPerRun(10, func() { MatMul(dst, a, b) }); n != 0 {
+		t.Errorf("a large product on one core allocates %v/op", n)
+	}
+}
+
+// kernelShapes are the two live first-layer products (rows×K @ K×cols):
+// train-inline's GraphSAGE step and train-factored's GCN step.
+var kernelShapes = []struct {
+	name          string
+	rows, k, cols int
+}{
+	{"1400x64x64", 1400, 64, 64},
+	{"600x256x32", 600, 256, 32},
+}
+
+// BenchmarkKernels reports GFLOP/s (2 flops per multiply-add) for the
+// three products at the live shapes, at GOMAXPROCS 1 and 2.
+func BenchmarkKernels(b *testing.B) {
+	r := rng.New(11)
+	for _, s := range kernelShapes {
+		x, w := randomMatrix(s.rows, s.k, r), randomMatrix(s.k, s.cols, r)
+		g := randomMatrix(s.rows, s.cols, r)
+		out, wg, gx := New(s.rows, s.cols), New(s.k, s.cols), New(s.rows, s.k)
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"MatMul", func() { MatMul(out, x, w) }},      // forward: x @ W
+			{"MatMulATB", func() { MatMulATB(wg, x, g) }}, // weight gradient: xᵀ @ gradOut
+			{"MatMulABT", func() { MatMulABT(gx, g, w) }}, // input gradient: gradOut @ Wᵀ
+		}
+		for _, k := range kernels {
+			for _, procs := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/procs=%d", k.name, s.name, procs), func(b *testing.B) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						k.run()
+					}
+					flops := 2 * float64(s.rows) * float64(s.k) * float64(s.cols) * float64(b.N)
+					b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkFanOut is the measurement behind parallelThreshold: n×64 @
+// 64×64 run serially and fanned out regardless of size, for n·64·64
+// multiply-adds from half the constant to 4 times it.
+func BenchmarkFanOut(b *testing.B) {
+	r := rng.New(12)
+	for _, madds := range []int{1 << 20, 3 << 19, 1 << 21, 1 << 22, 1 << 23} {
+		rows := madds / (64 * 64)
+		x, w, out := randomMatrix(rows, 64, r), randomMatrix(64, 64, r), New(rows, 64)
+		b.Run(fmt.Sprintf("madds=%d/serial", madds), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matMulRows(out, x, w, 0, rows)
+			}
+		})
+		b.Run(fmt.Sprintf("madds=%d/fanned", madds), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				parallelRows(parallelThreshold, rows, matMulRows, out, x, w)
+			}
+		})
 	}
 }

@@ -19,10 +19,12 @@ go vet ./...
 go build ./...
 go test -race -timeout 3600s ./...
 go test -short -race -timeout 3600s -run xxx -bench=BenchmarkTable1Breakdown -benchtime=1x .
-# Sampling-arena and cache-ranking smoke: one iteration each keeps the
-# allocation-sensitive paths (pooled scratch, top-k selection) compiling
-# and running without paying full benchmark time.
+# Sampling-arena, matmul-kernel and cache-ranking smoke: one iteration
+# each keeps the allocation-sensitive paths (pooled scratch, top-k
+# selection) and the GFLOP/s microbenchmark compiling and running without
+# paying full benchmark time.
 go test -timeout 3600s -run xxx -bench='BenchmarkSample$' -benchtime=1x ./internal/sampling
+go test -timeout 3600s -run xxx -bench='BenchmarkKernels$' -benchtime=1x ./internal/tensor
 go test -timeout 3600s -run xxx -bench=BenchmarkCacheRank -benchtime=1x ./internal/cache
 # One-iteration smoke of the end-to-end minibatch benchmark, which also
 # regenerates BENCH_train.json.
