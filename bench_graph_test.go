@@ -1,8 +1,7 @@
 package gnnlab
 
 // BenchmarkSnapshotOverhead, BenchmarkApplyDelta and BenchmarkPackedDecode
-// measure the graph-storage layer and land in BENCH_graph.json (the
-// benchmarks merge their sections into the same file):
+// measure the graph-storage layer:
 //
 //   - SnapshotOverhead: the cost of taking a Delta snapshot (O(touched
 //     rows), not O(|V|)), of compacting back to CSR, and the per-call
@@ -14,14 +13,14 @@ package gnnlab
 //     for a fixed |V| (linear in |Δ|), against the O(|V|) introselect
 //     re-rank it feeds.
 //   - PackedDecode: the compressed topology. Compression ratio and
-//     bytes/edge on a power-law graph (deterministic — benchdiff gates
-//     them exactly), raw decode throughput, and the pooled k-hop
-//     sampling overhead of decoding rows versus aliasing CSR storage.
+//     bytes/edge on a power-law graph (deterministic; internal/graph's
+//     TestPackedTopologyBytesGolden pins them exactly on a smaller graph
+//     from the same generator), raw decode throughput, and the pooled
+//     k-hop sampling overhead of decoding rows versus aliasing CSR
+//     storage.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
+	"fmt"
 	"testing"
 
 	"gnnlab/internal/cache"
@@ -30,25 +29,6 @@ import (
 	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
 )
-
-// writeBenchGraphSection merges one benchmark's section into
-// BENCH_graph.json, preserving sections written by the other benchmark.
-func writeBenchGraphSection(b *testing.B, key string, val any) {
-	b.Helper()
-	const path = "BENCH_graph.json"
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(raw, &doc)
-	}
-	doc[key] = val
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 func BenchmarkSnapshotOverhead(b *testing.B) {
 	if testing.Short() {
@@ -71,7 +51,7 @@ func BenchmarkSnapshotOverhead(b *testing.B) {
 	}
 	snap := d.Snapshot()
 
-	snapS, snapBytes, _ := measureCalls(50, func() { d.Snapshot() })
+	snapS, snapB, _ := measureCalls(50, func() { d.Snapshot() })
 	compactS, _, _ := measureCalls(3, func() { d.Compact() })
 
 	// Hot-path overhead: pooled k-hop sampling through the overlay view
@@ -90,21 +70,10 @@ func BenchmarkSnapshotOverhead(b *testing.B) {
 	csrS := runSample(g)
 	overlayS := runSample(snap)
 
+	b.ReportMetric(snapS*1e6, "snapshot-us")
+	b.ReportMetric(snapB, "snapshot-B")
+	b.ReportMetric(compactS*1e3, "compact-ms")
 	b.ReportMetric(overlayS/csrS, "overlay-slowdown")
-	writeBenchGraphSection(b, "snapshot_overhead", map[string]any{
-		"benchmark":            "BenchmarkSnapshotOverhead",
-		"base_vertices":        n0,
-		"base_edges":           g.NumEdges(),
-		"delta_edges":          d.AddedEdges(),
-		"delta_new_vertices":   newVerts,
-		"cores":                runtime.NumCPU(),
-		"snapshot_us":          snapS * 1e6,
-		"snapshot_alloc_bytes": snapBytes,
-		"compact_ms":           compactS * 1e3,
-		"sample_csr_us":        csrS * 1e6,
-		"sample_overlay_us":    overlayS * 1e6,
-		"overlay_slowdown":     overlayS / csrS,
-	})
 }
 
 func BenchmarkApplyDelta(b *testing.B) {
@@ -127,17 +96,11 @@ func BenchmarkApplyDelta(b *testing.B) {
 	}
 
 	// Fixed |Δ| across growing |V|: flat timings here are the O(|Δ|)
-	// evidence — the per-round update cost does not track graph size.
+	// evidence — the per-round update cost does not track graph size
+	// (residual growth is cache misses on the scatter), while the eager
+	// sweep grows with |V|; ranktop is the O(|V|) introselect it feeds.
 	const fixedDelta = 10_000
-	type scaleRow struct {
-		Vertices   int     `json:"vertices"`
-		DeltaSize  int     `json:"delta_size"`
-		RoundNsOp  float64 `json:"round_ns_op"`
-		SweepNsOp  float64 `json:"eager_sweep_ns_op,omitempty"`
-		RankTopMs  float64 `json:"rank_top_ms,omitempty"`
-		NsPerVisit float64 `json:"ns_per_visit"`
-	}
-	var byV []scaleRow
+	var firstRound, lastRound float64
 	for _, n := range []int{100_000, 400_000, 1_600_000} {
 		h := cache.NewHotness(make([]float64, n))
 		dvs := mkVisits(fixedDelta, n)
@@ -156,20 +119,18 @@ func BenchmarkApplyDelta(b *testing.B) {
 		})
 		h.RankTop(n / 10) // warm
 		rankS, _, _ := measureCalls(5, func() { h.RankTop(n / 10) })
-		byV = append(byV, scaleRow{
-			Vertices:   n,
-			DeltaSize:  fixedDelta,
-			RoundNsOp:  s * 1e9,
-			SweepNsOp:  sweep * 1e9,
-			RankTopMs:  rankS * 1e3,
-			NsPerVisit: s * 1e9 / fixedDelta,
-		})
+		b.ReportMetric(s*1e9, fmt.Sprintf("round-ns/V=%d", n))
+		b.ReportMetric(sweep*1e9, fmt.Sprintf("sweep-ns/V=%d", n))
+		b.ReportMetric(rankS*1e3, fmt.Sprintf("ranktop-ms/V=%d", n))
+		if firstRound == 0 {
+			firstRound = s
+		}
+		lastRound = s
 	}
-	b.ReportMetric(byV[len(byV)-1].RoundNsOp/byV[0].RoundNsOp, "16x-vertices-cost-ratio")
+	b.ReportMetric(lastRound/firstRound, "16x-vertices-cost-ratio")
 
 	// Growing |Δ| at fixed |V|: cost should scale ~linearly with |Δ|.
 	const fixedN = 400_000
-	var byDelta []scaleRow
 	for _, size := range []int{1_000, 10_000, 100_000} {
 		h := cache.NewHotness(make([]float64, fixedN))
 		dvs := mkVisits(size, fixedN)
@@ -178,31 +139,17 @@ func BenchmarkApplyDelta(b *testing.B) {
 			fn()
 		}
 		s, _, _ := measureCalls(100, fn)
-		byDelta = append(byDelta, scaleRow{
-			Vertices:   fixedN,
-			DeltaSize:  size,
-			RoundNsOp:  s * 1e9,
-			NsPerVisit: s * 1e9 / float64(size),
-		})
+		b.ReportMetric(s*1e9/float64(size), fmt.Sprintf("ns/visit@delta=%d", size))
 	}
-
-	writeBenchGraphSection(b, "apply_delta", map[string]any{
-		"benchmark":          "BenchmarkApplyDelta",
-		"cores":              runtime.NumCPU(),
-		"fixed_delta_by_v":   byV,
-		"fixed_v_by_delta":   byDelta,
-		"flatness_16x_ratio": byV[len(byV)-1].RoundNsOp / byV[0].RoundNsOp,
-		"note":               "round = Decay(0.95)+ApplyDelta; round_ns_op stays near-flat across 16x vertices (residual growth is cache misses on the scatter) while eager_sweep_ns_op grows with |V|; rank_top_ms is the O(|V|) introselect it feeds",
-	})
 }
 
-// packedBenchGraph generates the compression-gate graph: a full-scale
-// PR-shaped power-law co-purchase topology, unweighted so TopologyBytes
-// compares pure topology (weights are stored raw float32 in both
-// representations and would dilute the ratio toward 1). Deterministic by
-// seed, so the compression metrics below are exact across hosts.
-func packedBenchGraph(b *testing.B) *graph.CSR {
-	b.Helper()
+func BenchmarkPackedDecode(b *testing.B) {
+	if testing.Short() {
+		b.Skip("skipping graph benchmark in -short mode")
+	}
+	// A full-scale PR-shaped power-law co-purchase topology, unweighted so
+	// TopologyBytes compares pure topology (weights are stored raw float32
+	// in both representations and would dilute the ratio toward 1).
 	d, err := gen.Generate(gen.Config{
 		Name: "packed-bench", Kind: gen.KindCoPurchase,
 		NumVertices: 24_000, NumEdges: 1_240_000,
@@ -212,22 +159,14 @@ func packedBenchGraph(b *testing.B) *graph.CSR {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return d.CSR()
-}
-
-func BenchmarkPackedDecode(b *testing.B) {
-	if testing.Short() {
-		b.Skip("skipping graph benchmark in -short mode")
-	}
-	g := packedBenchGraph(b)
+	g := d.CSR()
 	n := g.NumVertices()
-	edges := g.NumEdges()
+	edges := float64(g.NumEdges())
 
 	packS, _, _ := measureCalls(3, func() { graph.Pack(g, 0) })
 	p := graph.Pack(g, 0)
-	csrBytes := g.TopologyBytes()
-	packedBytes := p.TopologyBytes()
-	ratio := float64(csrBytes) / float64(packedBytes)
+	csrBytes := float64(g.TopologyBytes())
+	packedBytes := float64(p.TopologyBytes())
 
 	// Raw decode throughput: stream every row through AdjInto into one
 	// reused buffer — the sampling arenas' access pattern.
@@ -255,23 +194,9 @@ func BenchmarkPackedDecode(b *testing.B) {
 	csrS := runSample(g)
 	packedS := runSample(p)
 
-	b.ReportMetric(ratio, "compression-x")
+	b.ReportMetric(csrBytes/packedBytes, "compression-x")
+	b.ReportMetric(packedBytes/edges, "packed-B/edge")
+	b.ReportMetric(packS*1e3, "pack-ms")
+	b.ReportMetric(decS*1e9/edges, "decode-ns/edge")
 	b.ReportMetric(packedS/csrS, "packed-slowdown")
-	writeBenchGraphSection(b, "packed", map[string]any{
-		"benchmark":             "BenchmarkPackedDecode",
-		"vertices":              n,
-		"edges":                 edges,
-		"cores":                 runtime.NumCPU(),
-		"csr_topology_bytes":    csrBytes,
-		"packed_topology_bytes": packedBytes,
-		"compression_ratio":     ratio,
-		"csr_bytes_per_edge":    float64(csrBytes) / float64(edges),
-		"packed_bytes_per_edge": float64(packedBytes) / float64(edges),
-		"pack_ms":               packS * 1e3,
-		"decode_ns_per_edge":    decS * 1e9 / float64(edges),
-		"sample_csr_us":         csrS * 1e6,
-		"sample_packed_us":      packedS * 1e6,
-		"packed_slowdown":       packedS / csrS,
-		"note":                  "compression_ratio and bytes_per_edge are deterministic (seeded graph, byte-deterministic encoder) and gated exactly by benchdiff; sampling stays 0 allocs/op over the packed view",
-	})
 }

@@ -3,15 +3,11 @@ package gnnlab
 // BenchmarkMeasureParallel times the measurement engine end to end —
 // core.Run's sampling+extract fan-out plus the PreSC pre-sampling replay —
 // serial (MeasureWorkers=1) against the pooled default (0 = NumCPU), and
-// records the observed speedup in BENCH_measure.json. Reports are
-// bit-identical between the two (see internal/core/determinism_test.go);
-// only wall-clock changes. On a single-core machine the speedup is ~1x by
-// construction; the recorded "cores" field says what the number means.
+// reports the observed speedup. Reports are bit-identical between the two
+// (see internal/core/determinism_test.go); only wall-clock changes. On a
+// single-core machine the speedup is ~1x by construction.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -70,21 +66,4 @@ func BenchmarkMeasureParallel(b *testing.B) {
 	b.ReportMetric(speedup, "speedup")
 	b.ReportMetric(serial, "serial-s")
 	b.ReportMetric(parallel, "parallel-s")
-
-	out, err := json.MarshalIndent(map[string]any{
-		"benchmark":  "BenchmarkMeasureParallel",
-		"dataset":    gen.PresetPA,
-		"scale":      measureBenchScale,
-		"cores":      runtime.NumCPU(),
-		"workers":    runtime.GOMAXPROCS(0),
-		"serial_s":   serial,
-		"parallel_s": parallel,
-		"speedup":    speedup,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_measure.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }

@@ -5,13 +5,11 @@ package gnnlab
 // fresh allocations versus the pooled scratch path (sampling arena +
 // feature.GatherInto + nn.Workspace), with and without a feature cache.
 // Both variants compute bit-identical results (internal/train's
-// TestTrainPooledMatchesFresh); only cost changes. Results land in
-// BENCH_train.json alongside BENCH_sample.json's Sample-stage numbers.
+// TestTrainPooledMatchesFresh); only cost changes. The pooled path's
+// zero-allocation steady state is pinned by internal/train's
+// TestMinibatchSteadyStateZeroAllocs.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"gnnlab/internal/cache"
@@ -23,18 +21,6 @@ import (
 	"gnnlab/internal/tensor"
 	"gnnlab/internal/workload"
 )
-
-type minibatchBenchRow struct {
-	Cache          string  `json:"cache"`
-	FreshNsOp      float64 `json:"fresh_ns_op"`
-	PooledNsOp     float64 `json:"pooled_ns_op"`
-	FreshBytesOp   float64 `json:"fresh_bytes_op"`
-	PooledBytesOp  float64 `json:"pooled_bytes_op"`
-	FreshAllocsOp  float64 `json:"fresh_allocs_op"`
-	PooledAllocsOp float64 `json:"pooled_allocs_op"`
-	SpeedupNs      float64 `json:"speedup_ns"`
-	BytesRatio     float64 `json:"bytes_ratio"`
-}
 
 func BenchmarkMinibatch(b *testing.B) {
 	if testing.Short() {
@@ -70,7 +56,6 @@ func BenchmarkMinibatch(b *testing.B) {
 		{"none", 0},
 		{"degree-10pct", 0.10},
 	}
-	rows := make([]minibatchBenchRow, 0, len(caches))
 	for _, cc := range caches {
 		store, err := feature.NewStore(d.Features, d.FeatureDim)
 		if err != nil {
@@ -94,7 +79,7 @@ func BenchmarkMinibatch(b *testing.B) {
 		}
 
 		// Fresh: every stage allocates its outputs, the pre-pooling path.
-		freshS, freshB, freshO := func() (float64, float64, float64) {
+		freshS, freshB, _ := func() (float64, float64, float64) {
 			model, opt := newModel()
 			a := sampling.CloneAlgorithm(alg)
 			r := rng.New(29)
@@ -149,44 +134,10 @@ func BenchmarkMinibatch(b *testing.B) {
 			return measureCalls(calls, run)
 		}()
 
-		row := minibatchBenchRow{
-			Cache:          cc.name,
-			FreshNsOp:      freshS * 1e9,
-			PooledNsOp:     pooledS * 1e9,
-			FreshBytesOp:   freshB,
-			PooledBytesOp:  pooledB,
-			FreshAllocsOp:  freshO,
-			PooledAllocsOp: pooledO,
-			SpeedupNs:      freshS / pooledS,
-		}
-		// Clamp sub-byte pooled averages (a stray one-time allocation
-		// amortized over b.N) so the ratio does not swing with the
-		// iteration count; see the same rule in bench_sample_test.go.
-		if pooledB >= 1 {
-			row.BytesRatio = freshB / pooledB
-		} else {
-			row.BytesRatio = freshB
-		}
-		rows = append(rows, row)
-		b.ReportMetric(row.SpeedupNs, cc.name+"-speedup")
-	}
-
-	out, err := json.MarshalIndent(map[string]any{
-		"benchmark":      "BenchmarkMinibatch",
-		"dataset":        d.Name,
-		"graph_vertices": d.NumVertices(),
-		"feature_dim":    d.FeatureDim,
-		"model":          spec.Kind.String(),
-		"hidden_dim":     spec.HiddenDim,
-		"batch_size":     spec.BatchSize,
-		"calls":          calls,
-		"cores":          runtime.GOMAXPROCS(0),
-		"configs":        rows,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_train.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+		b.ReportMetric(freshS/pooledS, cc.name+"-speedup")
+		b.ReportMetric(pooledS*1e9, cc.name+"-pooled-ns/op")
+		b.ReportMetric(pooledB, cc.name+"-pooled-B/op")
+		b.ReportMetric(pooledO, cc.name+"-pooled-allocs/op")
+		b.ReportMetric(freshB, cc.name+"-fresh-B/op")
 	}
 }

@@ -1,9 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7) plus the capacity/efficiency analyses of §3 and §6. Each
 // experiment is a function returning a Table whose rows mirror what the
-// paper reports; cmd/gnnlab-bench prints them and bench_test.go wraps each
-// in a testing.B benchmark. EXPERIMENTS.md records paper-vs-measured for
-// each.
+// paper reports; cmd/gnnlab-bench runs them by ID (Lookup) and prints
+// them. EXPERIMENTS.md records paper-vs-measured for each.
 package experiments
 
 import (

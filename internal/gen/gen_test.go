@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"testing"
 
@@ -387,6 +388,62 @@ func TestReadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := ReadDataset(bytes.NewReader([]byte("definitely not a dataset.....")), "x"); err == nil {
 		t.Error("garbage accepted")
 	}
+}
+
+// FuzzReadDataset feeds arbitrary bytes to ReadDataset, the decoder behind
+// the public gnnlab.ReadDataset. Corrupt input must come back as an error,
+// never a panic or an allocation sized by an unchecked header; a dataset
+// that does decode must be internally consistent and serve reads.
+func FuzzReadDataset(f *testing.F) {
+	g, err := graph.FromAdjacency([][]int32{{1, 2}, {0, 2, 3}, {3}, {0}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	d := &Dataset{
+		Name: "fuzz", Graph: g, FeatureDim: 2, NumClasses: 2,
+		Features: []float32{0, 1, 2, 3, 4, 5, 6, 7},
+		Labels:   []int32{0, 1, 1, 0},
+		TrainSet: []int32{0, 2},
+	}
+	for _, seed := range []*Dataset{d, PackDataset(d)} {
+		var buf bytes.Buffer
+		if err := WriteDataset(&buf, seed); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	// An empty dataset whose CSR header claims 2^27 vertices and no body.
+	hdr := binary.LittleEndian.AppendUint32(nil, datasetMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 3)          // labels + features
+	hdr = binary.LittleEndian.AppendUint32(hdr, 2)          // dim
+	hdr = binary.LittleEndian.AppendUint32(hdr, 2)          // classes
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0)          // train set length
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0x474E4C01) // CSR magic
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)          // unweighted
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1<<27)      // vertices
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0)          // edges
+	f.Add(hdr)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDataset(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			return
+		}
+		n := d.NumVertices()
+		if d.Labels != nil && len(d.Labels) != n {
+			t.Fatalf("%d labels for %d vertices", len(d.Labels), n)
+		}
+		if d.Features != nil && len(d.Features) != n*d.FeatureDim {
+			t.Fatalf("%d features for %d vertices × dim %d", len(d.Features), n, d.FeatureDim)
+		}
+		for v := 0; v < n && v < 512; v++ {
+			for _, u := range d.Graph.Adj(int32(v)) {
+				if u < 0 || int(u) >= n {
+					t.Fatalf("vertex %d has out-of-range neighbor %d", v, u)
+				}
+			}
+		}
+	})
 }
 
 // TestPackedDatasetRoundTrip: a dataset whose topology was converted to

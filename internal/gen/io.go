@@ -96,8 +96,10 @@ func ReadDataset(rd io.Reader, name string) (*Dataset, error) {
 		return nil, fmt.Errorf("gen: implausible dataset header (dim=%d ts=%d)", dim, tsLen)
 	}
 	d := &Dataset{Name: name, FeatureDim: int(dim), NumClasses: int(classes)}
-	d.TrainSet = make([]int32, tsLen)
-	if err := binary.Read(r, binary.LittleEndian, d.TrainSet); err != nil {
+	// Section lengths are untrusted header fields: every section grows as
+	// its bytes arrive rather than being reserved up front.
+	var err error
+	if d.TrainSet, err = graph.AppendSection(r, []int32{}, tsLen); err != nil {
 		return nil, fmt.Errorf("gen: read train set: %w", err)
 	}
 	// The graph section is self-describing: peek its magic to pick the
@@ -126,14 +128,12 @@ func ReadDataset(rd io.Reader, name string) (*Dataset, error) {
 		}
 	}
 	if flags&1 != 0 {
-		d.Labels = make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, d.Labels); err != nil {
+		if d.Labels, err = graph.AppendSection(r, []int32{}, uint64(n)); err != nil {
 			return nil, fmt.Errorf("gen: read labels: %w", err)
 		}
 	}
 	if flags&2 != 0 {
-		d.Features = make([]float32, n*int(dim))
-		if err := binary.Read(r, binary.LittleEndian, d.Features); err != nil {
+		if d.Features, err = graph.AppendSection(r, []float32{}, uint64(n)*uint64(dim)); err != nil {
 			return nil, fmt.Errorf("gen: read features: %w", err)
 		}
 	}

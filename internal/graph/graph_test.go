@@ -2,6 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -272,6 +276,45 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestReadBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all........"))); err == nil {
 		t.Error("ReadBinary accepted garbage")
+	}
+}
+
+// TestOversizedHeaderAllocatesLittle feeds each reader a bare header that
+// claims 2^27 vertices and edges and carries no body. The read must fail
+// on the short body having allocated about one chunk, not the gigabytes
+// the header claims.
+func TestOversizedHeaderAllocatesLittle(t *testing.T) {
+	csr := binary.LittleEndian.AppendUint32(nil, binaryMagic)
+	csr = binary.LittleEndian.AppendUint32(csr, 0)
+	csr = binary.LittleEndian.AppendUint64(csr, 1<<27)
+	csr = binary.LittleEndian.AppendUint64(csr, 1<<27)
+	small, err := FromAdjacency([][]int32{{1}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := Pack(small, 0).AppendTo(nil)[:packedHeaderLen]
+	binary.LittleEndian.PutUint64(packed[8:], 1<<27)  // vertices
+	binary.LittleEndian.PutUint64(packed[16:], 1<<27) // edges
+	binary.LittleEndian.PutUint64(packed[48:], 1<<27) // blob bytes
+
+	for _, tc := range []struct {
+		name string
+		hdr  []byte
+		read func(io.Reader) error
+	}{
+		{"csr", csr, func(r io.Reader) error { _, err := ReadBinaryFrom(r); return err }},
+		{"packed", packed, func(r io.Reader) error { _, err := ReadPackedFrom(r); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read(bytes.NewReader(tc.hdr))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want a short-body EOF", tc.name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte header, want < 1 MiB", tc.name, n, len(tc.hdr))
+		}
 	}
 }
 

@@ -72,19 +72,17 @@ func ReadBinaryFrom(br io.Reader) (*CSR, error) {
 	if nVerts > maxReasonable || nEdges > maxReasonable {
 		return nil, fmt.Errorf("graph: implausible sizes nVerts=%d nEdges=%d", nVerts, nEdges)
 	}
-	g := &CSR{
-		RowPtr: make([]int64, nVerts+1),
-		ColIdx: make([]int32, nEdges),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.RowPtr); err != nil {
+	g := &CSR{}
+	var err error
+	if g.RowPtr, err = AppendSection[int64](br, nil, nVerts+1); err != nil {
 		return nil, fmt.Errorf("graph: read row pointers: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.ColIdx); err != nil {
+	if g.ColIdx, err = AppendSection(br, []int32{}, nEdges); err != nil {
 		return nil, fmt.Errorf("graph: read column indices: %w", err)
 	}
 	if flags&1 != 0 {
-		g.Weights = make([]float32, nEdges)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		// Non-nil even with no edges: nil Weights means unweighted.
+		if g.Weights, err = AppendSection(br, []float32{}, nEdges); err != nil {
 			return nil, fmt.Errorf("graph: read weights: %w", err)
 		}
 	}
@@ -93,4 +91,28 @@ func ReadBinaryFrom(br io.Reader) (*CSR, error) {
 	}
 	g.memoizeDegreeStats()
 	return g, nil
+}
+
+// AppendSection appends n little-endian values read from r to out. Section
+// lengths come from a file header, which is untrusted input: instead of
+// reserving n values up front, the slice grows by doubling (capped at its
+// final size) as chunks of the body arrive, so a header that claims 2^33
+// entries over a short body fails on the short read after allocating a
+// chunk, not gigabytes. Exactly n values' bytes are consumed on success.
+func AppendSection[T byte | int32 | int64 | float32](r io.Reader, out []T, n uint64) ([]T, error) {
+	const chunk = 1 << 14 // values per read
+	end := uint64(len(out)) + n
+	for uint64(len(out)) < end {
+		k := int(min(end-uint64(len(out)), chunk))
+		if len(out)+k > cap(out) {
+			grown := make([]T, len(out), min(end, uint64(max(2*cap(out), len(out)+k))))
+			copy(grown, out)
+			out = grown
+		}
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):len(out)+k]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
 }

@@ -300,9 +300,9 @@ func WritePacked(w io.Writer, p *Packed) error {
 
 // ReadPackedFrom deserializes a Packed reading exactly the graph's bytes
 // from r (no read-ahead), so it composes inside larger container formats
-// like the dataset file. The whole body lands in one buffer with a single
-// ReadFull — no per-edge parsing — and the result is deep-validated,
-// mirroring ReadBinaryFrom.
+// like the dataset file. The body lands in one buffer, grown as it
+// arrives (see AppendSection) — no per-edge parsing — and the result is
+// deep-validated, mirroring ReadBinaryFrom.
 func ReadPackedFrom(br io.Reader) (*Packed, error) {
 	hdr := make([]byte, packedHeaderLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -326,9 +326,8 @@ func ReadPackedFrom(br io.Reader) (*Packed, error) {
 	nb := numBlocks(int(nVerts), int(block))
 	dirLen := (nb + 1) * packedDirEntry
 	total := packedSize(dirLen, int(subsLen), int(blobLen), flags&1 != 0, int64(nEdges))
-	data := make([]byte, total)
-	copy(data, hdr)
-	if _, err := io.ReadFull(br, data[packedHeaderLen:]); err != nil {
+	data, err := AppendSection(br, hdr, uint64(total-packedHeaderLen))
+	if err != nil {
 		return nil, fmt.Errorf("graph: packed: read body: %w", err)
 	}
 	p, err := PackedFromBytes(data)

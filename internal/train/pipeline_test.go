@@ -1,12 +1,14 @@
 package train
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"gnnlab/internal/gen"
 	"gnnlab/internal/graph"
+	"gnnlab/internal/minibatch"
 	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
 	"gnnlab/internal/workload"
@@ -14,21 +16,27 @@ import (
 
 // TestPipelinedSamplingMatchesInline verifies that the live factored
 // pipeline (concurrent Sampler goroutines + the global queue) produces
-// exactly the same samples as inline sampling: per-batch RNG streams are
-// keyed by (epoch, batch), so goroutine scheduling cannot change what is
-// sampled.
+// exactly the same samples as inline sampling — sampleOne over a pooled
+// executor, as runEpochSteps does with no Samplers: per-batch RNG streams
+// are keyed by (epoch, batch), so goroutine scheduling cannot change what
+// is sampled.
 func TestPipelinedSamplingMatchesInline(t *testing.T) {
 	d := convDataset(t)
 	spec := workload.Spec{Kind: workload.GraphSAGE, BatchSize: 64}
 	alg := spec.NewSampler()
-	opts := Options{Seed: 11, BatchSize: 64}.withDefaults()
+	opts := Options{Seed: 11, BatchSize: 64, NumSamplers: 4}.withDefaults()
 
 	batches := sampling.Batches(d.TrainSet, 64, rng.New(3))
-	inline, err := produceSamples(d, alg, batches, opts, 0).take(len(batches))
-	if err != nil {
-		t.Fatal(err)
+	ex := minibatch.New(alg, d.Graph, nil, nil)
+	inline := make([][]int32, len(batches))
+	for i, b := range batches {
+		s, err := sampleOne(ex.Sample, b, i, opts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The executor reuses its buffers on the next Sample.
+		inline[i] = slices.Clone(s.Input)
 	}
-	opts.NumSamplers = 4
 	piped, err := produceSamples(d, alg, batches, opts, 0).take(len(batches))
 	if err != nil {
 		t.Fatal(err)
@@ -37,14 +45,8 @@ func TestPipelinedSamplingMatchesInline(t *testing.T) {
 		t.Fatalf("batch counts differ: %d vs %d", len(inline), len(piped))
 	}
 	for i := range inline {
-		a, b := inline[i], piped[i]
-		if len(a.Input) != len(b.Input) {
-			t.Fatalf("batch %d: input sizes differ %d vs %d", i, len(a.Input), len(b.Input))
-		}
-		for j := range a.Input {
-			if a.Input[j] != b.Input[j] {
-				t.Fatalf("batch %d: input[%d] differs: %d vs %d", i, j, a.Input[j], b.Input[j])
-			}
+		if !slices.Equal(inline[i], piped[i].Input) {
+			t.Fatalf("batch %d: inputs differ (%d vs %d vertices)", i, len(inline[i]), len(piped[i].Input))
 		}
 	}
 }

@@ -578,7 +578,8 @@ func (st *sampleStream) take(k int) ([]*sampling.Sample, error) {
 }
 
 // produceSamples starts an epoch's Sample stage on the live factored
-// pipeline: Sampler goroutines (at least one) feeding the global queue.
+// pipeline: opts.NumSamplers (> 0) Sampler goroutines feeding the global
+// queue.
 // Each owns a fresh-allocation clone of alg, because its samples cross
 // the queue and must own their memory. The per-batch RNG streams are
 // keyed by (epoch, batch) so the sampled neighborhoods do not depend on
@@ -586,11 +587,10 @@ func (st *sampleStream) take(k int) ([]*sampling.Sample, error) {
 // draws them; the stream's reorder buffer keeps delivery order
 // deterministic too.
 func produceSamples(d *gen.Dataset, alg sampling.Algorithm, batches [][]int32, opts Options, epoch int) *sampleStream {
-	numSamplers := max(1, opts.NumSamplers)
 	work := queue.New[sampleTask](len(batches))
 	// The global queue between Samplers and Trainers (§5.2); bounded so
 	// producers feel backpressure like the real host-memory queue.
-	done := queue.New[indexedSample](max(4, 2*numSamplers))
+	done := queue.New[indexedSample](max(4, 2*opts.NumSamplers))
 	for i, b := range batches {
 		// Cannot fail: the queue holds len(batches) slots and is not yet
 		// closed, so every task is accepted.
@@ -599,7 +599,7 @@ func produceSamples(d *gen.Dataset, alg sampling.Algorithm, batches [][]int32, o
 	work.Close()
 	cSamples := opts.Obs.Registry().Counter("train.samples")
 	cDropped := opts.Obs.Registry().Counter("queue.dropped_enqueues")
-	for w := 0; w < numSamplers; w++ {
+	for w := 0; w < opts.NumSamplers; w++ {
 		var lane obs.Lane
 		if opts.Obs != nil {
 			lane = opts.Obs.Lane("Train", fmt.Sprintf("sampler-%d", w))
