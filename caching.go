@@ -1,6 +1,8 @@
 package gnnlab
 
 import (
+	"fmt"
+
 	"gnnlab/internal/cache"
 	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
@@ -64,23 +66,30 @@ type CacheEvaluation struct {
 
 // EvaluateCachePolicy measures `epochs` epochs of the Sample stage on d
 // with alg and evaluates the named policy at the given cache ratio —
-// the analysis behind the paper's Figures 4, 5, 10 and 11.
+// the analysis behind the paper's Figures 4, 5, 10 and 11. PreSC runs
+// PreSC#1; Optimal ranks by the measured epochs themselves.
 func EvaluateCachePolicy(d *Dataset, alg SamplingAlgorithm, policy CachePolicy, ratio float64, batchSize, epochs int, seed uint64) (CacheEvaluation, error) {
-	fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, batchSize, epochs, seed)
+	if alg == nil || batchSize <= 0 || epochs <= 0 || !(ratio >= 0 && ratio <= 1) {
+		return CacheEvaluation{}, fmt.Errorf("gnnlab: need a sampler, a positive batch size and epoch count, and a cache ratio in [0, 1] (batch size %d, epochs %d, ratio %v)", batchSize, epochs, ratio)
+	}
+	fp := cache.CollectFootprintN(d.Graph, alg, d.TrainSet, batchSize, epochs, seed, 0)
+	var hot cache.Hotness
+	if policy == cache.PolicyOptimal {
+		// The oracle ranks the footprint just measured, which is the
+		// replay cache.Rank would run again.
+		hot = fp.OptimalHotness()
+	} else {
+		r, err := cache.Rank(cache.RankSpec{Policy: policy, Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet,
+			BatchSize: batchSize, Seed: seed, PreSCK: 1})
+		if err != nil {
+			return CacheEvaluation{}, err
+		}
+		hot = r.Hotness
+	}
 	// Only the cached prefix of the ranking is ever consulted, so rank
 	// top-`slots` (O(|V|) selection) instead of sorting every vertex.
 	slots := int(ratio * float64(d.NumVertices()))
-	var ranking []int32
-	switch policy {
-	case cache.PolicyRandom:
-		ranking = cache.RandomHotness(d.NumVertices(), rng.New(seed^0x5EED)).RankTop(slots)
-	case cache.PolicyDegree:
-		ranking = cache.DegreeHotness(d.Graph).RankTop(slots)
-	case cache.PolicyPreSC:
-		ranking = cache.PreSC(d.Graph, alg, d.TrainSet, batchSize, 1, seed^0x12345).Hotness.RankTop(slots)
-	case cache.PolicyOptimal:
-		ranking = fp.OptimalHotness().RankTop(slots)
-	}
+	ranking := hot.RankTop(slots)
 	return CacheEvaluation{
 		Policy:           policy.String(),
 		CacheRatio:       ratio,

@@ -83,6 +83,36 @@ func TestEvaluateCachePolicyOrdering(t *testing.T) {
 	}
 }
 
+// EvaluateCachePolicy rejects out-of-domain arguments with an error
+// instead of a zero result or a panic.
+func TestEvaluateCachePolicyRejectsHostileInput(t *testing.T) {
+	d := loadPA(t)
+	alg := NewKHopSampler([]int{5, 3})
+	cases := []struct {
+		name      string
+		alg       SamplingAlgorithm
+		policy    CachePolicy
+		ratio     float64
+		batchSize int
+		epochs    int
+	}{
+		{"unknown policy", alg, CachePolicy(9), 0.10, 8, 1},
+		{"zero epochs", alg, PolicyPreSC, 0.10, 8, 0},
+		{"zero batch size", alg, PolicyDegree, 0.10, 0, 1},
+		{"negative ratio", alg, PolicyPreSC, -1, 8, 1},
+		{"ratio above one", alg, PolicyDegree, 1.5, 8, 1},
+		{"nil sampler", nil, PolicyRandom, 0.10, 8, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ev, err := EvaluateCachePolicy(d, tc.alg, tc.policy, tc.ratio, tc.batchSize, tc.epochs, 7)
+			if err == nil {
+				t.Errorf("got %+v, want an error", ev)
+			}
+		})
+	}
+}
+
 func TestCustomSamplersThroughFacade(t *testing.T) {
 	d := loadPA(t)
 	for _, alg := range []SamplingAlgorithm{

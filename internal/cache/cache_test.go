@@ -167,7 +167,7 @@ func TestFootprintCountsMatchManual(t *testing.T) {
 	g := skewedGraph(1, 300, 4000)
 	ts := trainSet(300, 30, 2)
 	alg := sampling.NewKHop([]int{3, 2}, sampling.FisherYates)
-	fp := CollectFootprint(g, alg, ts, 10, 2, 7)
+	fp := CollectFootprintN(g, alg, ts, 10, 2, 7, 0)
 	var total int64
 	for _, c := range fp.Extractions {
 		total += c
@@ -180,9 +180,15 @@ func TestFootprintCountsMatchManual(t *testing.T) {
 	}
 	// Visits >= extractions per vertex: a vertex is extracted once per
 	// batch but may be visited multiple times.
-	for v := range fp.Visits {
-		if fp.Visits[v] < fp.Extractions[v] {
-			t.Fatalf("vertex %d: visits %d < extractions %d", v, fp.Visits[v], fp.Extractions[v])
+	visits := make([]int64, len(fp.Extractions))
+	for _, ef := range CollectEpochFootprintsN(g, alg, ts, 10, 2, 7, 0) {
+		for v, c := range ef.Visits {
+			visits[v] += c
+		}
+	}
+	for v := range visits {
+		if visits[v] < fp.Extractions[v] {
+			t.Fatalf("vertex %d: visits %d < extractions %d", v, visits[v], fp.Extractions[v])
 		}
 	}
 }
@@ -191,7 +197,7 @@ func TestHitRateMonotoneInSlots(t *testing.T) {
 	g := skewedGraph(3, 300, 4000)
 	ts := trainSet(300, 30, 4)
 	alg := sampling.NewKHop([]int{3, 2}, sampling.FisherYates)
-	fp := CollectFootprint(g, alg, ts, 10, 2, 7)
+	fp := CollectFootprintN(g, alg, ts, 10, 2, 7, 0)
 	rank := fp.OptimalHotness().Rank()
 	prev := -1.0
 	for slots := 0; slots <= 300; slots += 30 {
@@ -212,7 +218,7 @@ func TestOptimalDominates(t *testing.T) {
 	g := skewedGraph(5, 400, 6000)
 	ts := trainSet(400, 40, 6)
 	alg := sampling.NewKHop([]int{4, 3}, sampling.FisherYates)
-	fp := CollectFootprint(g, alg, ts, 10, 2, 7)
+	fp := CollectFootprintN(g, alg, ts, 10, 2, 7, 0)
 	opt := fp.OptimalHotness().Rank()
 	rivals := [][]int32{
 		DegreeHotness(g).Rank(),
@@ -233,7 +239,7 @@ func TestPreSCBeatsRandomOnSkewedGraph(t *testing.T) {
 	g := skewedGraph(8, 500, 10000)
 	ts := trainSet(500, 50, 9)
 	alg := sampling.NewKHop([]int{5, 3}, sampling.FisherYates)
-	fp := CollectFootprint(g, alg, ts, 10, 3, 7)
+	fp := CollectFootprintN(g, alg, ts, 10, 3, 7, 0)
 	pre := PreSC(g, alg, ts, 10, 1, 99).Hotness.Rank()
 	rnd := RandomHotness(500, rng.New(2)).Rank()
 	slots := 50
@@ -262,7 +268,7 @@ func TestTransferredBytes(t *testing.T) {
 	g := skewedGraph(12, 200, 3000)
 	ts := trainSet(200, 20, 13)
 	alg := sampling.NewKHop([]int{3}, sampling.FisherYates)
-	fp := CollectFootprint(g, alg, ts, 10, 1, 7)
+	fp := CollectFootprintN(g, alg, ts, 10, 1, 7, 0)
 	rank := fp.OptimalHotness().Rank()
 	if got := fp.TransferredBytes(rank, 200, 64); got != 0 {
 		t.Errorf("full cache still transfers %d bytes", got)
@@ -276,7 +282,7 @@ func TestSimilaritySelfIsOne(t *testing.T) {
 	g := skewedGraph(14, 300, 5000)
 	ts := trainSet(300, 30, 15)
 	alg := sampling.NewKHop([]int{4}, sampling.FisherYates)
-	fps := CollectEpochFootprints(g, alg, ts, 10, 2, 7)
+	fps := CollectEpochFootprintsN(g, alg, ts, 10, 2, 7, 0)
 	if got := Similarity(fps[0], fps[0], 0.1); got != 1 {
 		t.Errorf("self-similarity %v, want 1", got)
 	}
@@ -290,7 +296,7 @@ func TestSimilarityBoundsProperty(t *testing.T) {
 	g := skewedGraph(16, 200, 2000)
 	ts := trainSet(200, 20, 17)
 	alg := sampling.NewKHop([]int{3}, sampling.FisherYates)
-	fps := CollectEpochFootprints(g, alg, ts, 10, 4, 7)
+	fps := CollectEpochFootprintsN(g, alg, ts, 10, 4, 7, 0)
 	if err := quick.Check(func(a, b uint8, fRaw uint8) bool {
 		i, j := int(a)%4, int(b)%4
 		f := 0.01 + float64(fRaw%50)/100

@@ -64,8 +64,8 @@ func TestCollectFootprintDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("%s: footprint differs between workers=1 and %d", a.name, w)
 			}
 		}
-		if legacy := CollectFootprint(g, a.alg, ts, 16, 2, 42); !reflect.DeepEqual(base, legacy) {
-			t.Errorf("%s: CollectFootprint disagrees with CollectFootprintN(workers=1)", a.name)
+		if def := CollectFootprintN(g, a.alg, ts, 16, 2, 42, 0); !reflect.DeepEqual(base, def) {
+			t.Errorf("%s: CollectFootprintN(workers=0) disagrees with workers=1", a.name)
 		}
 	}
 }

@@ -2,20 +2,18 @@ package cache
 
 import (
 	"gnnlab/internal/graph"
+	"gnnlab/internal/par"
 	"gnnlab/internal/sampling"
 )
 
 // Footprint records what a run of the Sample stage touched: per-vertex
-// extraction counts (how many mini-batches needed each vertex's feature)
-// and per-vertex visit counts (every sampled occurrence). It is the basis
-// for the Optimal oracle, for analytic hit-rate evaluation (Figs 4, 5,
-// 10, 11), and for the epoch-similarity metric of Table 2.
+// extraction counts (how many mini-batches needed each vertex's feature).
+// It is the basis for the Optimal oracle and for analytic hit-rate
+// evaluation (Figs 4, 5, 10, 11).
 type Footprint struct {
 	// Extractions[v]: number of mini-batches whose unique input set
 	// contained v; Σ_v Extractions[v] = total feature rows extracted.
 	Extractions []int64
-	// Visits[v]: total sampled occurrences of v.
-	Visits []int64
 	// TotalExtractions across the run.
 	TotalExtractions int64
 	Epochs           int
@@ -23,70 +21,45 @@ type Footprint struct {
 	ScannedEdges     int64
 }
 
-// CollectFootprint runs `epochs` epochs of the Sample stage and records
-// the footprint. Deterministic in (g, alg, trainSet, batchSize, seed) —
-// the replay uses the (epoch, batch) RNG-split convention shared with
-// internal/core.Run, so with the same seed it reproduces a measured run's
-// footprint exactly (the Optimal oracle's contract, §3 footnote 4). Runs
-// on the parallel measurement engine with GOMAXPROCS workers; use
-// CollectFootprintN to pin the worker count.
-func CollectFootprint(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64) *Footprint {
-	return CollectFootprintN(g, alg, trainSet, batchSize, epochs, seed, 0)
-}
-
-// CollectFootprintN is CollectFootprint with an explicit worker-pool size
-// (0 = GOMAXPROCS, 1 = serial). Per-worker footprints are merged at the
-// end; all absorbed quantities are commutative sums, so the result is
-// bit-identical at any worker count.
+// CollectFootprintN runs `epochs` epochs of the Sample stage on a pool of
+// `workers` (0 = GOMAXPROCS, 1 = serial) and records the footprint.
+// Deterministic in (g, alg, trainSet, batchSize, seed) — the replay
+// samples the same sampling.PlanEpochs cells as measure.Collect, so with
+// the same seed it reproduces a measured run's footprint exactly (the
+// Optimal oracle's contract, §3 footnote 4). Per-worker footprints are
+// merged at the end; all absorbed quantities are commutative sums, so
+// the result is bit-identical at any worker count.
 func CollectFootprintN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) *Footprint {
 	n := g.NumVertices()
-	accs := replaySampling(g, alg, trainSet, batchSize, epochs, seed, workers,
-		func() *Footprint {
-			return &Footprint{Extractions: make([]int64, n), Visits: make([]int64, n)}
-		},
-		func(fp *Footprint, _ int, s *sampling.Sample) { fp.Absorb(s) })
-	fp := &Footprint{
-		Extractions: make([]int64, n),
-		Visits:      make([]int64, n),
-		Epochs:      epochs,
-	}
+	cells := sampling.PlanEpochs(trainSet, batchSize, epochs, seed)
+	accs := make([]*Footprint, par.Pool(workers, len(cells)))
+	sampling.ReplayEpochs(g, alg, cells, workers, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
+		acc := accs[worker]
+		if acc == nil {
+			acc = &Footprint{Extractions: make([]int64, n)}
+			accs[worker] = acc
+		}
+		s := alg.Sample(g, c.Seeds, c.R)
+		acc.SampledEdges += s.SampledEdges
+		acc.ScannedEdges += s.ScannedEdges
+		acc.TotalExtractions += int64(len(s.Input))
+		for _, v := range s.Input {
+			acc.Extractions[v]++
+		}
+	})
+	fp := &Footprint{Extractions: make([]int64, n), Epochs: epochs}
 	for _, acc := range accs {
-		fp.Merge(acc)
-	}
-	return fp
-}
-
-// Merge adds another footprint's counts into fp (Epochs is not touched:
-// merging partial footprints of the same run does not change the epoch
-// count they jointly cover).
-func (fp *Footprint) Merge(other *Footprint) {
-	fp.SampledEdges += other.SampledEdges
-	fp.ScannedEdges += other.ScannedEdges
-	fp.TotalExtractions += other.TotalExtractions
-	for v, c := range other.Extractions {
-		fp.Extractions[v] += c
-	}
-	for v, c := range other.Visits {
-		fp.Visits[v] += c
-	}
-}
-
-// Absorb adds one sample's footprint.
-func (fp *Footprint) Absorb(s *sampling.Sample) {
-	fp.SampledEdges += s.SampledEdges
-	fp.ScannedEdges += s.ScannedEdges
-	for _, v := range s.Input {
-		fp.Extractions[v]++
-	}
-	fp.TotalExtractions += int64(len(s.Input))
-	for _, v := range s.Seeds {
-		fp.Visits[v]++
-	}
-	for _, l := range s.Layers {
-		for _, src := range l.Src {
-			fp.Visits[s.Input[src]]++
+		if acc == nil {
+			continue
+		}
+		fp.SampledEdges += acc.SampledEdges
+		fp.ScannedEdges += acc.ScannedEdges
+		fp.TotalExtractions += acc.TotalExtractions
+		for v, c := range acc.Extractions {
+			fp.Extractions[v] += c
 		}
 	}
+	return fp
 }
 
 // OptimalHotness returns the oracle metric: rank by actual extraction
@@ -120,52 +93,72 @@ func (fp *Footprint) TransferredBytes(ranking []int32, slots int, vertexFeatureB
 }
 
 // EpochFootprint is the footprint of a single epoch, used by the
-// epoch-to-epoch similarity analysis (Table 2).
+// epoch-to-epoch similarity analysis (Table 2) and, summed over K
+// epochs, by PreSC#K.
 type EpochFootprint struct {
-	Visits []int64
+	// Visits[v]: sampled occurrences of v in the epoch.
+	Visits       []int64
+	SampledEdges int64
+	ScannedEdges int64
 }
 
-// CollectEpochFootprints runs `epochs` epochs and returns each epoch's
-// visit counts separately. It uses the same (epoch, batch) RNG keying and
-// worker pool as CollectFootprint, with per-worker per-epoch accumulators
-// merged at the end.
-func CollectEpochFootprints(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64) []EpochFootprint {
-	return CollectEpochFootprintsN(g, alg, trainSet, batchSize, epochs, seed, 0)
+// absorb adds one sample's visits and sampler work to ef. Every sampled
+// occurrence counts (seeds plus each layer's drawn neighbors), not just
+// the unique input set: revisit frequency within a batch is hotness
+// signal too.
+func (ef *EpochFootprint) absorb(s *sampling.Sample) {
+	ef.SampledEdges += s.SampledEdges
+	ef.ScannedEdges += s.ScannedEdges
+	for _, v := range s.Seeds {
+		ef.Visits[v]++
+	}
+	for _, l := range s.Layers {
+		for _, src := range l.Src {
+			ef.Visits[s.Input[src]]++
+		}
+	}
 }
 
-// CollectEpochFootprintsN is CollectEpochFootprints with an explicit
-// worker-pool size (0 = GOMAXPROCS, 1 = serial).
+// CollectEpochFootprintsN runs `epochs` epochs and returns each epoch's
+// footprint separately, replaying the same cells as CollectFootprintN on
+// a pool of `workers` (0 = GOMAXPROCS, 1 = serial). Visits and edge
+// counts are commutative integer sums, so the result is bit-identical at
+// any worker count.
 func CollectEpochFootprintsN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) []EpochFootprint {
 	n := g.NumVertices()
-	accs := replaySampling(g, alg, trainSet, batchSize, epochs, seed, workers,
-		func() [][]int64 { return make([][]int64, epochs) },
-		func(acc [][]int64, epoch int, s *sampling.Sample) {
-			visits := acc[epoch]
-			if visits == nil {
-				visits = make([]int64, n)
-				acc[epoch] = visits
-			}
-			for _, v := range s.Seeds {
-				visits[v]++
-			}
-			for _, l := range s.Layers {
-				for _, src := range l.Src {
-					visits[s.Input[src]]++
-				}
-			}
-		})
+	cells := sampling.PlanEpochs(trainSet, batchSize, epochs, seed)
+	// accs[worker][epoch] is that worker's share of one epoch, allocated
+	// on its first sample there.
+	accs := make([][]EpochFootprint, par.Pool(workers, len(cells)))
+	sampling.ReplayEpochs(g, alg, cells, workers, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
+		if accs[worker] == nil {
+			accs[worker] = make([]EpochFootprint, epochs)
+		}
+		ef := &accs[worker][c.Epoch]
+		if ef.Visits == nil {
+			ef.Visits = make([]int64, n)
+		}
+		ef.absorb(alg.Sample(g, c.Seeds, c.R))
+	})
 	out := make([]EpochFootprint, epochs)
 	for e := range out {
-		out[e] = EpochFootprint{Visits: make([]int64, n)}
-	}
-	for _, acc := range accs {
-		for e, visits := range acc {
-			for v, c := range visits {
-				out[e].Visits[v] += c
+		out[e].Visits = make([]int64, n)
+		for _, acc := range accs {
+			if acc != nil {
+				out[e].add(acc[e])
 			}
 		}
 	}
 	return out
+}
+
+// add merges another share of the same epoch into ef.
+func (ef *EpochFootprint) add(other EpochFootprint) {
+	ef.SampledEdges += other.SampledEdges
+	ef.ScannedEdges += other.ScannedEdges
+	for v, c := range other.Visits {
+		ef.Visits[v] += c
+	}
 }
 
 // Similarity computes the paper's §6.2 metric between epochs i and j:
@@ -198,8 +191,9 @@ func Similarity(fi, fj EpochFootprint, topFraction float64) float64 {
 }
 
 // topSet returns the set of the top `fraction` vertices by visit count
-// among vertices visited at least once, selecting (selectTop) rather than
-// sorting all visited vertices — only the chosen prefix is ever ordered.
+// among vertices visited at least once, selecting (graph.SelectTop)
+// rather than sorting all visited vertices — only the chosen prefix is
+// ever ordered.
 func topSet(visits []int64, fraction float64) map[int32]struct{} {
 	ids := make([]int32, 0, len(visits))
 	for v, c := range visits {
@@ -211,7 +205,7 @@ func topSet(visits []int64, fraction float64) map[int32]struct{} {
 	if k > len(ids) {
 		k = len(ids)
 	}
-	selectTop(ids, k, func(a, b int32) bool {
+	graph.SelectTop(ids, k, func(a, b int32) bool {
 		ca, cb := visits[a], visits[b]
 		if ca != cb {
 			return ca > cb

@@ -11,6 +11,7 @@ import (
 
 	"gnnlab/internal/graph"
 	"gnnlab/internal/rng"
+	"gnnlab/internal/sampling"
 )
 
 // PolicyKind identifies a caching policy.
@@ -45,6 +46,89 @@ func (p PolicyKind) String() string {
 	}
 }
 
+// RankSpec is everything a policy's ranking may read. Each policy reads
+// only some of it; Inputs names which.
+type RankSpec struct {
+	Policy    PolicyKind
+	Graph     graph.View
+	Alg       sampling.Algorithm
+	TrainSet  []int32
+	BatchSize int
+	Seed      uint64
+	// Workers sizes the replay pool (0 = GOMAXPROCS); rankings are
+	// identical at any setting.
+	Workers int
+	// PreSCK is PreSC's K: how many epochs it pre-samples.
+	PreSCK int
+	// Epochs is the length of the run Optimal's oracle replays.
+	Epochs int
+}
+
+// Ranking is a policy's hotness metric and the work that built it.
+type Ranking struct {
+	Hotness Hotness
+	// PreSample is the Sample-stage work paid before training starts, as
+	// edge totals for the cost model: PreSC's K epochs. It is nil for the
+	// other policies (Optimal's replay is an oracle, not a cost).
+	PreSample *sampling.Sample
+}
+
+// Rank computes s.Policy's ranking. It is the one owner of the mapping
+// from policy to hotness metric, and of the seed each metric draws from.
+func Rank(s RankSpec) (Ranking, error) {
+	_, rank, err := resolve(s)
+	if err != nil {
+		return Ranking{}, err
+	}
+	return rank(), nil
+}
+
+// Inputs returns s reduced to what its policy reads (Workers never
+// counts): two specs with equal inputs over the same graph and training
+// set rank identically, which is what a memo key needs.
+func (s RankSpec) Inputs() (RankSpec, error) {
+	in, _, err := resolve(s)
+	return in, err
+}
+
+// resolve validates s and returns its inputs together with the
+// computation that ranks them.
+func resolve(s RankSpec) (RankSpec, func() Ranking, error) {
+	in := RankSpec{Policy: s.Policy, Graph: s.Graph, TrainSet: s.TrainSet}
+	switch s.Policy {
+	case PolicyRandom:
+		in.Seed = s.Seed
+		return in, func() Ranking {
+			return Ranking{Hotness: RandomHotness(s.Graph.NumVertices(), rng.New(s.Seed^0x5EED))}
+		}, nil
+	case PolicyDegree:
+		return in, func() Ranking { return Ranking{Hotness: DegreeHotness(s.Graph)} }, nil
+	case PolicyPreSC:
+		if s.Alg == nil || s.BatchSize <= 0 || s.PreSCK <= 0 {
+			return RankSpec{}, nil, fmt.Errorf("cache: PreSC needs a sampler, a positive batch size and a positive K (batch size %d, K %d)", s.BatchSize, s.PreSCK)
+		}
+		in.Alg, in.BatchSize, in.Seed, in.PreSCK = s.Alg, s.BatchSize, s.Seed, s.PreSCK
+		return in, func() Ranking {
+			res := PreSCN(s.Graph, s.Alg, s.TrainSet, s.BatchSize, s.PreSCK, s.Seed^0x12345, s.Workers)
+			pre := &sampling.Sample{SampledEdges: res.SampledEdges, ScannedEdges: res.ScannedEdges}
+			return Ranking{Hotness: res.Hotness, PreSample: pre}
+		}, nil
+	case PolicyOptimal:
+		if s.Alg == nil || s.BatchSize <= 0 || s.Epochs <= 0 {
+			return RankSpec{}, nil, fmt.Errorf("cache: Optimal needs a sampler, a positive batch size and a positive epoch count (batch size %d, epochs %d)", s.BatchSize, s.Epochs)
+		}
+		in.Alg, in.BatchSize, in.Seed, in.Epochs = s.Alg, s.BatchSize, s.Seed, s.Epochs
+		// The oracle sees the measured run itself: identical seed and
+		// epoch count reproduce the exact footprint (§3 footnote 4).
+		return in, func() Ranking {
+			fp := CollectFootprintN(s.Graph, s.Alg, s.TrainSet, s.BatchSize, s.Epochs, s.Seed, s.Workers)
+			return Ranking{Hotness: fp.OptimalHotness()}
+		}, nil
+	default:
+		return RankSpec{}, nil, fmt.Errorf("cache: unknown policy %v", s.Policy)
+	}
+}
+
 // Hotness holds the per-vertex hotness metric h_v (§6.1). Higher is hotter.
 //
 // For dynamic graphs the metric is maintained incrementally: Decay and
@@ -75,8 +159,9 @@ func (h Hotness) Rank() []int32 {
 
 // RankTop returns the k hottest vertex IDs in descending hotness, ties
 // broken by ascending ID — the same prefix Rank()[:k] would give, in
-// O(|V|) expected time instead of a full sort (selectTop). k is clamped
-// to the vertex count.
+// O(|V|) expected time instead of a full sort (graph.SelectTop, whose
+// total-order comparator makes the prefix unique). k is clamped to the
+// vertex count.
 func (h Hotness) RankTop(k int) []int32 {
 	ids := make([]int32, len(h.Score))
 	for i := range ids {
@@ -85,7 +170,7 @@ func (h Hotness) RankTop(k int) []int32 {
 	if k > len(ids) {
 		k = len(ids)
 	}
-	selectTop(ids, k, func(a, b int32) bool {
+	graph.SelectTop(ids, k, func(a, b int32) bool {
 		sa, sb := h.Score[a], h.Score[b]
 		if sa != sb {
 			return sa > sb

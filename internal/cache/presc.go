@@ -29,55 +29,28 @@ func PreSC(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, k 
 	return PreSCN(g, alg, trainSet, batchSize, k, seed, 0)
 }
 
-// prescAcc is one worker's private visit-count accumulator.
-type prescAcc struct {
-	counts       []int64
-	sampledEdges int64
-	scannedEdges int64
-}
-
 // PreSCN is PreSC with an explicit worker-pool size (0 = GOMAXPROCS,
-// 1 = serial). The per-worker visit-count arrays are merged at the end;
-// since visit counts are commutative integer sums and each (epoch, batch)
-// cell has its own RNG stream, the result is bit-identical at any worker
-// count.
+// 1 = serial). It sums the K epoch footprints of CollectEpochFootprintsN,
+// so the result is bit-identical at any worker count.
 func PreSCN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, k int, seed uint64, workers int) PreSCResult {
 	if k <= 0 {
 		panic("cache: PreSC with non-positive K")
 	}
-	n := g.NumVertices()
-	accs := replaySampling(g, alg, trainSet, batchSize, k, seed^0x9E3779B97F4A7C15, workers,
-		func() *prescAcc { return &prescAcc{counts: make([]int64, n)} },
-		func(acc *prescAcc, _ int, s *sampling.Sample) {
-			acc.sampledEdges += s.SampledEdges
-			acc.scannedEdges += s.ScannedEdges
-			// Count every sampled occurrence (seeds plus each drawn
-			// neighbor), not just unique-per-batch: revisit frequency
-			// within a batch is hotness signal too.
-			for _, v := range s.Seeds {
-				acc.counts[v]++
-			}
-			for _, l := range s.Layers {
-				for _, src := range l.Src {
-					acc.counts[s.Input[src]]++
-				}
-			}
-		})
-	res := PreSCResult{Epochs: k}
-	counts := make([]int64, n)
-	for _, acc := range accs {
-		res.SampledEdges += acc.sampledEdges
-		res.ScannedEdges += acc.scannedEdges
-		for v, c := range acc.counts {
-			counts[v] += c
-		}
+	epochs := CollectEpochFootprintsN(g, alg, trainSet, batchSize, k, seed^0x9E3779B97F4A7C15, workers)
+	total := epochs[0]
+	for _, ef := range epochs[1:] {
+		total.add(ef)
 	}
-	res.VisitCounts = counts
-	score := make([]float64, len(counts))
+	score := make([]float64, len(total.Visits))
 	inv := 1 / float64(k)
-	for v, c := range counts {
+	for v, c := range total.Visits {
 		score[v] = float64(c) * inv
 	}
-	res.Hotness = Hotness{Score: score}
-	return res
+	return PreSCResult{
+		Hotness:      Hotness{Score: score},
+		VisitCounts:  total.Visits,
+		Epochs:       k,
+		SampledEdges: total.SampledEdges,
+		ScannedEdges: total.ScannedEdges,
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"gnnlab/internal/graph"
 	"gnnlab/internal/rng"
 )
 
@@ -86,7 +87,7 @@ func TestRankTopDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelectTopProperty exercises selectTop directly across sizes and k
+// TestSelectTopProperty exercises graph.SelectTop directly across sizes and k
 // values against sorting the whole slice.
 func TestSelectTopProperty(t *testing.T) {
 	r := rng.New(7)
@@ -110,9 +111,9 @@ func TestSelectTopProperty(t *testing.T) {
 		}
 		sort.Slice(ref, func(a, b int) bool { return less(ref[a], ref[b]) })
 		k := r.Intn(n + 1)
-		selectTop(ids, k, less)
+		graph.SelectTop(ids, k, less)
 		if !reflect.DeepEqual(ids[:k], ref[:k]) {
-			t.Fatalf("trial %d: selectTop(n=%d, k=%d) prefix differs", trial, n, k)
+			t.Fatalf("trial %d: SelectTop(n=%d, k=%d) prefix differs", trial, n, k)
 		}
 		// The tail must still be a permutation of the reference tail.
 		tail := append([]int32(nil), ids[k:]...)
@@ -120,7 +121,7 @@ func TestSelectTopProperty(t *testing.T) {
 		sort.Slice(tail, func(a, b int) bool { return tail[a] < tail[b] })
 		sort.Slice(refTail, func(a, b int) bool { return refTail[a] < refTail[b] })
 		if !reflect.DeepEqual(tail, refTail) {
-			t.Fatalf("trial %d: selectTop lost elements", trial)
+			t.Fatalf("trial %d: SelectTop lost elements", trial)
 		}
 	}
 }

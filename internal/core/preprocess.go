@@ -1,9 +1,7 @@
 package core
 
 import (
-	"gnnlab/internal/cache"
 	"gnnlab/internal/gen"
-	"gnnlab/internal/sampling"
 )
 
 // PreprocessCost is the Table 6 breakdown: the one-off costs paid before
@@ -43,10 +41,12 @@ func Preprocess(ds *gen.Dataset, cfg Config) (PreprocessCost, error) {
 		LoadTopology: cfg.Cost.PCIeLoadTime(plan.topoBytes),
 		LoadCache:    cfg.Cost.PCIeLoadTime(plan.cacheBytes),
 	}
-	if cfg.CacheEnabled && cfg.CachePolicy == cache.PolicyPreSC {
-		res := cache.PreSCN(ds.Graph, cfg.Workload.NewSampler(), ds.TrainSet, cfg.Workload.BatchSize, cfg.PreSCK, cfg.Seed^0x12345, cfg.MeasureWorkers)
-		s := &sampling.Sample{SampledEdges: res.SampledEdges, ScannedEdges: res.ScannedEdges}
-		p.PreSample = cfg.Cost.SampleTime(s, cfg.Sampler, cfg.Workload.NumLayers())
+	if cfg.CacheEnabled {
+		_, pre, err := buildRanking(cfg, ds)
+		if err != nil {
+			return PreprocessCost{}, err
+		}
+		p.PreSample = pre
 	}
 	return p, nil
 }

@@ -9,6 +9,7 @@ import (
 	"gnnlab/internal/device"
 	"gnnlab/internal/gen"
 	"gnnlab/internal/measure"
+	"gnnlab/internal/sampling"
 	"gnnlab/internal/sched"
 	"gnnlab/internal/sim"
 	"gnnlab/internal/workload"
@@ -264,4 +265,33 @@ func (echoDesign) CostEpoch(rn *runner, rep *Report, _ any, epoch int, work []ba
 		tot.t += train
 	}
 	return epochSpec{tasks: tasks, opts: sim.ConsumeOptions{NumTrainers: rn.cfg.NumGPUs}}
+}
+
+// TestRankKeyPerPolicy pins the ranking memo key of each policy: it holds
+// exactly the inputs that policy reads, so rankings are shared across
+// configurations that differ only in what the policy ignores.
+func TestRankKeyPerPolicy(t *testing.T) {
+	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
+	cfg := scaledCfg(GNNLab(scaledSpec(workload.GCN, 16), 4), mem, ms).withDefaults()
+	cfg.Seed, cfg.PreSCK, cfg.Epochs, cfg.MeasureWorkers = 11, 2, 3, 5
+	base := measure.RankKey{Dataset: d.Name, Vertices: d.NumVertices(), Edges: d.Graph.NumEdges()}
+	alg := sampling.Fingerprint(cfg.Workload.NewSampler())
+	batch := cfg.Workload.BatchSize
+	want := map[cache.PolicyKind]measure.RankKey{
+		cache.PolicyDegree:  {Policy: "degree"},
+		cache.PolicyRandom:  {Policy: "random", Seed: 11},
+		cache.PolicyPreSC:   {Policy: "presc", Algorithm: alg, BatchSize: batch, K: 2, Seed: 11},
+		cache.PolicyOptimal: {Policy: "optimal", Algorithm: alg, BatchSize: batch, Epochs: 3, Seed: 11},
+	}
+	for p, w := range want {
+		cfg.CachePolicy = p
+		in, err := rankSpec(cfg, d).Inputs()
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		w.Dataset, w.Vertices, w.Edges = base.Dataset, base.Vertices, base.Edges
+		if got := rankKey(in, d); got != w {
+			t.Errorf("%v: key %+v, want %+v", p, got, w)
+		}
+	}
 }

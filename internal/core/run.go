@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"gnnlab/internal/cache"
 	"gnnlab/internal/device"
@@ -11,7 +12,6 @@ import (
 	"gnnlab/internal/obs"
 	"gnnlab/internal/obs/account"
 	"gnnlab/internal/par"
-	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
 	"gnnlab/internal/sched"
 	"gnnlab/internal/sim"
@@ -429,85 +429,57 @@ func (rn runner) observeReport(rep *Report, stats cache.Stats) {
 }
 
 // buildRanking produces the cache ranking for the configured policy and
-// the pre-sampling cost when the policy is PreSC. With a MeasureStore
-// the ranking is memoized by content key; PreSC's pre-sampling *time*
-// depends on the configuration's cost model and sampler kind, so it is
-// always priced per call from the (memoized) edge counts.
+// its pre-sampling cost (PreSC's; zero for the other policies). With a
+// MeasureStore the ranking is memoized by content key; the pre-sampling
+// *time* depends on the configuration's cost model and sampler kind, so
+// it is always priced per call from the (memoized) edge counts.
 func buildRanking(cfg Config, d *gen.Dataset) ([]int32, float64, error) {
-	rankKey, ok := rankKeyFor(cfg, d)
-	if !ok {
-		return nil, 0, fmt.Errorf("system: unknown cache policy %v", cfg.CachePolicy)
+	spec := rankSpec(cfg, d)
+	in, err := spec.Inputs()
+	if err != nil {
+		return nil, 0, fmt.Errorf("system: %w", err)
 	}
-	rank := func() measure.Ranking { return computeRanking(cfg, d) }
+	rank := func() measure.Ranking {
+		r, _ := cache.Rank(spec) // spec was validated by Inputs
+		return measure.Ranking{Order: r.Hotness.Rank(), PreSample: r.PreSample}
+	}
 	var r measure.Ranking
 	if cfg.MeasureStore != nil {
-		r = cfg.MeasureStore.GetOrRank(rankKey, rank)
+		r = cfg.MeasureStore.GetOrRank(rankKey(in, d), rank)
 	} else {
 		r = rank()
 	}
 	var preTime float64
-	if cfg.CachePolicy == cache.PolicyPreSC {
-		s := &sampling.Sample{SampledEdges: r.SampledEdges, ScannedEdges: r.ScannedEdges}
-		preTime = cfg.Cost.SampleTime(s, cfg.Sampler, cfg.Workload.NumLayers())
+	if r.PreSample != nil {
+		preTime = cfg.Cost.SampleTime(r.PreSample, cfg.Sampler, cfg.Workload.NumLayers())
 	}
 	return r.Order, preTime, nil
 }
 
-// rankKeyFor builds the content key of cfg's cache-ranking computation;
-// ok is false for unknown policies.
-func rankKeyFor(cfg Config, d *gen.Dataset) (measure.RankKey, bool) {
-	key := measure.RankKey{
-		Dataset:  d.Name,
-		Vertices: d.NumVertices(),
-		Edges:    d.Graph.NumEdges(),
-	}
-	switch cfg.CachePolicy {
-	case cache.PolicyDegree:
-		key.Policy = "degree"
-	case cache.PolicyRandom:
-		key.Policy = "random"
-		key.Seed = cfg.Seed
-	case cache.PolicyPreSC:
-		key.Policy = "presc"
-		key.Algorithm = sampling.Fingerprint(cfg.Workload.NewSampler())
-		key.BatchSize = cfg.Workload.BatchSize
-		key.K = cfg.PreSCK
-		key.Seed = cfg.Seed
-	case cache.PolicyOptimal:
-		key.Policy = "optimal"
-		key.Algorithm = sampling.Fingerprint(cfg.Workload.NewSampler())
-		key.BatchSize = cfg.Workload.BatchSize
-		key.Epochs = cfg.Epochs
-		key.Seed = cfg.Seed
-	default:
-		return measure.RankKey{}, false
-	}
-	return key, true
+// rankSpec is cfg's cache-ranking request on d. Optimal's oracle replays
+// the configured run itself: same sampler, seed and epoch count.
+func rankSpec(cfg Config, d *gen.Dataset) cache.RankSpec {
+	return cache.RankSpec{Policy: cfg.CachePolicy, Graph: d.Graph, Alg: cfg.Workload.NewSampler(), TrainSet: d.TrainSet,
+		BatchSize: cfg.Workload.BatchSize, Seed: cfg.Seed, Workers: cfg.MeasureWorkers, PreSCK: cfg.PreSCK, Epochs: cfg.Epochs}
 }
 
-// computeRanking runs the configured policy's ranking computation.
-func computeRanking(cfg Config, d *gen.Dataset) measure.Ranking {
-	g := d.Graph
-	switch cfg.CachePolicy {
-	case cache.PolicyDegree:
-		return measure.Ranking{Order: cache.DegreeHotness(g).Rank()}
-	case cache.PolicyRandom:
-		return measure.Ranking{Order: cache.RandomHotness(g.NumVertices(), rng.New(cfg.Seed^0x5EED)).Rank()}
-	case cache.PolicyPreSC:
-		res := cache.PreSCN(g, cfg.Workload.NewSampler(), d.TrainSet, cfg.Workload.BatchSize, cfg.PreSCK, cfg.Seed^0x12345, cfg.MeasureWorkers)
-		return measure.Ranking{
-			Order:        res.Hotness.Rank(),
-			SampledEdges: res.SampledEdges,
-			ScannedEdges: res.ScannedEdges,
-		}
-	case cache.PolicyOptimal:
-		// The oracle sees the measured run itself: identical seed and
-		// epoch count reproduce the exact footprint (§3 footnote 4).
-		fp := cache.CollectFootprintN(g, cfg.Workload.NewSampler(), d.TrainSet, cfg.Workload.BatchSize, cfg.Epochs, cfg.Seed, cfg.MeasureWorkers)
-		return measure.Ranking{Order: fp.OptimalHotness().Rank()}
-	default:
-		panic(fmt.Sprintf("system: unknown cache policy %v", cfg.CachePolicy))
+// rankKey is the content key of the ranking computed from in, a policy's
+// inputs (cache.RankSpec.Inputs).
+func rankKey(in cache.RankSpec, d *gen.Dataset) measure.RankKey {
+	key := measure.RankKey{
+		Dataset:   d.Name,
+		Vertices:  d.NumVertices(),
+		Edges:     d.Graph.NumEdges(),
+		Policy:    strings.ToLower(in.Policy.String()),
+		BatchSize: in.BatchSize,
+		K:         in.PreSCK,
+		Epochs:    in.Epochs,
+		Seed:      in.Seed,
 	}
+	if in.Alg != nil {
+		key.Algorithm = sampling.Fingerprint(in.Alg)
+	}
+	return key
 }
 
 // sampleDuration costs the core graph sampling ("G") of one batch.

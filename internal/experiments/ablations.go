@@ -118,24 +118,28 @@ func AblationSubgraph(o Options) (*Table, error) {
 		Title:  fmt.Sprintf("Subgraph sampling on %s: epoch similarity and hit rates at 10%% cache", d.Name),
 		Header: []string{"Algorithm", "Epoch similarity", "Random", "Degree", "PreSC#1", "Optimal", "PreSC/Optimal"},
 	}
+	slots := int(0.10 * float64(d.NumVertices()))
 	for _, a := range algs {
-		fps := cache.CollectEpochFootprints(d.Graph, a.alg, d.TrainSet, o.batchSize(), 2, o.Seed)
+		fps := cache.CollectEpochFootprintsN(d.Graph, a.alg, d.TrainSet, o.batchSize(), 2, o.Seed, o.Workers)
 		sim := cache.Similarity(fps[0], fps[1], 0.10)
 
-		fp := cache.CollectFootprint(d.Graph, a.alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed)
-		slots := int(0.10 * float64(d.NumVertices()))
-		presc := cache.PreSC(d.Graph, a.alg, d.TrainSet, o.batchSize(), 1, o.Seed^0x12345).Hotness.RankTop(slots)
-		opt := fp.OptimalHotness().RankTop(slots)
-		prescHR := fp.HitRate(presc, slots)
-		optHR := fp.HitRate(opt, slots)
+		fp := cache.CollectFootprintN(d.Graph, a.alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers)
+		spec := cache.RankSpec{Graph: d.Graph, Alg: a.alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, Workers: o.Workers, PreSCK: 1}
+		var hr [3]float64
+		for i, p := range []cache.PolicyKind{cache.PolicyRandom, cache.PolicyDegree, cache.PolicyPreSC} {
+			spec.Policy = p
+			r, err := cache.Rank(spec)
+			if err != nil {
+				return nil, err
+			}
+			hr[i] = fp.HitRate(r.Hotness.RankTop(slots), slots)
+		}
+		optHR := fp.HitRate(fp.OptimalHotness().RankTop(slots), slots)
 		rel := "-"
 		if optHR > 0 {
-			rel = fmt.Sprintf("%.2f", prescHR/optHR)
+			rel = fmt.Sprintf("%.2f", hr[2]/optHR)
 		}
-		t.AddRow(a.name, pct(sim),
-			pct(fp.HitRate(cache.RandomHotness(d.NumVertices(), rngFor(o)).RankTop(slots), slots)),
-			pct(fp.HitRate(cache.DegreeHotness(d.Graph).RankTop(slots), slots)),
-			pct(prescHR), pct(optHR), rel)
+		t.AddRow(a.name, pct(sim), pct(hr[0]), pct(hr[1]), pct(hr[2]), pct(optHR), rel)
 	}
 	return t, nil
 }

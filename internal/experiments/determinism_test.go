@@ -7,8 +7,7 @@ import (
 
 // Rendered tables are byte-identical at any Workers setting: cells write
 // only pre-sized slots and the per-cell measurement engine is itself
-// deterministic. table1 covers the core.Run path (six system variants);
-// figure10 covers the analytic cache path (footprints, PreSC rankings).
+// deterministic.
 func assertRenderStable(t *testing.T, id string) {
 	t.Helper()
 	fn, ok := Lookup(id)
@@ -37,10 +36,12 @@ func assertRenderStable(t *testing.T, id string) {
 	}
 }
 
-func TestTable1RenderStableAcrossWorkers(t *testing.T) {
-	assertRenderStable(t, "table1")
-}
-
-func TestFigure10RenderStableAcrossWorkers(t *testing.T) {
-	assertRenderStable(t, "figure10")
+// Each ID covers one path through the worker pool: table1 core.Run (six
+// system variants), figure10 the analytic cache path (footprints, PreSC
+// rankings), table2 per-epoch footprints, table6 preprocessing's PreSC
+// ranking, and ablation-coupling cache.Rank with the Options' pool.
+func TestRenderStableAcrossWorkers(t *testing.T) {
+	for _, id := range []string{"table1", "figure10", "table2", "table6", "ablation-coupling"} {
+		t.Run(id, func(t *testing.T) { assertRenderStable(t, id) })
+	}
 }

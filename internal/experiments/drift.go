@@ -55,7 +55,10 @@ func Drift(o Options) (*Table, error) {
 
 	// Round-0 rankings over the base graph.
 	degreeStale := cache.DegreeHotness(base).RankTop(slots)
-	presc := cache.PreSCN(base, alg, d.TrainSet, batch, 2, o.Seed^0x12345, o.Workers)
+	presc, err := cache.Rank(cache.RankSpec{Policy: cache.PolicyPreSC, Graph: base, Alg: alg, TrainSet: d.TrainSet, BatchSize: batch, Seed: o.Seed, Workers: o.Workers, PreSCK: 2})
+	if err != nil {
+		return nil, err
+	}
 	prescStale := presc.Hotness.RankTop(slots)
 	// base0 keeps the round-0 per-epoch visit rates: the incremental
 	// maintainer estimates a new edge (u,w)'s contribution to w as

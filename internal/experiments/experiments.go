@@ -15,7 +15,6 @@ import (
 	"gnnlab/internal/measure"
 	"gnnlab/internal/obs"
 	"gnnlab/internal/par"
-	"gnnlab/internal/rng"
 	"gnnlab/internal/workload"
 )
 
@@ -294,9 +293,6 @@ func IDs() []string {
 	}
 	return ids
 }
-
-// rngFor derives the experiment-seeded RNG used by policy baselines.
-func rngFor(o Options) *rng.Rand { return rng.New(o.Seed ^ 0x5EED) }
 
 // Formatting helpers shared by experiments.
 

@@ -6,8 +6,6 @@ import (
 	"gnnlab/internal/cache"
 	"gnnlab/internal/device"
 	"gnnlab/internal/gen"
-	"gnnlab/internal/par"
-	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
 )
 
@@ -21,41 +19,51 @@ type policyEval struct {
 	order    []string
 }
 
-// evalPolicies measures `epochs` epochs of the Sample stage and builds the
-// requested policy rankings. prescKs lists the PreSC#K variants wanted.
-// The footprint replay and the PreSC pre-sampling runs use the Options'
-// worker pool, and the independent ranking builds run concurrently too;
-// each build writes only its own slot, so the result is deterministic.
-func evalPolicies(o Options, d *gen.Dataset, alg sampling.Algorithm, epochs int, prescKs []int) *policyEval {
+// evalPolicies loads preset, measures o.Epochs epochs of the Sample stage
+// and builds the requested policy rankings. prescKs lists the PreSC#K
+// variants wanted. The footprint replay and the PreSC pre-sampling runs
+// use the Options' worker pool, and the independent ranking builds run
+// concurrently too; each build writes only its own slot, so the result is
+// deterministic.
+func (o Options) evalPolicies(preset string, alg sampling.Algorithm, prescKs []int) (*policyEval, error) {
+	d, err := o.load(preset)
+	if err != nil {
+		return nil, err
+	}
 	pe := &policyEval{
 		d:        d,
-		fp:       cache.CollectFootprintN(d.Graph, alg, d.TrainSet, o.batchSize(), epochs, o.Seed, o.Workers),
+		fp:       cache.CollectFootprintN(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers),
 		rankings: map[string][]int32{},
+		order:    []string{"Random", "Degree"},
 	}
-	type job struct {
-		name  string
-		build func() []int32
-	}
-	jobs := []job{
-		{"Random", func() []int32 {
-			return cache.RandomHotness(d.NumVertices(), rng.New(o.Seed^0x5EED)).Rank()
-		}},
-		{"Degree", func() []int32 { return cache.DegreeHotness(d.Graph).Rank() }},
-	}
+	base := cache.RankSpec{Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, Workers: o.Workers}
+	specs := []cache.RankSpec{base, base}
+	specs[0].Policy, specs[1].Policy = cache.PolicyRandom, cache.PolicyDegree
 	for _, k := range prescKs {
-		k := k
-		jobs = append(jobs, job{fmt.Sprintf("PreSC#%d", k), func() []int32 {
-			return cache.PreSCN(d.Graph, alg, d.TrainSet, o.batchSize(), k, o.Seed^0x12345, o.Workers).Hotness.Rank()
-		}})
+		s := base
+		s.Policy, s.PreSCK = cache.PolicyPreSC, k
+		specs = append(specs, s)
+		pe.order = append(pe.order, fmt.Sprintf("PreSC#%d", k))
 	}
-	jobs = append(jobs, job{"Optimal", func() []int32 { return pe.fp.OptimalHotness().Rank() }})
-	ranks := make([][]int32, len(jobs))
-	par.ForEach(o.Workers, len(jobs), func(_, i int) { ranks[i] = jobs[i].build() })
-	for i, j := range jobs {
-		pe.rankings[j.name] = ranks[i]
-		pe.order = append(pe.order, j.name)
+	pe.order = append(pe.order, "Optimal")
+	ranks := make([][]int32, len(pe.order))
+	if err := o.runCells(len(ranks), func(i int) error {
+		if i == len(specs) {
+			// The oracle ranks the footprint just measured: the same
+			// replay cache.Rank would run for PolicyOptimal.
+			ranks[i] = pe.fp.OptimalHotness().Rank()
+			return nil
+		}
+		r, err := cache.Rank(specs[i])
+		ranks[i] = r.Hotness.Rank()
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	return pe
+	for i, name := range pe.order {
+		pe.rankings[name] = ranks[i]
+	}
+	return pe, nil
 }
 
 // slots converts a cache ratio to a slot count.
@@ -75,11 +83,10 @@ func (pe *policyEval) perEpochBytes(name string, ratio float64, vfb int64) int64
 // marking the time-sharing (7%) and space-sharing (21%) operating points.
 func Figure4a(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := o.evalPolicies(gen.PresetPA, sampling.ForGCN(), nil)
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, nil)
 	t := &Table{
 		ID:     "figure4a",
 		Title:  "PA: hit rate and Extract time vs cache ratio (Degree policy)",
@@ -89,7 +96,7 @@ func Figure4a(o Options) (*Table, error) {
 		},
 	}
 	cost := device.DefaultCostModel()
-	vfb := int64(d.FeatureDim) * 4
+	vfb := int64(pe.d.FeatureDim) * 4
 	for _, ratio := range []float64{0, 0.02, 0.05, 0.07, 0.10, 0.15, 0.21, 0.30} {
 		slots := pe.slots(ratio)
 		hr := pe.fp.HitRate(pe.rankings["Degree"], slots)
@@ -106,11 +113,10 @@ func Figure4a(o Options) (*Table, error) {
 // feature dimension grows.
 func Figure4b(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := o.evalPolicies(gen.PresetPA, sampling.ForGCN(), nil)
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, nil)
 	// 5 GB of cache in the paper → 50 MB at 1/100 scale, divided by the
 	// experiment scale.
 	budget := int64(50<<20) / int64(o.Scale)
@@ -121,8 +127,8 @@ func Figure4b(o Options) (*Table, error) {
 	}
 	for _, dim := range []int{128, 256, 512, 768} {
 		vfb := int64(dim) * 4
-		slots := cache.SlotsFor(budget, vfb, d.NumVertices())
-		ratio := cache.RatioFor(slots, d.NumVertices())
+		slots := cache.SlotsFor(budget, vfb, pe.d.NumVertices())
+		ratio := cache.RatioFor(slots, pe.d.NumVertices())
 		hr := pe.fp.HitRate(pe.rankings["Degree"], slots)
 		moved := pe.fp.TransferredBytes(pe.rankings["Degree"], slots, vfb) / int64(pe.fp.Epochs)
 		t.AddRow(fmt.Sprintf("%d", dim), pct(ratio), pct(hr), megabytes(moved))
@@ -151,12 +157,11 @@ func Figure5(o Options) (*Table, error) {
 	groups := make([][][]string, len(cases))
 	if err := o.runCells(len(cases), func(i int) error {
 		c := cases[i]
-		d, err := o.load(c.preset)
+		pe, err := o.evalPolicies(c.preset, c.alg, nil)
 		if err != nil {
 			return err
 		}
-		pe := evalPolicies(o, d, c.alg, o.Epochs, nil)
-		vfb := int64(d.FeatureDim) * 4
+		vfb := int64(pe.d.FeatureDim) * 4
 		for _, ratio := range []float64{0.03, 0.07, 0.10, 0.20, 0.30} {
 			deg := pe.perEpochBytes("Degree", ratio, vfb)
 			opt := pe.perEpochBytes("Optimal", ratio, vfb)
@@ -198,11 +203,10 @@ func Figure10(o Options) (*Table, error) {
 	rows := make([][]string, len(algs)*len(presets))
 	if err := o.runCells(len(rows), func(i int) error {
 		a, name := algs[i/len(presets)], presets[i%len(presets)]
-		d, err := o.load(name)
+		pe, err := o.evalPolicies(name, a.mk(), []int{1})
 		if err != nil {
 			return err
 		}
-		pe := evalPolicies(o, d, a.mk(), o.Epochs, []int{1})
 		slots := pe.slots(0.10)
 		rows[i] = []string{a.name, name,
 			pct(pe.fp.HitRate(pe.rankings["Random"], slots)),
@@ -222,11 +226,10 @@ func Figure10(o Options) (*Table, error) {
 // deeper pre-sampling.
 func Figure11a(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetTW)
+	pe, err := o.evalPolicies(gen.PresetTW, sampling.ForGCNWeighted(), []int{1, 2, 3})
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCNWeighted(), o.Epochs, []int{1, 2, 3})
 	t := &Table{
 		ID:     "figure11a",
 		Title:  "TW weighted: hit rate vs cache ratio by policy",
@@ -246,11 +249,10 @@ func Figure11a(o Options) (*Table, error) {
 // sampling: PreSC reaches a high hit rate at a very small ratio.
 func Figure11b(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := o.evalPolicies(gen.PresetPA, sampling.ForGCN(), []int{1})
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, []int{1})
 	t := &Table{
 		ID:     "figure11b",
 		Title:  "PA 3-hop random: hit rate vs cache ratio by policy",
@@ -270,11 +272,10 @@ func Figure11b(o Options) (*Table, error) {
 // (scaled) cache: transferred data per mini-batch by policy.
 func Figure11c(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := o.evalPolicies(gen.PresetPA, sampling.ForGCN(), []int{1})
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, []int{1})
 	budget := int64(50<<20) / int64(o.Scale)
 	t := &Table{
 		ID:     "figure11c",
@@ -283,8 +284,8 @@ func Figure11c(o Options) (*Table, error) {
 	}
 	for _, dim := range []int{100, 300, 500, 700, 900} {
 		vfb := int64(dim) * 4
-		slots := cache.SlotsFor(budget, vfb, d.NumVertices())
-		row := []string{fmt.Sprintf("%d", dim), pct(cache.RatioFor(slots, d.NumVertices()))}
+		slots := cache.SlotsFor(budget, vfb, pe.d.NumVertices())
+		row := []string{fmt.Sprintf("%d", dim), pct(cache.RatioFor(slots, pe.d.NumVertices()))}
 		for _, name := range pe.order {
 			moved := pe.fp.TransferredBytes(pe.rankings[name], slots, vfb) / int64(pe.fp.Epochs)
 			row = append(row, megabytes(moved))

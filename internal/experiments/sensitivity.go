@@ -41,12 +41,19 @@ func AblationCoupling(o Options) (*Table, error) {
 			return nil, err
 		}
 		alg := sampling.ForGCN()
-		fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed)
+		fp := cache.CollectFootprintN(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers)
 		slots := int(0.10 * float64(d.NumVertices()))
-		deg := fp.HitRate(cache.DegreeHotness(d.Graph).RankTop(slots), slots)
-		pre := fp.HitRate(cache.PreSC(d.Graph, alg, d.TrainSet, o.batchSize(), 1, o.Seed^0x12345).Hotness.RankTop(slots), slots)
-		opt := fp.HitRate(fp.OptimalHotness().RankTop(slots), slots)
-		t.AddRow(fmt.Sprintf("%.2f", coupling), pct(deg), pct(pre), pct(opt))
+		spec := cache.RankSpec{Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, Workers: o.Workers, PreSCK: 1}
+		row := []string{fmt.Sprintf("%.2f", coupling)}
+		for _, p := range []cache.PolicyKind{cache.PolicyDegree, cache.PolicyPreSC} {
+			spec.Policy = p
+			r, err := cache.Rank(spec)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, pct(fp.HitRate(r.Hotness.RankTop(slots), slots)))
+		}
+		t.AddRow(append(row, pct(fp.HitRate(fp.OptimalHotness().RankTop(slots), slots)))...)
 	}
 	return t, nil
 }

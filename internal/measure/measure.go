@@ -90,11 +90,11 @@ func (m *Measurement) NumBatches() int {
 
 // Collect measures dataset d under spec: it plans every (epoch, batch)
 // cell serially — shuffles and per-batch RNG streams derived on the
-// calling goroutine, keyed by (epoch, batch) — then fans the sampling
-// work across at most par.Workers(workers) goroutines. Each cell writes
-// only its own pre-sized slot, so the Measurement is bit-identical at
-// any worker count. alg must match spec.Algorithm; it is cloned per
-// worker and never mutated.
+// calling goroutine, keyed by (epoch, batch) — then samples the cells on
+// sampling.ReplayEpochs' worker pool. Each cell writes only its own
+// pre-sized slot, so the Measurement is bit-identical at any worker
+// count. alg must match spec.Algorithm; it is cloned per worker and
+// never mutated.
 //
 // When rec is non-nil, every cell records a wall-clock "sample" span on
 // its worker's lane (process "Measure", one thread per pool worker) and
@@ -102,29 +102,16 @@ func (m *Measurement) NumBatches() int {
 // observe: the Measurement is bit-identical with rec nil or not, and a
 // nil rec adds no allocations to the loop.
 func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, workers int, rec *obs.Recorder) *Measurement {
-	sampling.Prepare(alg, d.Graph)
 	cells := sampling.PlanEpochs(d.TrainSet, spec.BatchSize, spec.Epochs, spec.Seed)
 	m := &Measurement{Spec: spec, Dataset: d, Epochs: make([][]Batch, spec.Epochs)}
 	perEpoch := sampling.NumBatches(len(d.TrainSet), spec.BatchSize)
 	for e := range m.Epochs {
 		m.Epochs[e] = make([]Batch, perEpoch)
 	}
-	w := par.Workers(workers)
-	if w > len(cells) && len(cells) > 0 {
-		w = len(cells)
-	}
-	// Pooled clones: each worker's sampler reuses its scratch arena across
-	// cells, so steady-state Sample calls allocate nothing. Pooled samples
-	// are only valid until the worker's next call, so everything the Batch
-	// keeps (Input) is copied out below.
-	algs := make([]sampling.Algorithm, w)
-	for i := range algs {
-		algs[i] = sampling.ClonePooled(alg)
-	}
 	var lanes []obs.Lane
 	var cCells, cSampled, cScanned, cInput, cBytes *obs.Counter
 	if rec != nil {
-		lanes = make([]obs.Lane, w)
+		lanes = make([]obs.Lane, par.Pool(workers, len(cells)))
 		for i := range lanes {
 			lanes[i] = rec.Lane("Measure", fmt.Sprintf("worker-%d", i))
 		}
@@ -135,13 +122,12 @@ func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, workers int, rec
 		cInput = reg.Counter("measure.input_vertices")
 		cBytes = reg.Counter("measure.sample_bytes")
 	}
-	par.ForEach(workers, len(cells), func(worker, i int) {
-		c := cells[i]
+	st := sampling.ReplayEpochs(d.Graph, alg, cells, workers, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
 		var sp *obs.Span
 		if rec != nil {
 			sp = lanes[worker].Start("sample")
 		}
-		s := algs[worker].Sample(d.Graph, c.Seeds, c.R)
+		s := alg.Sample(d.Graph, c.Seeds, c.R)
 		layers := make([]workload.LayerDims, len(s.Layers))
 		for li, l := range s.Layers {
 			layers[li] = workload.LayerDims{Edges: len(l.Src), Targets: l.NumDst}
@@ -174,16 +160,6 @@ func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, workers int, rec
 	})
 	if rec != nil {
 		reg := rec.Registry()
-		var st sampling.ScratchStats
-		for _, a := range algs {
-			if s, ok := sampling.ScratchStatsOf(a); ok {
-				st.Samples += s.Samples
-				st.Reuses += s.Reuses
-				st.Grows += s.Grows
-				st.RowCacheHits += s.RowCacheHits
-				st.RowCacheMisses += s.RowCacheMisses
-			}
-		}
 		reg.Counter("measure.scratch_samples").Add(st.Samples)
 		reg.Counter("measure.scratch_reuses").Add(st.Reuses)
 		reg.Counter("measure.scratch_grows").Add(st.Grows)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"gnnlab/internal/obs"
+	"gnnlab/internal/sampling"
 )
 
 // Store is a content-keyed measurement cache. Experiment cells whose
@@ -115,11 +116,11 @@ type RankKey struct {
 }
 
 // Ranking is a memoized cache ranking: the hotness-ordered vertex list
-// plus, for PreSC, the pre-sampling edge counts its cost derives from.
+// plus, for PreSC, the pre-sampling edge counts its cost derives from
+// (cache.Ranking.PreSample).
 type Ranking struct {
-	Order        []int32
-	SampledEdges int64
-	ScannedEdges int64
+	Order     []int32
+	PreSample *sampling.Sample
 }
 
 // GetOrRank returns the ranking stored under key, producing it with rank

@@ -36,12 +36,11 @@ type Compact struct {
 
 	// Build scratch, reused across NewCompactInto calls on the same
 	// Compact: per-vertex degree counts, the CSR fill cursor, and the
-	// generation-stamped global-ID dedup table (the renumber-check
-	// analogue of sampling's localizer — reset is a counter bump, not a
-	// reallocation).
+	// sample validator (its duplicate-ID set resets by a counter bump,
+	// not a reallocation).
 	counts []int32
 	next   []int32
-	dedup  stampTable
+	check  sampling.Validator
 }
 
 // NewCompact converts a sample into compact form. It returns an error when
@@ -54,12 +53,12 @@ func NewCompact(s *sampling.Sample) (*Compact, error) {
 	return c, nil
 }
 
-// NewCompactInto rebuilds c from s, reusing c's slices and dedup table.
+// NewCompactInto rebuilds c from s, reusing c's slices and validator.
 // The result is identical to NewCompact's; in steady state (shapes no
 // larger than a previous call's) it performs zero heap allocations. The
 // rebuilt Compact is valid until the next NewCompactInto on the same c.
 func NewCompactInto(c *Compact, s *sampling.Sample) error {
-	if err := c.validateSample(s); err != nil {
+	if err := c.check.Check(s); err != nil {
 		return err
 	}
 	l := len(s.Layers)
@@ -105,58 +104,6 @@ func NewCompactInto(c *Compact, s *sampling.Sample) error {
 	return nil
 }
 
-// validateSample performs the structural checks of sampling's
-// Sample.Validate without its per-call map allocation: the duplicate-
-// global check runs on c's generation-stamped hash table instead.
-func (c *Compact) validateSample(s *sampling.Sample) error {
-	if len(s.Input) < len(s.Seeds) {
-		return fmt.Errorf("nn: %d inputs but %d seeds", len(s.Input), len(s.Seeds))
-	}
-	for i, seed := range s.Seeds {
-		if s.Input[i] != seed {
-			return fmt.Errorf("nn: input[%d] = %d, want seed %d", i, s.Input[i], seed)
-		}
-	}
-	c.dedup.reset(len(s.Input))
-	for local, global := range s.Input {
-		if !c.dedup.add(global) {
-			return fmt.Errorf("nn: duplicate global vertex %d at local %d", global, local)
-		}
-	}
-	if s.CachedMask != nil && len(s.CachedMask) != len(s.Input) {
-		return fmt.Errorf("nn: CachedMask covers %d vertices, input has %d", len(s.CachedMask), len(s.Input))
-	}
-	known := len(s.Seeds)
-	for li, l := range s.Layers {
-		if len(l.Src) != len(l.Dst) {
-			return fmt.Errorf("nn: layer %d: len(Src)=%d len(Dst)=%d", li, len(l.Src), len(l.Dst))
-		}
-		dstBound := known
-		if s.Subgraph {
-			// Induced subgraphs target every member of the layer.
-			dstBound = l.NumVertices
-		}
-		for _, d := range l.Dst {
-			if d < 0 || int(d) >= dstBound {
-				return fmt.Errorf("nn: layer %d targets unknown local %d (bound %d)", li, d, dstBound)
-			}
-		}
-		for _, src := range l.Src {
-			if src < 0 || int(src) >= l.NumVertices {
-				return fmt.Errorf("nn: layer %d: src local %d out of range %d", li, src, l.NumVertices)
-			}
-		}
-		if l.NumVertices < known || l.NumVertices > len(s.Input) {
-			return fmt.Errorf("nn: layer %d: NumVertices %d out of range [%d,%d]", li, l.NumVertices, known, len(s.Input))
-		}
-		known = l.NumVertices
-	}
-	if known != len(s.Input) {
-		return fmt.Errorf("nn: layers cover %d locals, input has %d", known, len(s.Input))
-	}
-	return nil
-}
-
 // Neighbors returns the sampled neighbor locals of vertex v.
 func (c *Compact) Neighbors(v int32) []int32 {
 	return c.AdjNbr[c.AdjStart[v]:c.AdjStart[v+1]]
@@ -199,50 +146,4 @@ func growInt32s(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
-}
-
-// stampTable is an open-addressed int32 hash set with generation-stamped
-// O(1) reset (the idiom of sampling's localizer/visitCounter): a slot is
-// occupied only when its generation entry matches the current one.
-type stampTable struct {
-	keys []int32
-	gen  []uint32
-	cur  uint32
-	mask uint32
-}
-
-// reset empties the table for up to `expected` distinct keys.
-func (t *stampTable) reset(expected int) {
-	size := 16
-	for size < expected*2 {
-		size <<= 1
-	}
-	if len(t.keys) < size {
-		t.keys = make([]int32, size)
-		t.gen = make([]uint32, size)
-		t.mask = uint32(size - 1)
-		t.cur = 1
-		return
-	}
-	t.cur++
-	if t.cur == 0 { // generation counter wrapped: stamps are ambiguous
-		clear(t.gen)
-		t.cur = 1
-	}
-}
-
-// add inserts v, reporting whether it was absent.
-func (t *stampTable) add(v int32) bool {
-	h := uint32(v+1) * 2654435761 & t.mask
-	for {
-		if t.gen[h] != t.cur {
-			t.gen[h] = t.cur
-			t.keys[h] = v
-			return true
-		}
-		if t.keys[h] == v {
-			return false
-		}
-		h = (h + 1) & t.mask
-	}
 }

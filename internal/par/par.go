@@ -22,12 +22,21 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(worker, i) for every i in [0, n), fanned across at most
-// Workers(workers) goroutines. Indices are handed out by an atomic counter,
+// Pool is the number of goroutines ForEach(workers, n, …) runs:
+// Workers(workers) capped at n. Callers size per-worker state with it.
+func Pool(workers, n int) int {
+	if w := Workers(workers); w < n {
+		return w
+	}
+	return max(n, 0)
+}
+
+// ForEach runs fn(worker, i) for every i in [0, n), fanned across
+// Pool(workers, n) goroutines. Indices are handed out by an atomic counter,
 // so which worker executes which index varies between runs; determinism is
 // the caller's contract: fn must write only to slot i of pre-sized outputs
 // and to worker-private state indexed by `worker` (0 <= worker <
-// Workers(workers)), merged by the caller afterwards in worker order.
+// Pool(workers, n)), merged by the caller afterwards in worker order.
 //
 // With a resolved worker count of 1 (or n <= 1) fn runs inline on the
 // calling goroutine, which is exactly the pre-engine serial behavior. A
@@ -37,10 +46,7 @@ func ForEach(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
+	w := Pool(workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)

@@ -3,16 +3,19 @@ package sampling
 import (
 	"fmt"
 
+	"gnnlab/internal/graph"
+	"gnnlab/internal/par"
 	"gnnlab/internal/rng"
 )
 
 // EpochCell is one (epoch, batch) unit of sampling work. Its RNG stream is
 // derived on the coordinating goroutine — epoch-keyed Split, then
 // batch-keyed SplitN — so the sampled stream is a pure function of
-// (seed, epoch, batch), independent of worker count and scheduling. This
-// is the determinism convention shared by the measurement engine
-// (internal/measure), the cache-policy replays (internal/cache) and the
-// live training pipeline (internal/train).
+// (seed, epoch, batch), independent of worker count and scheduling. The
+// measurement engine (internal/measure) and the cache-policy replays
+// (internal/cache) sample through ReplayEpochs under this rule. The live
+// training pipeline (internal/train) shares only the batches: it derives
+// each batch's stream from its own (seed, epoch, batch index) key.
 type EpochCell struct {
 	Epoch int
 	Batch int
@@ -35,6 +38,34 @@ func PlanEpochs(trainSet []int32, batchSize, epochs int, seed uint64) []EpochCel
 		}
 	}
 	return cells
+}
+
+// ReplayEpochs samples every cell with alg on Pool(workers, len(cells))
+// goroutines. It prepares alg's per-graph tables once and gives each
+// worker one pooled clone; visit(worker, c, clone) runs on that worker
+// and samples c with the clone, so a sample is borrowed until the
+// worker's next cell. visit may write only c's own output slots and
+// state private to worker. The returned stats sum the clones' arenas.
+func ReplayEpochs(g graph.View, alg Algorithm, cells []EpochCell, workers int, visit func(worker int, c EpochCell, alg Algorithm)) ScratchStats {
+	Prepare(alg, g)
+	algs := make([]Algorithm, par.Pool(workers, len(cells)))
+	for i := range algs {
+		algs[i] = ClonePooled(alg)
+	}
+	par.ForEach(workers, len(cells), func(worker, i int) {
+		visit(worker, cells[i], algs[worker])
+	})
+	var st ScratchStats
+	for _, a := range algs {
+		if s, ok := ScratchStatsOf(a); ok {
+			st.Samples += s.Samples
+			st.Reuses += s.Reuses
+			st.Grows += s.Grows
+			st.RowCacheHits += s.RowCacheHits
+			st.RowCacheMisses += s.RowCacheMisses
+		}
+	}
+	return st
 }
 
 // Fingerprint returns a content identity for alg. Unlike Name, it folds in

@@ -72,8 +72,19 @@ func (s *Sample) Bytes() int64 {
 	return b
 }
 
-// Validate checks the structural invariants a correct sampler must uphold.
-func (s *Sample) Validate() error {
+// Validate checks s with a fresh Validator.
+func (s *Sample) Validate() error { return new(Validator).Check(s) }
+
+// Validator checks the structural invariants a correct sampler must
+// uphold. Its duplicate-ID set is generation-stamped and reused across
+// calls, so checking one sample after another allocates nothing once
+// the set has grown to the largest input. The zero value is ready.
+type Validator struct {
+	ids localizer
+}
+
+// Check reports the first invariant s violates.
+func (v *Validator) Check(s *Sample) error {
 	if len(s.Input) < len(s.Seeds) {
 		return fmt.Errorf("sampling: %d inputs but %d seeds", len(s.Input), len(s.Seeds))
 	}
@@ -82,12 +93,11 @@ func (s *Sample) Validate() error {
 			return fmt.Errorf("sampling: input[%d] = %d, want seed %d", i, s.Input[i], seed)
 		}
 	}
-	seen := make(map[int32]bool, len(s.Input))
+	v.ids.reset(len(s.Input), true)
 	for local, global := range s.Input {
-		if seen[global] {
+		if v.ids.add(global) != int32(local) {
 			return fmt.Errorf("sampling: duplicate global vertex %d at local %d", global, local)
 		}
-		seen[global] = true
 	}
 	if s.CachedMask != nil && len(s.CachedMask) != len(s.Input) {
 		return fmt.Errorf("sampling: CachedMask covers %d vertices, input has %d", len(s.CachedMask), len(s.Input))

@@ -50,7 +50,9 @@ type Options struct {
 	// for accuracy evaluation.
 	EvalSize int
 	// CacheRatio > 0 enables a real feature cache on the Trainer side,
-	// filled by CachePolicy (default PreSC#1): the live analogue of §6.
+	// filled by CachePolicy (the zero value is Random; PreSC runs PreSC#1):
+	// the live analogue of §6. Optimal is an oracle over a simulated run
+	// and is rejected.
 	CacheRatio  float64
 	CachePolicy cache.PolicyKind
 	Seed        uint64
@@ -489,20 +491,18 @@ func buildStore(d *gen.Dataset, alg sampling.Algorithm, opts Options) (*feature.
 	if opts.CacheRatio <= 0 {
 		return store, nil
 	}
+	if opts.CachePolicy == cache.PolicyOptimal {
+		return nil, fmt.Errorf("train: cache policy %v ranks by a simulated run's footprint and has no meaning on a live run", opts.CachePolicy)
+	}
+	r, err := cache.Rank(cache.RankSpec{Policy: opts.CachePolicy, Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet,
+		BatchSize: opts.BatchSize, Seed: opts.Seed, PreSCK: 1})
+	if err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
 	// Only the first `slots` ranking entries reach the cache table, so
 	// select the prefix (O(|V|) expected) instead of sorting all vertices.
 	slots := int(opts.CacheRatio * float64(d.NumVertices()))
-	var ranking []int32
-	switch opts.CachePolicy {
-	case cache.PolicyDegree:
-		ranking = cache.DegreeHotness(d.Graph).RankTop(slots)
-	case cache.PolicyRandom:
-		ranking = cache.RandomHotness(d.NumVertices(), rng.New(opts.Seed^0x5EED)).RankTop(slots)
-	default: // PreSC#1 (also PolicyPreSC explicitly)
-		res := cache.PreSC(d.Graph, alg, d.TrainSet, opts.BatchSize, 1, opts.Seed^0x12345)
-		ranking = res.Hotness.RankTop(slots)
-	}
-	table, err := cache.Load(ranking, slots, d.NumVertices(), int64(d.FeatureDim)*4)
+	table, err := cache.Load(r.Hotness.RankTop(slots), slots, d.NumVertices(), int64(d.FeatureDim)*4)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package train
 
 import (
+	"strings"
 	"testing"
 
+	"gnnlab/internal/cache"
 	"gnnlab/internal/gen"
 	"gnnlab/internal/workload"
 )
@@ -70,5 +72,24 @@ func TestTrainMoreTrainersFewerUpdates(t *testing.T) {
 	t.Logf("updates per epoch: 1 trainer %d, 4 trainers %d", u1, u4)
 	if u4*2 >= u1 {
 		t.Errorf("4 trainers should give ~4x fewer updates per epoch: got %d vs %d", u4, u1)
+	}
+}
+
+// TestTrainRejectsUnusableCachePolicy checks that a live run refuses the
+// Optimal oracle and unknown policies, naming the policy, rather than
+// training with some other cache.
+func TestTrainRejectsUnusableCachePolicy(t *testing.T) {
+	d := convDataset(t)
+	for _, p := range []cache.PolicyKind{cache.PolicyOptimal, cache.PolicyKind(9)} {
+		_, err := Train(d, Options{
+			Model:       workload.GCN,
+			CacheRatio:  0.1,
+			CachePolicy: p,
+			MaxEpochs:   1,
+			EvalSize:    100,
+		})
+		if err == nil || !strings.Contains(err.Error(), p.String()) {
+			t.Errorf("policy %v: err = %v, want an error naming the policy", p, err)
+		}
 	}
 }
