@@ -1,13 +1,10 @@
 package gnnlab
 
 // BenchmarkMinibatch measures the end-to-end training mini-batch —
-// Sample, Extract (gather), forward+backward, optimizer step — with
-// fresh allocations versus the pooled scratch path (sampling arena +
-// feature.GatherInto + nn.Workspace), with and without a feature cache.
-// Both variants compute bit-identical results (internal/train's
-// TestTrainPooledMatchesFresh); only cost changes. The pooled path's
-// zero-allocation steady state is pinned by internal/train's
-// TestMinibatchSteadyStateZeroAllocs.
+// Sample, Extract (gather), forward+backward, optimizer step — on the
+// arena path (sampling arena + feature.GatherInto + nn.Workspace), with
+// and without a feature cache. Its zero-allocation steady state is pinned
+// by internal/train's TestMinibatchSteadyStateZeroAllocs.
 
 import (
 	"testing"
@@ -78,32 +75,6 @@ func BenchmarkMinibatch(b *testing.B) {
 			return m, tensor.NewAdam(0.01, m.Params())
 		}
 
-		// Fresh: every stage allocates its outputs, the pre-pooling path.
-		freshS, freshB, _ := func() (float64, float64, float64) {
-			model, opt := newModel()
-			a := sampling.CloneAlgorithm(alg)
-			r := rng.New(29)
-			i := 0
-			run := func() {
-				s := a.Sample(d.Graph, batches[i%len(batches)], r)
-				i++
-				g, err := nn.NewCompact(s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				feats, _, _ := store.Gather(s)
-				labels := nn.SeedLabels(s, d.Labels)
-				if _, _, err := model.LossAndGrad(g, feats, labels); err != nil {
-					b.Fatal(err)
-				}
-				opt.Step()
-			}
-			for w := 0; w < 10; w++ {
-				run()
-			}
-			return measureCalls(calls, run)
-		}()
-
 		// Pooled: sampling arena, reused gather matrix and Compact, and
 		// the nn workspace carry every buffer across mini-batches.
 		pooledS, pooledB, pooledO := func() (float64, float64, float64) {
@@ -134,10 +105,8 @@ func BenchmarkMinibatch(b *testing.B) {
 			return measureCalls(calls, run)
 		}()
 
-		b.ReportMetric(freshS/pooledS, cc.name+"-speedup")
 		b.ReportMetric(pooledS*1e9, cc.name+"-pooled-ns/op")
 		b.ReportMetric(pooledB, cc.name+"-pooled-B/op")
 		b.ReportMetric(pooledO, cc.name+"-pooled-allocs/op")
-		b.ReportMetric(freshB, cc.name+"-fresh-B/op")
 	}
 }

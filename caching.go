@@ -21,10 +21,15 @@ const (
 
 // SamplingAlgorithm is a graph sampling scheme following §5.1's
 // programming model: it maps a mini-batch of seed vertices to a
-// deduplicated, locally-renumbered sample.
+// deduplicated, locally-renumbered sample. An instance serves one
+// goroutine. One that also has a Clone() SamplingAlgorithm method hands
+// each measurement worker its own instance; one without is run on a
+// single worker.
 type SamplingAlgorithm = sampling.Algorithm
 
-// Sample is the output of the Sample stage for one mini-batch.
+// Sample is the output of the Sample stage for one mini-batch. A
+// built-in algorithm reuses its buffers, so its sample is valid until the
+// instance's next Sample call; a caller that keeps one keeps its Clone.
 type Sample = sampling.Sample
 
 // Sampling algorithm constructors.

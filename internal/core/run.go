@@ -230,7 +230,7 @@ func oomPreflight(rep *Report, design Design, cfg Config, plan memPlan) bool {
 // (DGL), measure with it so the scanned adjacency-entry counts — its
 // cost basis — are real; the sampled distribution is equivalent.
 func effectiveAlgorithm(cfg Config) sampling.Algorithm {
-	alg := sampling.CloneAlgorithm(cfg.Workload.NewSampler())
+	alg := cfg.Workload.NewSampler()
 	if cfg.Sampler == device.SamplerGPUReservoir {
 		if kh, ok := alg.(*sampling.KHop); ok {
 			alg = sampling.NewKHop(kh.Fanouts, sampling.Reservoir)

@@ -16,8 +16,8 @@ import (
 	"gnnlab/internal/tensor"
 )
 
-// Store is a two-tier feature store. It is safe for concurrent Gather
-// calls once built.
+// Store is a two-tier feature store. It is safe for concurrent GatherInto
+// calls (into distinct destinations) once built.
 type Store struct {
 	dim  int
 	host []float32
@@ -87,20 +87,12 @@ func (s *Store) hostRow(v int32) []float32 {
 	return s.host[int(v)*s.dim : (int(v)+1)*s.dim]
 }
 
-// Gather performs the Extract stage for one sample: it fills a dense
-// matrix with the features of the sample's unique input vertices, serving
-// each row from the cached tier on a hit and from host memory on a miss,
-// and returns the hit/miss counts.
-func (s *Store) Gather(smp *sampling.Sample) (*tensor.Matrix, int, int) {
-	out := &tensor.Matrix{}
-	hits, misses := s.GatherInto(out, smp)
-	return out, hits, misses
-}
-
-// GatherInto is Gather writing into dst, reusing its backing array when
-// the capacity suffices — the pooled Extract path of the zero-alloc
-// training loop. Every row is fully overwritten, so a reused matrix is
-// bit-identical to a fresh one. dst is resized to len(Input)×dim.
+// GatherInto performs the Extract stage for one sample: it fills dst with
+// the features of the sample's unique input vertices, serving each row
+// from the cached tier on a hit and from host memory on a miss, and
+// returns the hit/miss counts. dst is resized to len(Input)×dim, reusing
+// its backing array when the capacity suffices; every row is fully
+// overwritten, so a reused matrix is bit-identical to a new one.
 func (s *Store) GatherInto(dst *tensor.Matrix, smp *sampling.Sample) (int, int) {
 	if dst.Reuse(len(smp.Input), s.dim) {
 		s.gatherGrows.Add(1)
@@ -126,8 +118,7 @@ func (s *Store) GatherInto(dst *tensor.Matrix, smp *sampling.Sample) (int, int) 
 }
 
 // GatherStats returns how many GatherInto calls reused vs. grew their
-// destination buffer (fresh Gather calls count as grows: the empty
-// destination always allocates).
+// destination buffer.
 func (s *Store) GatherStats() (reuses, grows int64) {
 	return s.gatherReuses.Load(), s.gatherGrows.Load()
 }

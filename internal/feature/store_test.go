@@ -23,6 +23,13 @@ func sampleOf(inputs ...int32) *sampling.Sample {
 	return &sampling.Sample{Seeds: inputs[:1], Input: inputs}
 }
 
+// gather runs GatherInto on a new matrix: a new destination per call.
+func gather(s *Store, smp *sampling.Sample) (*tensor.Matrix, int, int) {
+	m := &tensor.Matrix{}
+	hits, misses := s.GatherInto(m, smp)
+	return m, hits, misses
+}
+
 func TestStoreValidation(t *testing.T) {
 	if _, err := NewStore(make([]float32, 10), 0); err == nil {
 		t.Error("zero dim accepted")
@@ -41,7 +48,7 @@ func TestStoreValidation(t *testing.T) {
 
 func TestGatherWithoutCache(t *testing.T) {
 	s, _ := NewStore(makeHost(10, 3), 3)
-	m, hits, misses := s.Gather(sampleOf(7, 2, 9))
+	m, hits, misses := gather(s, sampleOf(7, 2, 9))
 	if hits != 0 || misses != 3 {
 		t.Errorf("uncached gather: %d/%d", hits, misses)
 	}
@@ -64,7 +71,7 @@ func TestGatherSplitTiers(t *testing.T) {
 	if !s.CacheEnabled() {
 		t.Fatal("cache not enabled")
 	}
-	m, hits, misses := s.Gather(sampleOf(3, 5, 7, 1))
+	m, hits, misses := gather(s, sampleOf(3, 5, 7, 1))
 	if hits != 2 || misses != 2 {
 		t.Fatalf("split gather: %d/%d, want 2/2", hits, misses)
 	}
@@ -125,8 +132,8 @@ func TestGatherEquivalenceProperty(t *testing.T) {
 			return true
 		}
 		smp := sampleOf(inputs[:k]...)
-		a, _, _ := plain.Gather(smp)
-		b, hits, misses := cached.Gather(smp)
+		a, _, _ := gather(plain, smp)
+		b, hits, misses := gather(cached, smp)
 		if hits+misses != k {
 			return false
 		}
@@ -142,8 +149,9 @@ func TestGatherEquivalenceProperty(t *testing.T) {
 }
 
 // TestGatherIntoReusesAndMatches: a reused destination produces the same
-// matrix as a fresh gather (shrinking batches included), never grows its
-// backing array once warm, and allocates nothing in steady state.
+// matrix as a gather into a new one (shrinking batches included), never
+// grows its backing array once warm, and allocates nothing in steady
+// state.
 func TestGatherIntoReusesAndMatches(t *testing.T) {
 	const n, dim = 30, 3
 	s, _ := NewStore(makeHost(n, dim), dim)
@@ -158,7 +166,7 @@ func TestGatherIntoReusesAndMatches(t *testing.T) {
 	var dst tensor.Matrix
 	for _, in := range batches {
 		smp := sampleOf(in...)
-		fresh, fh, fm := s.Gather(smp)
+		fresh, fh, fm := gather(s, smp)
 		ph, pm := s.GatherInto(&dst, smp)
 		if fh != ph || fm != pm {
 			t.Fatalf("batch %v: fresh %d/%d pooled %d/%d", in, fh, fm, ph, pm)
@@ -173,7 +181,7 @@ func TestGatherIntoReusesAndMatches(t *testing.T) {
 		}
 	}
 	reuses, grows := s.GatherStats()
-	// 4 fresh Gathers grow; dst grows on batches 1-2 and reuses afterwards.
+	// 4 new-destination gathers grow; dst grows on batches 1-2 and reuses afterwards.
 	if grows != 4+2 || reuses != 2 {
 		t.Errorf("gather stats: %d reuses, %d grows", reuses, grows)
 	}
@@ -224,8 +232,8 @@ func TestEnableCacheVisitsResidentsOnly(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	s, _ := NewStore(makeHost(10, 2), 2)
-	s.Gather(sampleOf(1, 2))
-	s.Gather(sampleOf(3))
+	gather(s, sampleOf(1, 2))
+	gather(s, sampleOf(3))
 	h, m := s.Stats()
 	if h != 0 || m != 3 {
 		t.Errorf("stats %d/%d", h, m)

@@ -93,8 +93,8 @@ func (m *Measurement) NumBatches() int {
 // calling goroutine, keyed by (epoch, batch) — then samples the cells on
 // sampling.ReplayEpochs' worker pool. Each cell writes only its own
 // pre-sized slot, so the Measurement is bit-identical at any worker
-// count. alg must match spec.Algorithm; it is cloned per worker and
-// never mutated.
+// count. alg must match spec.Algorithm; ReplayEpochs samples with one
+// ClonePooled instance per worker.
 //
 // When rec is non-nil, every cell records a wall-clock "sample" span on
 // its worker's lane (process "Measure", one thread per pool worker) and

@@ -153,17 +153,18 @@ func TestStoreKeysAndRankings(t *testing.T) {
 	}
 }
 
-// TestCollectPooledMatchesFreshReference is the pooling differential test:
-// Collect (whose workers use pooled clones) must produce measurements
-// byte-identical to a hand-rolled serial collection using fresh-allocating
-// clones, at every worker count. This pins the arena's bit-identicality
-// contract end to end — same RNG draw order, same shapes, same input sets.
+// TestCollectPooledMatchesFreshReference is the arena differential test:
+// Collect (whose workers reuse one arena each across cells) must produce
+// measurements byte-identical to a hand-rolled serial collection with a
+// new arena per cell, at every worker count. This pins the arena's
+// bit-identicality contract end to end — same RNG draw order, same
+// shapes, same input sets.
 func TestCollectPooledMatchesFreshReference(t *testing.T) {
 	d := testDataset(t)
 	spec, w := testSpec(d, workload.NewSpec(workload.GCN), 2)
 
-	// Serial reference with a fresh-allocation (non-pooled) clone.
-	alg := sampling.CloneAlgorithm(w.NewSampler())
+	// Serial reference with a new arena (a new ClonePooled) per cell.
+	alg := w.NewSampler()
 	sampling.Prepare(alg, d.Graph)
 	cells := sampling.PlanEpochs(d.TrainSet, spec.BatchSize, spec.Epochs, spec.Seed)
 	ref := &Measurement{Spec: spec, Dataset: d, Epochs: make([][]Batch, spec.Epochs)}
@@ -172,7 +173,7 @@ func TestCollectPooledMatchesFreshReference(t *testing.T) {
 		ref.Epochs[e] = make([]Batch, perEpoch)
 	}
 	for _, c := range cells {
-		s := alg.Sample(d.Graph, c.Seeds, c.R)
+		s := sampling.ClonePooled(alg).Sample(d.Graph, c.Seeds, c.R)
 		layers := make([]workload.LayerDims, len(s.Layers))
 		for li, l := range s.Layers {
 			layers[li] = workload.LayerDims{Edges: len(l.Src), Targets: l.NumDst}

@@ -66,12 +66,13 @@ func sameParams(t *testing.T, step int, got, want *nn.Model) {
 
 // TestExecutorMatchesFreshReference is the bit-identicality contract of
 // the one pooled chain: consecutive sample→compact→gather→LossAndGrad→
-// Adam.Step rounds through an Executor equal the hand-sequenced fresh
-// layer-level references (CloneAlgorithm + nn.NewCompact + Store.Gather +
-// nn.SeedLabels + Model.LossAndGrad) in loss, hit/miss counts and every
-// parameter after each step, for every model, cache off and on; so do
-// Predict and Classify. Odd rounds enter through Accept with a queued
-// fresh sample, even ones through the executor's own pooled sampler.
+// Adam.Step rounds through an Executor equal the hand-sequenced
+// layer-level references with a new arena at every stage (a new
+// ClonePooled, a zero nn.Compact and tensor.Matrix, a new nn.Workspace)
+// in loss, hit/miss counts and every parameter after each step, for
+// every model, cache off and on; so do Predict and Classify. Odd rounds
+// enter through Accept with the reference's sample, even ones through
+// the executor's own sampler.
 func TestExecutorMatchesFreshReference(t *testing.T) {
 	d := convDataset(t)
 	const batch, steps = 32, 8
@@ -93,17 +94,17 @@ func TestExecutorMatchesFreshReference(t *testing.T) {
 				opt, refOpt := tensor.NewAdam(0.01, model.Params()), tensor.NewAdam(0.01, ref.Params())
 				ex := New(alg, d.Graph, newStore(t, d, withCache), d.Labels)
 				refStore := newStore(t, d, withCache)
-				fresh := sampling.CloneAlgorithm(alg)
 
-				// reference runs stages 1–3 of round k on the fresh path.
+				// reference runs stages 1–3 of round k, each in a new arena.
 				reference := func(k int) (*sampling.Sample, *nn.Compact, *tensor.Matrix, []int32, int, int) {
-					s := fresh.Sample(d.Graph, d.TrainSet[k*batch:(k+1)*batch], rng.New(uint64(100+k)))
-					g, err := nn.NewCompact(s)
-					if err != nil {
+					s := sampling.ClonePooled(alg).Sample(d.Graph, d.TrainSet[k*batch:(k+1)*batch], rng.New(uint64(100+k)))
+					var g nn.Compact
+					if err := nn.NewCompactInto(&g, s); err != nil {
 						t.Fatal(err)
 					}
-					feats, hits, misses := refStore.Gather(s)
-					return s, g, feats, nn.SeedLabels(s, d.Labels), hits, misses
+					var feats tensor.Matrix
+					hits, misses := refStore.GatherInto(&feats, s)
+					return s, &g, &feats, nn.SeedLabelsInto(nil, s, d.Labels), hits, misses
 				}
 				// stage runs the same stages through the executor.
 				stage := func(k int, queued *sampling.Sample) (hits, misses int) {
@@ -120,7 +121,7 @@ func TestExecutorMatchesFreshReference(t *testing.T) {
 
 				for k := 0; k < steps; k++ {
 					s, g, feats, labels, wantHits, wantMisses := reference(k)
-					wantLoss, _, err := ref.LossAndGrad(g, feats, labels)
+					wantLoss, _, err := ref.LossAndGradWS(nn.NewWorkspace(), g, feats, labels)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +149,7 @@ func TestExecutorMatchesFreshReference(t *testing.T) {
 
 				_, g, feats, labels, _, _ := reference(steps)
 				stage(steps, nil)
-				wantCorrect, err := ref.Predict(g, feats, labels)
+				wantCorrect, err := ref.PredictWS(nn.NewWorkspace(), g, feats, labels)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +160,7 @@ func TestExecutorMatchesFreshReference(t *testing.T) {
 				if correct != wantCorrect {
 					t.Errorf("Predict = %d correct, reference %d", correct, wantCorrect)
 				}
-				wantClasses, err := ref.ClassifyWS(nil, g, feats, nil)
+				wantClasses, err := ref.ClassifyWS(nn.NewWorkspace(), g, feats, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -43,20 +43,11 @@ type Compact struct {
 	check  sampling.Validator
 }
 
-// NewCompact converts a sample into compact form. It returns an error when
-// the sample's layer structure is inconsistent.
-func NewCompact(s *sampling.Sample) (*Compact, error) {
-	c := &Compact{}
-	if err := NewCompactInto(c, s); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewCompactInto rebuilds c from s, reusing c's slices and validator.
-// The result is identical to NewCompact's; in steady state (shapes no
-// larger than a previous call's) it performs zero heap allocations. The
-// rebuilt Compact is valid until the next NewCompactInto on the same c.
+// NewCompactInto rebuilds c from s, reusing c's slices and validator; a
+// zero Compact is ready. It returns an error when the sample's layer
+// structure is inconsistent. In steady state (shapes no larger than a
+// previous call's) it performs zero heap allocations. The rebuilt Compact
+// is valid until the next NewCompactInto on the same c.
 func NewCompactInto(c *Compact, s *sampling.Sample) error {
 	if err := c.check.Check(s); err != nil {
 		return err

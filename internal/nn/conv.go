@@ -52,10 +52,10 @@ type Conv struct {
 	// ReLUAfter applies ReLU to the output (true for hidden layers).
 	ReLUAfter bool
 
-	// ctxPool is the reused forward context for workspace passes. A layer
-	// instance serves one goroutine (models are cloned per replica), and
-	// only one context per layer is live between a forward and its
-	// backward, so a single slot suffices.
+	// ctxPool is the reused forward context. A layer instance serves one
+	// goroutine (models are cloned per replica), and only one context per
+	// layer is live between a forward and its backward, so a single slot
+	// suffices.
 	ctxPool convCtx
 }
 
@@ -88,31 +88,15 @@ type convCtx struct {
 	numOut int
 }
 
-// ForwardLayer implements Layer.
+// ForwardLayer implements Layer: it computes activations for the first
+// numOut local vertices from hIn (activations of at least all their
+// neighbors), drawing buffers from ws. The returned context is the
+// layer's reused ctxPool.
 func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, any) {
-	out, ctx := c.forward(ws, g, hIn, numOut)
-	return out, ctx
-}
-
-// BackwardLayer implements Layer.
-func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, ctx any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
-	return c.backward(ws, g, ctx.(*convCtx), gradOut, needInput)
-}
-
-// Forward computes activations for the first numOut local vertices from
-// hIn (activations of at least all their neighbors). It returns the output
-// and the context for Backward.
-func (c *Conv) Forward(g *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, *convCtx) {
-	return c.forward(nil, g, hIn, numOut)
-}
-
-// forward is Forward drawing buffers and the context from ws (nil =
-// fresh allocations, the pre-workspace behavior).
-func (c *Conv) forward(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, *convCtx) {
 	if hIn.Cols != c.InDim {
 		panic(fmt.Sprintf("nn: conv input dim %d, want %d", hIn.Cols, c.InDim))
 	}
-	agg := wsMatrix(ws, numOut, c.InDim)
+	agg := ws.arena.Matrix(numOut, c.InDim)
 	for v := 0; v < numOut; v++ {
 		nbrs := g.Neighbors(int32(v))
 		dst := agg.Row(v)
@@ -132,54 +116,43 @@ func (c *Conv) forward(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOut int
 			}
 		}
 	}
-	out := wsMatrix(ws, numOut, c.OutDim)
+	out := ws.arena.Matrix(numOut, c.OutDim)
 	tensor.MatMul(out, agg, c.WNbr.Value)
 	if c.WSelf != nil {
-		selfPart := wsMatrix(ws, numOut, c.OutDim)
-		hSelf := wsView(ws, numOut, c.InDim, hIn.Data[:numOut*c.InDim])
+		selfPart := ws.arena.Matrix(numOut, c.OutDim)
+		hSelf := ws.arena.View(numOut, c.InDim, hIn.Data[:numOut*c.InDim])
 		tensor.MatMul(selfPart, hSelf, c.WSelf.Value)
 		tensor.AXPY(1, selfPart.Data, out.Data)
 	}
 	tensor.AddBiasRows(out, c.Bias.Value.Data)
-	var ctx *convCtx
-	if ws != nil {
-		ctx = &c.ctxPool
-	} else {
-		ctx = &convCtx{}
-	}
+	ctx := &c.ctxPool
 	*ctx = convCtx{hIn: hIn, agg: agg, numOut: numOut}
 	if c.ReLUAfter {
-		ctx.mask = tensor.ReLUMask(out, wsMask(ws, len(out.Data)))
+		ctx.mask = tensor.ReLUMask(out, ws.arena.Mask(len(out.Data)))
 	}
 	return out, ctx
 }
 
-// Backward consumes the gradient w.r.t. this layer's output, accumulates
-// parameter gradients, and returns the gradient w.r.t. hIn (full Needed[l-1]
-// rows; rows beyond numOut receive only scattered neighbor gradients). It
-// always computes the input gradient — the reference the model's
-// dead-gradient path is tested against.
-func (c *Conv) Backward(g *Compact, ctx *convCtx, gradOut *tensor.Matrix) *tensor.Matrix {
-	return c.backward(nil, g, ctx, gradOut, true)
-}
-
-// backward accumulates the parameter gradients and, when needInput is
-// set, also builds the gradient w.r.t. hIn. Nothing on the input-gradient
-// path feeds a parameter of this layer, so skipping it (returning nil)
-// leaves every Param.Grad bit-identical.
-func (c *Conv) backward(ws *Workspace, g *Compact, ctx *convCtx, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+// BackwardLayer implements Layer: it consumes the gradient w.r.t. this
+// layer's output and accumulates the parameter gradients. When needInput
+// is set it also returns the gradient w.r.t. hIn (full Needed[l-1] rows;
+// rows beyond numOut receive only scattered neighbor gradients). Nothing
+// on the input-gradient path feeds a parameter of this layer, so skipping
+// it (returning nil) leaves every Param.Grad bit-identical.
+func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, saved any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+	ctx := saved.(*convCtx)
 	if ctx.mask != nil {
 		tensor.ReLUBackward(gradOut, ctx.mask)
 	}
 	// Bias gradient.
 	tensor.SumRows(gradOut, c.Bias.Grad.Data)
 	// Weight gradients.
-	wg := wsMatrix(ws, c.InDim, c.OutDim)
+	wg := ws.arena.Matrix(c.InDim, c.OutDim)
 	tensor.MatMulATB(wg, ctx.agg, gradOut)
 	tensor.AXPY(1, wg.Data, c.WNbr.Grad.Data)
 	if c.WSelf != nil {
-		hSelf := wsView(ws, ctx.numOut, c.InDim, ctx.hIn.Data[:ctx.numOut*c.InDim])
-		wsg := wsMatrix(ws, c.InDim, c.OutDim)
+		hSelf := ws.arena.View(ctx.numOut, c.InDim, ctx.hIn.Data[:ctx.numOut*c.InDim])
+		wsg := ws.arena.Matrix(c.InDim, c.OutDim)
 		tensor.MatMulATB(wsg, hSelf, gradOut)
 		tensor.AXPY(1, wsg.Data, c.WSelf.Grad.Data)
 	}
@@ -187,9 +160,9 @@ func (c *Conv) backward(ws *Workspace, g *Compact, ctx *convCtx, gradOut *tensor
 		return nil
 	}
 
-	gradIn := wsMatrix(ws, ctx.hIn.Rows, c.InDim)
+	gradIn := ws.arena.Matrix(ctx.hIn.Rows, c.InDim)
 	// Through the aggregation: gradAgg = gradOut @ WNbrᵀ, scattered back.
-	gradAgg := wsMatrix(ws, ctx.numOut, c.InDim)
+	gradAgg := ws.arena.Matrix(ctx.numOut, c.InDim)
 	tensor.MatMulABT(gradAgg, gradOut, c.WNbr.Value)
 	for v := 0; v < ctx.numOut; v++ {
 		nbrs := g.Neighbors(int32(v))
@@ -212,7 +185,7 @@ func (c *Conv) backward(ws *Workspace, g *Compact, ctx *convCtx, gradOut *tensor
 	}
 	// Through the self path (SAGE-family).
 	if c.WSelf != nil {
-		gradSelf := wsMatrix(ws, ctx.numOut, c.InDim)
+		gradSelf := ws.arena.Matrix(ctx.numOut, c.InDim)
 		tensor.MatMulABT(gradSelf, gradOut, c.WSelf.Value)
 		tensor.AXPY(1, gradSelf.Data, gradIn.Data[:ctx.numOut*c.InDim])
 	}

@@ -23,25 +23,6 @@ func (s *spyLayer) BackwardLayer(ws *Workspace, c *Compact, ctx any, gradOut *te
 	return s.gradIn
 }
 
-// fullBackward is the backward pass that computes every layer's input
-// gradient, layer 0's included, through the layers' exported Backward.
-func fullBackward(t *testing.T, m *Model, c *Compact, ctxs []any, grad *tensor.Matrix) {
-	t.Helper()
-	for l := len(m.Layers) - 1; l >= 0; l-- {
-		switch layer := m.Layers[l].(type) {
-		case *Conv:
-			grad = layer.Backward(c, ctxs[l].(*convCtx), grad)
-		case *GAT:
-			grad = layer.Backward(c, ctxs[l].(*gatCtx), grad)
-		default:
-			t.Fatalf("layer %d: unknown type %T", l, layer)
-		}
-		if grad == nil || grad.Rows != c.Needed[l] {
-			t.Fatalf("layer %d: full Backward returned %v, want %d rows", l, grad, c.Needed[l])
-		}
-	}
-}
-
 // TestDeadInputGradient pins the dead-gradient elimination: the model's
 // backward pass skips layer 0's input gradient, and every parameter
 // gradient is bit-equal to the pass that computes it.
@@ -63,7 +44,7 @@ func TestDeadInputGradient(t *testing.T) {
 	for _, k := range kinds {
 		const dim, hidden, classes = 6, 8, 3
 		s := sampleFor(t, g, []int32{1, 2, 3, 4, 5}, fanoutsFor(k.layers))
-		c, err := NewCompact(s)
+		c, err := newCompact(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,27 +56,22 @@ func TestDeadInputGradient(t *testing.T) {
 		labels := []int32{0, 1, 2, 0, 1}
 		newModel := func() *Model { return NewModel(k.kind, k.layers, dim, hidden, classes, 53) }
 
-		// Reference: forward, loss, then the full backward.
-		ref := newModel()
-		logits, ctxs, err := ref.Forward(c, feats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gradLogits := tensor.New(logits.Rows, logits.Cols)
-		wantLoss, _ := tensor.SoftmaxCrossEntropy(logits, labels, gradLogits)
-		fullBackward(t, ref, c, ctxs, gradLogits)
-
-		// The same full pass inside a workspace, to count its requests.
+		// Reference: forward, loss, then the backward pass that computes
+		// every layer's input gradient, layer 0's included, in a
+		// workspace that counts its requests.
 		fullWS := NewWorkspace()
-		full := newModel()
-		logits, ctxs, err = full.ForwardWS(fullWS, c, feats)
+		ref := newModel()
+		logits, ctxs, err := ref.ForwardWS(fullWS, c, feats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grad := wsMatrix(fullWS, logits.Rows, logits.Cols)
-		tensor.SoftmaxCrossEntropy(logits, labels, grad)
-		for l := len(full.Layers) - 1; l >= 0; l-- {
-			grad = full.Layers[l].BackwardLayer(fullWS, c, ctxs[l], grad, true)
+		grad := fullWS.arena.Matrix(logits.Rows, logits.Cols)
+		wantLoss, _ := tensor.SoftmaxCrossEntropy(logits, labels, grad)
+		for l := len(ref.Layers) - 1; l >= 0; l-- {
+			grad = ref.Layers[l].BackwardLayer(fullWS, c, ctxs[l], grad, true)
+			if grad == nil || grad.Rows != c.Needed[l] {
+				t.Fatalf("layer %d: full backward returned %v, want %d rows", l, grad, c.Needed[l])
+			}
 		}
 
 		fresh := newModel()
@@ -106,7 +82,7 @@ func TestDeadInputGradient(t *testing.T) {
 			pooled.Layers[l] = spies[l]
 		}
 		ws := NewWorkspace()
-		lossF, _, err := fresh.LossAndGrad(c, feats, labels)
+		lossF, _, err := fresh.LossAndGradWS(NewWorkspace(), c, feats, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +93,7 @@ func TestDeadInputGradient(t *testing.T) {
 		if lossF != wantLoss || lossP != wantLoss {
 			t.Errorf("%v: loss fresh %v pooled %v, reference %v", k.kind, lossF, lossP, wantLoss)
 		}
-		for _, m := range []*Model{full, fresh, pooled} {
+		for _, m := range []*Model{fresh, pooled} {
 			for pi, p := range m.Params() {
 				want := ref.Params()[pi].Grad.Data
 				nonzero := false

@@ -30,9 +30,9 @@ type GAT struct {
 	// ReLUAfter applies ReLU to the output (hidden layers).
 	ReLUAfter bool
 
-	// ctxPool is the reused forward context for workspace passes (one
-	// slot suffices: a layer serves one goroutine and one context is
-	// live between forward and backward).
+	// ctxPool is the reused forward context (one slot suffices: a layer
+	// serves one goroutine and one context is live between forward and
+	// backward).
 	ctxPool gatCtx
 }
 
@@ -99,40 +99,20 @@ type gatCtx struct {
 	numOut int
 }
 
-// ForwardLayer implements Layer.
+// ForwardLayer implements Layer: it computes activations for the first
+// numOut local vertices, drawing buffers from ws and reusing the layer's
+// context. The attention rows (pre-activation scores, alphas, dAlpha) are
+// variable-length per target and come from the workspace's float slots;
+// every element is overwritten before use.
 func (g *GAT) ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, any) {
-	out, ctx := g.forward(ws, c, hIn, numOut)
-	return out, ctx
-}
-
-// BackwardLayer implements Layer.
-func (g *GAT) BackwardLayer(ws *Workspace, c *Compact, ctx any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
-	return g.backward(ws, c, ctx.(*gatCtx), gradOut, needInput)
-}
-
-// Forward computes activations for the first numOut local vertices.
-func (g *GAT) Forward(c *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, *gatCtx) {
-	return g.forward(nil, c, hIn, numOut)
-}
-
-// forward is Forward drawing buffers and the context from ws (nil =
-// fresh allocations). The attention rows (pre-activation scores, alphas,
-// dAlpha) are variable-length per target and come from the workspace's
-// float slots; every element is overwritten before use.
-func (g *GAT) forward(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, *gatCtx) {
 	headDim := g.OutDim / g.NumHeads
-	out := wsMatrix(ws, numOut, g.OutDim)
-	var ctx *gatCtx
-	if ws != nil {
-		ctx = &g.ctxPool
-	} else {
-		ctx = &gatCtx{}
-	}
+	out := ws.arena.Matrix(numOut, g.OutDim)
+	ctx := &g.ctxPool
 	ctx.hIn, ctx.numOut, ctx.mask = hIn, numOut, nil
 	ctx.heads = growHeadCtxs(ctx.heads, g.NumHeads)
 	for hi, head := range g.heads {
 		hc := &ctx.heads[hi]
-		hc.z = wsMatrix(ws, hIn.Rows, headDim)
+		hc.z = ws.arena.Matrix(hIn.Rows, headDim)
 		tensor.MatMul(hc.z, hIn, head.W.Value)
 		hc.alphas = growFloatRows(hc.alphas, numOut)
 		hc.pres = growFloatRows(hc.pres, numOut)
@@ -141,13 +121,13 @@ func (g *GAT) forward(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut int)
 		off := hi * headDim
 		for t := 0; t < numOut; t++ {
 			nbrs := c.Neighbors(int32(t))
-			pre := wsFloats(ws, len(nbrs)+1)
+			pre := ws.arena.Floats(len(nbrs) + 1)
 			selfL := dot(aL, z.Row(t))
 			pre[0] = leaky(selfL + dot(aR, z.Row(t)))
 			for i, nbr := range nbrs {
 				pre[i+1] = leaky(selfL + dot(aR, z.Row(int(nbr))))
 			}
-			alpha := softmaxInto(wsFloats(ws, len(pre)), pre)
+			alpha := softmaxInto(ws.arena.Floats(len(pre)), pre)
 			dst := out.Row(t)[off : off+headDim]
 			tensor.AXPY(alpha[0], z.Row(t), dst)
 			for i, nbr := range nbrs {
@@ -159,7 +139,7 @@ func (g *GAT) forward(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut int)
 	}
 	tensor.AddBiasRows(out, g.Bias.Value.Data)
 	if g.ReLUAfter {
-		ctx.mask = tensor.ReLUMask(out, wsMask(ws, len(out.Data)))
+		ctx.mask = tensor.ReLUMask(out, ws.arena.Mask(len(out.Data)))
 	}
 	return out, ctx
 }
@@ -182,18 +162,12 @@ func growFloatRows(buf [][]float32, n int) [][]float32 {
 	return buf[:n]
 }
 
-// Backward propagates gradOut, accumulating parameter gradients and
-// returning the gradient with respect to hIn (always computed here, like
-// Conv.Backward).
-func (g *GAT) Backward(c *Compact, ctx *gatCtx, gradOut *tensor.Matrix) *tensor.Matrix {
-	return g.backward(nil, c, ctx, gradOut, true)
-}
-
-// backward accumulates parameter gradients; the gradient w.r.t. hIn
-// (gradZ @ W_hᵀ summed over heads) is built only when needInput is set,
-// and nil is returned otherwise. gradZ itself feeds W_h's gradient and is
-// always computed.
-func (g *GAT) backward(ws *Workspace, c *Compact, ctx *gatCtx, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+// BackwardLayer implements Layer: it accumulates parameter gradients;
+// the gradient w.r.t. hIn (gradZ @ W_hᵀ summed over heads) is built only
+// when needInput is set, and nil is returned otherwise. gradZ itself
+// feeds W_h's gradient and is always computed.
+func (g *GAT) BackwardLayer(ws *Workspace, c *Compact, saved any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
+	ctx := saved.(*gatCtx)
 	if ctx.mask != nil {
 		tensor.ReLUBackward(gradOut, ctx.mask)
 	}
@@ -202,13 +176,13 @@ func (g *GAT) backward(ws *Workspace, c *Compact, ctx *gatCtx, gradOut *tensor.M
 	headDim := g.OutDim / g.NumHeads
 	var gradIn *tensor.Matrix
 	if needInput {
-		gradIn = wsMatrix(ws, ctx.hIn.Rows, g.InDim)
+		gradIn = ws.arena.Matrix(ctx.hIn.Rows, g.InDim)
 	}
 	for hi, head := range g.heads {
 		hc := ctx.heads[hi]
 		aL, aR := head.AttnL.Value.Data, head.AttnR.Value.Data
 		gAL, gAR := head.AttnL.Grad.Data, head.AttnR.Grad.Data
-		gradZ := wsMatrix(ws, hc.z.Rows, headDim)
+		gradZ := ws.arena.Matrix(hc.z.Rows, headDim)
 		off := hi * headDim
 
 		for t := 0; t < ctx.numOut; t++ {
@@ -218,7 +192,7 @@ func (g *GAT) backward(ws *Workspace, c *Compact, ctx *gatCtx, gradOut *tensor.M
 			gOut := gradOut.Row(t)[off : off+headDim]
 
 			// dα_j = gOut · z_j ; participant j=0 is self.
-			dAlpha := wsFloats(ws, len(alpha))
+			dAlpha := ws.arena.Floats(len(alpha))
 			dAlpha[0] = dot(gOut, hc.z.Row(t))
 			for i, nbr := range nbrs {
 				dAlpha[i+1] = dot(gOut, hc.z.Row(int(nbr)))
@@ -252,11 +226,11 @@ func (g *GAT) backward(ws *Workspace, c *Compact, ctx *gatCtx, gradOut *tensor.M
 		}
 
 		// z = hIn @ W_h.
-		wg := wsMatrix(ws, g.InDim, headDim)
+		wg := ws.arena.Matrix(g.InDim, headDim)
 		tensor.MatMulATB(wg, ctx.hIn, gradZ)
 		tensor.AXPY(1, wg.Data, head.W.Grad.Data)
 		if needInput {
-			headGradIn := wsMatrix(ws, ctx.hIn.Rows, g.InDim)
+			headGradIn := ws.arena.Matrix(ctx.hIn.Rows, g.InDim)
 			tensor.MatMulABT(headGradIn, gradZ, head.W.Value)
 			tensor.AXPY(1, headGradIn.Data, gradIn.Data)
 		}
@@ -277,11 +251,6 @@ func leaky(x float32) float32 {
 		return x * leakySlope
 	}
 	return x
-}
-
-// softmax returns the normalized exponentials of xs.
-func softmax(xs []float32) []float32 {
-	return softmaxInto(make([]float32, len(xs)), xs)
 }
 
 // softmaxInto writes the normalized exponentials of xs into out (same

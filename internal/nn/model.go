@@ -9,11 +9,10 @@ import (
 	"gnnlab/internal/workload"
 )
 
-// Layer is one GNN layer with a hand-written backward pass. Forward
-// returns an opaque context that Backward consumes. ws supplies pooled
-// working tensors; a nil ws means fresh allocations (the output and
-// context then have unbounded lifetime, with a non-nil ws they are
-// borrowed until the workspace's next pass).
+// Layer is one GNN layer with a hand-written backward pass. ForwardLayer
+// returns an opaque context that BackwardLayer consumes. ws supplies the
+// working tensors; the output and context are borrowed until the
+// workspace's next pass.
 //
 // BackwardLayer always accumulates the layer's parameter gradients. It
 // computes and returns the gradient w.r.t. hIn only when needInput is
@@ -82,16 +81,9 @@ func (m *Model) Params() []*tensor.Param {
 	return ps
 }
 
-// Forward runs the model on a compact sample whose features are rows of
-// feats (NumVertices × inputDim) and returns the seed logits plus the
-// layer contexts for Backward.
-func (m *Model) Forward(g *Compact, feats *tensor.Matrix) (*tensor.Matrix, []any, error) {
-	return m.ForwardWS(nil, g, feats)
-}
-
-// ForwardWS is Forward drawing working tensors from ws (nil = fresh).
-// With a non-nil ws, logits and contexts are borrowed until the
-// workspace's next pass.
+// ForwardWS runs the model on a compact sample whose features are rows
+// of feats (NumVertices × inputDim) and returns the seed logits plus the
+// layer contexts for BackwardWS, all borrowed from ws until its next pass.
 func (m *Model) ForwardWS(ws *Workspace, g *Compact, feats *tensor.Matrix) (*tensor.Matrix, []any, error) {
 	if g.NumLevels != len(m.Layers) {
 		return nil, nil, fmt.Errorf("nn: sample has %d hops, model has %d layers", g.NumLevels, len(m.Layers))
@@ -100,7 +92,7 @@ func (m *Model) ForwardWS(ws *Workspace, g *Compact, feats *tensor.Matrix) (*ten
 		return nil, nil, fmt.Errorf("nn: %d feature rows for %d vertices", feats.Rows, g.NumVertices)
 	}
 	h := feats
-	ctxs := wsCtxs(ws, len(m.Layers))
+	ctxs := ws.layerCtxs(len(m.Layers))
 	for l, layer := range m.Layers {
 		var ctx any
 		h, ctx = layer.ForwardLayer(ws, g, h, g.Needed[l+1])
@@ -109,15 +101,10 @@ func (m *Model) ForwardWS(ws *Workspace, g *Compact, feats *tensor.Matrix) (*ten
 	return h, ctxs, nil
 }
 
-// Backward propagates the loss gradient (w.r.t. seed logits) through the
-// stack, accumulating parameter gradients.
-func (m *Model) Backward(g *Compact, ctxs []any, gradLogits *tensor.Matrix) {
-	m.BackwardWS(nil, g, ctxs, gradLogits)
-}
-
-// BackwardWS is Backward drawing working tensors from ws (nil = fresh).
-// Layer l's input gradient is read by layer l-1 only, so layer 0 is not
-// asked for one.
+// BackwardWS propagates the loss gradient (w.r.t. seed logits) through
+// the stack, accumulating parameter gradients and drawing working tensors
+// from ws. Layer l's input gradient is read by layer l-1 only, so layer 0
+// is not asked for one.
 func (m *Model) BackwardWS(ws *Workspace, g *Compact, ctxs []any, gradLogits *tensor.Matrix) {
 	grad := gradLogits
 	for l := len(m.Layers) - 1; l >= 0; l-- {
@@ -125,37 +112,27 @@ func (m *Model) BackwardWS(ws *Workspace, g *Compact, ctxs []any, gradLogits *te
 	}
 }
 
-// LossAndGrad runs forward+loss+backward for one mini-batch and returns
-// (mean loss, correct predictions). Parameter gradients accumulate; the
-// caller decides when to step the optimizer (accumulating across k batches
-// then stepping models k synchronous data-parallel trainers exactly).
-func (m *Model) LossAndGrad(g *Compact, feats *tensor.Matrix, labels []int32) (float64, int, error) {
-	return m.LossAndGradWS(nil, g, feats, labels)
-}
-
-// LossAndGradWS is LossAndGrad running entirely inside ws: forward
+// LossAndGradWS runs forward+loss+backward for one mini-batch entirely
+// inside ws and returns (mean loss, correct predictions): forward
 // activations, the logits gradient and every backward intermediate come
-// from the workspace, so a steady-state call allocates nothing. Results
-// are bit-identical to LossAndGrad — pooled buffers are zeroed on
-// hand-out and no float fold order moves. A nil ws allocates fresh.
+// from the workspace, so a steady-state call allocates nothing. Parameter
+// gradients accumulate; the caller decides when to step the optimizer
+// (accumulating across k batches then stepping models k synchronous
+// data-parallel trainers exactly).
 func (m *Model) LossAndGradWS(ws *Workspace, g *Compact, feats *tensor.Matrix, labels []int32) (float64, int, error) {
 	ws.reset()
 	logits, ctxs, err := m.ForwardWS(ws, g, feats)
 	if err != nil {
 		return 0, 0, err
 	}
-	gradLogits := wsMatrix(ws, logits.Rows, logits.Cols)
+	gradLogits := ws.arena.Matrix(logits.Rows, logits.Cols)
 	loss, correct := tensor.SoftmaxCrossEntropy(logits, labels, gradLogits)
 	m.BackwardWS(ws, g, ctxs, gradLogits)
 	return loss, correct, nil
 }
 
-// Predict runs forward and returns the number of correct seed predictions.
-func (m *Model) Predict(g *Compact, feats *tensor.Matrix, labels []int32) (int, error) {
-	return m.PredictWS(nil, g, feats, labels)
-}
-
-// PredictWS is Predict running inside ws (nil = fresh).
+// PredictWS runs forward inside ws and returns the number of correct
+// seed predictions.
 func (m *Model) PredictWS(ws *Workspace, g *Compact, feats *tensor.Matrix, labels []int32) (int, error) {
 	ws.reset()
 	logits, _, err := m.ForwardWS(ws, g, feats)
@@ -178,11 +155,11 @@ func (m *Model) PredictWS(ws *Workspace, g *Compact, feats *tensor.Matrix, label
 	return correct, nil
 }
 
-// ClassifyWS runs forward inside ws (nil = fresh) and returns the
-// per-seed argmax class for each of the g.NumSeeds seed vertices,
-// appended into dst (grown as needed, reused across calls) — the
-// inference path of the serving layer, where no labels exist and the
-// caller wants the predictions themselves rather than an accuracy count.
+// ClassifyWS runs forward inside ws and returns the per-seed argmax
+// class for each of the g.NumSeeds seed vertices, appended into dst
+// (grown as needed, reused across calls) — the inference path of the
+// serving layer, where no labels exist and the caller wants the
+// predictions themselves rather than an accuracy count.
 func (m *Model) ClassifyWS(ws *Workspace, g *Compact, feats *tensor.Matrix, dst []int32) ([]int32, error) {
 	ws.reset()
 	logits, _, err := m.ForwardWS(ws, g, feats)
@@ -203,13 +180,8 @@ func (m *Model) ClassifyWS(ws *Workspace, g *Compact, feats *tensor.Matrix, dst 
 	return dst, nil
 }
 
-// SeedLabels gathers the labels of a sample's seeds.
-func SeedLabels(s *sampling.Sample, labels []int32) []int32 {
-	return SeedLabelsInto(nil, s, labels)
-}
-
-// SeedLabelsInto is SeedLabels writing into dst's backing array when its
-// capacity suffices (reallocating otherwise), for pooled callers.
+// SeedLabelsInto gathers the labels of a sample's seeds into dst's
+// backing array when its capacity suffices (reallocating otherwise).
 func SeedLabelsInto(dst []int32, s *sampling.Sample, labels []int32) []int32 {
 	dst = growInt32s(dst, len(s.Seeds))
 	for i, v := range s.Seeds {

@@ -40,10 +40,16 @@ func sampleFor(t *testing.T, g *graph.CSR, seeds []int32, fanouts []int) *sampli
 	return s
 }
 
+// newCompact compacts s into a new Compact: a new arena per call.
+func newCompact(s *sampling.Sample) (*Compact, error) {
+	c := &Compact{}
+	return c, NewCompactInto(c, s)
+}
+
 func TestCompactStructure(t *testing.T) {
 	g := testGraph(1, 100, 5)
 	s := sampleFor(t, g, []int32{3, 9}, []int{3, 2})
-	c, err := NewCompact(s)
+	c, err := newCompact(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +90,8 @@ func TestCompactStructure(t *testing.T) {
 
 func TestCompactRejectsBadSample(t *testing.T) {
 	s := &sampling.Sample{Seeds: []int32{1}, Input: []int32{2}} // input[0] != seed
-	if _, err := NewCompact(s); err == nil {
-		t.Error("NewCompact accepted inconsistent sample")
+	if _, err := newCompact(s); err == nil {
+		t.Error("NewCompactInto accepted inconsistent sample")
 	}
 }
 
@@ -95,7 +101,7 @@ func numericalGradCheck(t *testing.T, kind workload.ModelKind, layers int) {
 	t.Helper()
 	g := testGraph(2, 60, 4)
 	s := sampleFor(t, g, []int32{1, 2, 3}, fanoutsFor(layers))
-	c, err := NewCompact(s)
+	c, err := newCompact(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +115,7 @@ func numericalGradCheck(t *testing.T, kind workload.ModelKind, layers int) {
 	labels := []int32{0, 1, 2}
 
 	lossAt := func() float64 {
-		logits, _, err := model.Forward(c, feats)
+		logits, _, err := model.ForwardWS(NewWorkspace(), c, feats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +124,7 @@ func numericalGradCheck(t *testing.T, kind workload.ModelKind, layers int) {
 		return loss
 	}
 
-	if _, _, err := model.LossAndGrad(c, feats, labels); err != nil {
+	if _, _, err := model.LossAndGradWS(NewWorkspace(), c, feats, labels); err != nil {
 		t.Fatal(err)
 	}
 	const eps = 1e-2
@@ -162,26 +168,26 @@ func TestPinSAGEGradients(t *testing.T)   { numericalGradCheck(t, workload.PinSA
 func TestForwardShapeChecks(t *testing.T) {
 	g := testGraph(4, 50, 4)
 	s := sampleFor(t, g, []int32{1}, []int{2, 2})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	model := NewModel(workload.GCN, 3, 4, 8, 2, 1) // 3 layers vs 2-hop sample
 	feats := tensor.New(c.NumVertices, 4)
-	if _, _, err := model.Forward(c, feats); err == nil {
-		t.Error("Forward accepted mismatched hop/layer counts")
+	if _, _, err := model.ForwardWS(NewWorkspace(), c, feats); err == nil {
+		t.Error("ForwardWS accepted mismatched hop/layer counts")
 	}
 	model = NewModel(workload.GCN, 2, 4, 8, 2, 1)
 	bad := tensor.New(c.NumVertices+1, 4)
-	if _, _, err := model.Forward(c, bad); err == nil {
-		t.Error("Forward accepted wrong feature row count")
+	if _, _, err := model.ForwardWS(NewWorkspace(), c, bad); err == nil {
+		t.Error("ForwardWS accepted wrong feature row count")
 	}
 }
 
 func TestLogitsShape(t *testing.T) {
 	g := testGraph(5, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2, 3, 4}, []int{3, 2})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	model := NewModel(workload.GraphSAGE, 2, 6, 8, 5, 2)
 	feats := tensor.New(c.NumVertices, 6)
-	logits, ctxs, err := model.Forward(c, feats)
+	logits, ctxs, err := model.ForwardWS(NewWorkspace(), c, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +202,13 @@ func TestLogitsShape(t *testing.T) {
 func TestPredictCounts(t *testing.T) {
 	g := testGraph(6, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2}, []int{2})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	model := NewModel(workload.GCN, 1, 4, 4, 2, 3)
 	feats := tensor.New(c.NumVertices, 4)
 	for i := range feats.Data {
 		feats.Data[i] = 0.1
 	}
-	correct, err := model.Predict(c, feats, []int32{0, 0})
+	correct, err := model.PredictWS(NewWorkspace(), c, feats, []int32{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +224,14 @@ func TestPredictCounts(t *testing.T) {
 func TestClassifyWSMatchesPredict(t *testing.T) {
 	g := testGraph(6, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2, 7}, []int{3, 2})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	model := NewModel(workload.GraphSAGE, 2, 4, 8, 3, 3)
 	feats := tensor.New(c.NumVertices, 4)
 	for i := range feats.Data {
 		feats.Data[i] = float32(i%7) * 0.1
 	}
 	buf := make([]int32, 0, 8)
-	classes, err := model.ClassifyWS(nil, c, feats, buf)
+	classes, err := model.ClassifyWS(NewWorkspace(), c, feats, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +246,7 @@ func TestClassifyWSMatchesPredict(t *testing.T) {
 			t.Errorf("class[%d] = %d outside [0,3)", i, cl)
 		}
 	}
-	correct, err := model.Predict(c, feats, classes)
+	correct, err := model.PredictWS(NewWorkspace(), c, feats, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +260,9 @@ func TestSeedLabels(t *testing.T) {
 	s := sampleFor(t, g, []int32{5}, []int{2})
 	labels := make([]int32, 20)
 	labels[5] = 9
-	got := SeedLabels(s, labels)
+	got := SeedLabelsInto(nil, s, labels)
 	if len(got) != 1 || got[0] != 9 {
-		t.Errorf("SeedLabels = %v", got)
+		t.Errorf("SeedLabelsInto = %v", got)
 	}
 }
 
@@ -265,7 +271,7 @@ func TestSeedLabels(t *testing.T) {
 func TestTrainingReducesLoss(t *testing.T) {
 	g := testGraph(8, 100, 5)
 	s := sampleFor(t, g, []int32{1, 2, 3, 4, 5}, []int{3, 3})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	const dim = 8
 	model := NewModel(workload.GCN, 2, dim, 16, 3, 5)
 	opt := tensor.NewAdam(0.05, model.Params())
@@ -275,14 +281,14 @@ func TestTrainingReducesLoss(t *testing.T) {
 		feats.Data[i] = float32(r.NormFloat64())
 	}
 	labels := []int32{0, 1, 2, 0, 1}
-	first, _, err := model.LossAndGrad(c, feats, labels)
+	first, _, err := model.LossAndGradWS(NewWorkspace(), c, feats, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Step()
 	var last float64
 	for i := 0; i < 50; i++ {
-		last, _, err = model.LossAndGrad(c, feats, labels)
+		last, _, err = model.LossAndGradWS(NewWorkspace(), c, feats, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +312,7 @@ func TestGATGradients(t *testing.T) { numericalGradCheck(t, workload.GAT, 2) }
 func TestGATTrainsOnTinyTask(t *testing.T) {
 	g := testGraph(12, 100, 5)
 	s := sampleFor(t, g, []int32{1, 2, 3, 4}, []int{3, 3})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	const dim = 6
 	model := NewModel(workload.GAT, 2, dim, 12, 3, 7)
 	opt := tensor.NewAdam(0.03, model.Params())
@@ -316,14 +322,14 @@ func TestGATTrainsOnTinyTask(t *testing.T) {
 		feats.Data[i] = float32(r.NormFloat64())
 	}
 	labels := []int32{0, 1, 2, 0}
-	first, _, err := model.LossAndGrad(c, feats, labels)
+	first, _, err := model.LossAndGradWS(NewWorkspace(), c, feats, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Step()
 	var last float64
 	for i := 0; i < 60; i++ {
-		last, _, err = model.LossAndGrad(c, feats, labels)
+		last, _, err = model.LossAndGradWS(NewWorkspace(), c, feats, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,14 +343,14 @@ func TestGATTrainsOnTinyTask(t *testing.T) {
 func TestGATAttentionSumsToOne(t *testing.T) {
 	g := testGraph(14, 60, 4)
 	s := sampleFor(t, g, []int32{1, 2}, []int{3})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	layer := NewGAT(5, 7, false, rng.New(15))
 	feats := tensor.New(c.NumVertices, 5)
 	for i := range feats.Data {
 		feats.Data[i] = float32(i%7) * 0.1
 	}
-	_, ctx := layer.Forward(c, feats, 2)
-	for t2, alpha := range ctx.heads[0].alphas {
+	_, ctx := layer.ForwardLayer(NewWorkspace(), c, feats, 2)
+	for t2, alpha := range ctx.(*gatCtx).heads[0].alphas {
 		var sum float32
 		for _, a := range alpha {
 			sum += a
@@ -358,7 +364,7 @@ func TestGATAttentionSumsToOne(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	g := testGraph(20, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2}, []int{3, 2})
-	c, _ := NewCompact(s)
+	c, _ := newCompact(s)
 	const dim = 6
 	src := NewModel(workload.GraphSAGE, 2, dim, 8, 3, 11)
 	dst := NewModel(workload.GraphSAGE, 2, dim, 8, 3, 99) // different init
@@ -374,11 +380,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := dst.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := src.Forward(c, feats)
+	a, _, err := src.ForwardWS(NewWorkspace(), c, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := dst.Forward(c, feats)
+	b, _, err := dst.ForwardWS(NewWorkspace(), c, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +446,7 @@ func TestCopyAndAccumulate(t *testing.T) {
 func TestGATMultiHeadGradients(t *testing.T) {
 	g := testGraph(2, 60, 4)
 	s := sampleFor(t, g, []int32{1, 2, 3}, fanoutsFor(2))
-	c, err := NewCompact(s)
+	c, err := newCompact(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +463,7 @@ func TestGATMultiHeadGradients(t *testing.T) {
 	}
 	labels := []int32{0, 1, 2}
 	lossAt := func() float64 {
-		logits, _, err := model.Forward(c, feats)
+		logits, _, err := model.ForwardWS(NewWorkspace(), c, feats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +471,7 @@ func TestGATMultiHeadGradients(t *testing.T) {
 		loss, _ := tensor.SoftmaxCrossEntropy(logits, labels, grad)
 		return loss
 	}
-	if _, _, err := model.LossAndGrad(c, feats, labels); err != nil {
+	if _, _, err := model.LossAndGradWS(NewWorkspace(), c, feats, labels); err != nil {
 		t.Fatal(err)
 	}
 	const eps = 1e-2

@@ -20,13 +20,10 @@ import "gnnlab/internal/tensor"
 //     gradients live in tensor.Param and are NOT workspace-backed).
 //   - A workspace serves one goroutine; data-parallel trainers pool one
 //     per replica.
-//   - Pooling never changes results: pooled matrices are zeroed on
-//     hand-out and every float fold order is identical to the fresh
-//     path, so pooled and fresh losses are bit-identical
-//     (TestModelWorkspaceMatchesFresh, train's TestTrainPooledMatchesFresh).
-//
-// A nil *Workspace is valid everywhere one is accepted and means "fresh
-// allocations", i.e. the pre-arena behavior.
+//   - Reuse never changes results: matrices are zeroed on hand-out and
+//     every float fold order is fixed, so a warm workspace and a new one
+//     compute bit-identical losses (TestModelWorkspaceMatchesFresh,
+//     train's TestTrainPooledMatchesFresh).
 type Workspace struct {
 	arena tensor.Arena
 	ctxs  []any
@@ -37,63 +34,15 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Grows reports cumulative backing-array growths (heap allocations);
 // flat in steady state.
-func (w *Workspace) Grows() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.arena.Grows()
-}
+func (w *Workspace) Grows() int64 { return w.arena.Grows() }
 
 // reset starts a new pass, recycling all borrowed buffers.
-func (w *Workspace) reset() {
-	if w != nil {
-		w.arena.Reset()
-	}
-}
+func (w *Workspace) reset() { w.arena.Reset() }
 
-// wsMatrix returns a zeroed rows×cols matrix: pooled when ws is non-nil,
-// freshly allocated otherwise.
-func wsMatrix(ws *Workspace, rows, cols int) *tensor.Matrix {
-	if ws == nil {
-		return tensor.New(rows, cols)
+// layerCtxs returns the per-layer context slice for a forward pass.
+func (w *Workspace) layerCtxs(n int) []any {
+	if cap(w.ctxs) < n {
+		w.ctxs = make([]any, n)
 	}
-	return ws.arena.Matrix(rows, cols)
-}
-
-// wsMask returns a length-n ReLU mask buffer. The fresh buffer is zeroed
-// (as make would), the pooled one is stale — ReLUMask overwrites every
-// element either way.
-func wsMask(ws *Workspace, n int) []bool {
-	if ws == nil {
-		return make([]bool, n)
-	}
-	return ws.arena.Mask(n)
-}
-
-// wsFloats returns a length-n float buffer whose every element the
-// caller must write.
-func wsFloats(ws *Workspace, n int) []float32 {
-	if ws == nil {
-		return make([]float32, n)
-	}
-	return ws.arena.Floats(n)
-}
-
-// wsView returns a rows×cols header over data without copying.
-func wsView(ws *Workspace, rows, cols int, data []float32) *tensor.Matrix {
-	if ws == nil {
-		return tensor.FromData(rows, cols, data)
-	}
-	return ws.arena.View(rows, cols, data)
-}
-
-// wsCtxs returns the per-layer context slice for a forward pass.
-func wsCtxs(ws *Workspace, n int) []any {
-	if ws == nil {
-		return make([]any, n)
-	}
-	if cap(ws.ctxs) < n {
-		ws.ctxs = make([]any, n)
-	}
-	return ws.ctxs[:n]
+	return w.ctxs[:n]
 }

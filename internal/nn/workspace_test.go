@@ -25,7 +25,7 @@ func TestNewCompactIntoMatchesNewCompact(t *testing.T) {
 	var reused Compact
 	for _, seeds := range seedSets {
 		s := sampleFor(t, g, seeds, []int{4, 3})
-		fresh, err := NewCompact(s)
+		fresh, err := newCompact(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestModelWorkspaceMatchesFresh(t *testing.T) {
 		var cmp Compact
 		for round, seeds := range seedSets {
 			s := sampleFor(t, g, seeds, fanoutsFor(k.layers))
-			cf, err := NewCompact(s)
+			cf, err := newCompact(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestModelWorkspaceMatchesFresh(t *testing.T) {
 			for i := range labels {
 				labels[i] = int32(i % classes)
 			}
-			lf, cfr, err := fresh.LossAndGrad(cf, feats, labels)
+			lf, cfr, err := fresh.LossAndGradWS(NewWorkspace(), cf, feats, labels)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestModelWorkspaceMatchesFresh(t *testing.T) {
 				}
 			}
 			// Predictions agree too (exercises PredictWS).
-			pf, err := fresh.Predict(cf, feats, labels)
+			pf, err := fresh.PredictWS(NewWorkspace(), cf, feats, labels)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,12 +42,18 @@ func PlanEpochs(trainSet []int32, batchSize, epochs int, seed uint64) []EpochCel
 
 // ReplayEpochs samples every cell with alg on Pool(workers, len(cells))
 // goroutines. It prepares alg's per-graph tables once and gives each
-// worker one pooled clone; visit(worker, c, clone) runs on that worker
-// and samples c with the clone, so a sample is borrowed until the
+// worker one ClonePooled instance; visit(worker, c, clone) runs on that
+// worker and samples c with the clone, so a sample is borrowed until the
 // worker's next cell. visit may write only c's own output slots and
 // state private to worker. The returned stats sum the clones' arenas.
+// An alg that does not implement Cloner has no private instances to hand
+// out, so it runs on one worker; the sampled stream is the same at any
+// worker count.
 func ReplayEpochs(g graph.View, alg Algorithm, cells []EpochCell, workers int, visit func(worker int, c EpochCell, alg Algorithm)) ScratchStats {
 	Prepare(alg, g)
+	if _, ok := alg.(Cloner); !ok {
+		workers = 1
+	}
 	algs := make([]Algorithm, par.Pool(workers, len(cells)))
 	for i := range algs {
 		algs[i] = ClonePooled(alg)

@@ -1,8 +1,12 @@
 package sampling
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
+
+	"gnnlab/internal/rng"
 )
 
 func TestPlanEpochsShapeAndDeterminism(t *testing.T) {
@@ -83,5 +87,36 @@ func TestFingerprintDistinguishesParameters(t *testing.T) {
 	b := Fingerprint(NewKHop([]int{25, 10}, FisherYates))
 	if a != b {
 		t.Errorf("equal algorithms fingerprint differently: %q vs %q", a, b)
+	}
+}
+
+// noClone hides the wrapped algorithm's Clone: a user-defined sampler
+// that hands out no per-worker instances.
+type noClone struct{ Algorithm }
+
+// TestReplayEpochsNonClonerRunsSerially: an algorithm without Clone has one
+// arena, so ReplayEpochs must not share it across workers. The replay at
+// workers 4 equals workers 1 cell for cell, and is race-free under -race.
+func TestReplayEpochsNonClonerRunsSerially(t *testing.T) {
+	g := testGraph(31, 600, 8, 2)
+	trainSet := seeds(240, 600, rng.New(32))
+	replay := func(workers int) [][]byte {
+		cells := PlanEpochs(trainSet, 6, 2, 33) // cells' RNGs advance as they sample
+		out := make([][]byte, len(cells))
+		alg := noClone{NewKHop([]int{6, 4}, FisherYates)}
+		ReplayEpochs(g, alg, cells, workers, func(_ int, c EpochCell, a Algorithm) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(a.Sample(g, c.Seeds, c.R)); err != nil {
+				panic(err)
+			}
+			out[c.Epoch*NumBatches(len(trainSet), 6)+c.Batch] = buf.Bytes()
+		})
+		return out
+	}
+	want, got := replay(1), replay(4)
+	for i := range want {
+		if !bytes.Equal(want[i], got[i]) {
+			t.Fatalf("cell %d: workers 4 sampled differently from workers 1", i)
+		}
 	}
 }

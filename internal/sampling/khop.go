@@ -43,8 +43,7 @@ type KHop struct {
 	Method  NeighborMethod
 
 	// sc is the reusable arena behind Sample; a KHop value is therefore
-	// not safe for concurrent use — clone per executor with Clone (or
-	// ClonePooled for borrowed, zero-allocation samples).
+	// not safe for concurrent use — clone per executor with ClonePooled.
 	sc *scratch
 }
 
@@ -94,7 +93,7 @@ func (k *KHop) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample {
 	for li, fanout := range k.Fanouts {
 		frontierEnd := loc.numVertices()
 		layer := Layer{NumDst: frontierEnd - frontierStart}
-		src, dst := sc.layerStart(li, layer.NumDst*fanout)
+		src, dst := sc.layerStart(li)
 		for dstLocal := frontierStart; dstLocal < frontierEnd; dstLocal++ {
 			v := loc.input[dstLocal]
 			adj, mutable := sc.adj(g, dec, v)

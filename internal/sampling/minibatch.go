@@ -53,17 +53,10 @@ func ForPinSAGE() *RandomWalk { return NewRandomWalk(3, 4, 3, 5) }
 func ForGCNWeighted() *WeightedKHop { return NewWeightedKHop([]int{15, 10, 5}) }
 
 // Cloner is implemented by algorithms that can hand out per-executor
-// instances. All built-in algorithms implement it.
+// instances. All built-in algorithms implement it; ReplayEpochs runs an
+// algorithm that does not on a single worker.
 type Cloner interface {
 	Clone() Algorithm
-}
-
-// CloneAlgorithm returns an executor-private instance of alg.
-func CloneAlgorithm(alg Algorithm) Algorithm {
-	if c, ok := alg.(Cloner); ok {
-		return c.Clone()
-	}
-	return alg
 }
 
 // Preparer is implemented by algorithms with per-graph preprocessing —

@@ -83,21 +83,20 @@ func TestSamplePackedMatchesCSR(t *testing.T) {
 	}
 }
 
-// TestSamplePackedPooledMatchesFresh re-runs the pooled-vs-fresh
-// differential over a packed view: pooling plus the decode buffer may
-// not change the stream.
+// TestSamplePackedPooledMatchesFresh re-runs the reused-vs-new-arena
+// differential over a packed view: arena reuse plus the decode buffer and
+// row cache may not change the stream.
 func TestSamplePackedPooledMatchesFresh(t *testing.T) {
 	packed := graph.Pack(hubbyTestGraph(9, 2500, true), 0)
 	n := packed.NumVertices()
 	for _, tc := range scratchAlgorithms() {
 		t.Run(tc.name, func(t *testing.T) {
 			base := tc.mk()
-			fresh := CloneAlgorithm(base)
 			pooled := ClonePooled(base)
 			rF, rP, rSeeds := rng.New(7), rng.New(7), rng.New(8)
 			for call := 0; call < 15; call++ {
 				sd := withHubSeeds(seeds(6+call%5, n, rSeeds))
-				sF := fresh.Sample(packed, sd, rF)
+				sF := ClonePooled(base).Sample(packed, sd, rF)
 				sP := pooled.Sample(packed, sd, rP)
 				if !bytes.Equal(gobBytes(t, sF), gobBytes(t, sP)) {
 					t.Fatalf("call %d: pooled packed sample differs from fresh", call)

@@ -84,7 +84,7 @@ func (w *RandomWalk) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample {
 	for layerIdx := 0; layerIdx < w.Layers; layerIdx++ {
 		frontierEnd := loc.numVertices()
 		layer := Layer{NumDst: frontierEnd - frontierStart}
-		src, dst := sc.layerStart(layerIdx, layer.NumDst*w.NumNeighbors)
+		src, dst := sc.layerStart(layerIdx)
 		for dstLocal := frontierStart; dstLocal < frontierEnd; dstLocal++ {
 			v := loc.input[dstLocal]
 			sc.stats.Grows += sc.visits.reset(w.NumPaths * w.WalkLength)

@@ -11,6 +11,7 @@ package sampling
 
 import (
 	"fmt"
+	"slices"
 
 	"gnnlab/internal/graph"
 	"gnnlab/internal/rng"
@@ -59,8 +60,8 @@ type Sample struct {
 // feature rows the Extract stage must provide.
 func (s *Sample) NumInput() int { return len(s.Input) }
 
-// Bytes estimates the in-memory size of the sample task itself (what gets
-// copied through the global queue: "C" in Table 5).
+// Bytes estimates the in-memory size of the sample task itself: what
+// Clone copies into the global queue ("C" in Table 5).
 func (s *Sample) Bytes() int64 {
 	b := int64(len(s.Input)+len(s.Seeds)) * 4
 	for _, l := range s.Layers {
@@ -70,6 +71,38 @@ func (s *Sample) Bytes() int64 {
 		b += int64(len(s.CachedMask))
 	}
 	return b
+}
+
+// Clone returns a deep copy of s — every slice, the CachedMask and the
+// work counters — that owns its memory: the copy a Sampler makes into
+// the global queue (§5.2). A built-in algorithm's sample is valid only
+// until that instance's next Sample call, so a caller that keeps one
+// past it keeps a Clone. The int32 slices share one exactly-sized
+// backing array, capped so that appending to one cannot overwrite
+// another.
+func (s *Sample) Clone() *Sample {
+	n := len(s.Seeds) + len(s.Input)
+	for _, l := range s.Layers {
+		n += len(l.Src) + len(l.Dst)
+	}
+	buf := make([]int32, 0, n)
+	take := func(src []int32) []int32 {
+		if src == nil {
+			return nil
+		}
+		start := len(buf)
+		buf = append(buf, src...)
+		return buf[start:len(buf):len(buf)]
+	}
+	c := *s
+	c.Seeds, c.Input = take(s.Seeds), take(s.Input)
+	c.Layers = slices.Clone(s.Layers)
+	for i := range c.Layers {
+		l := &c.Layers[i]
+		l.Src, l.Dst = take(l.Src), take(l.Dst)
+	}
+	c.CachedMask = slices.Clone(s.CachedMask)
+	return &c
 }
 
 // Validate checks s with a fresh Validator.
@@ -93,7 +126,7 @@ func (v *Validator) Check(s *Sample) error {
 			return fmt.Errorf("sampling: input[%d] = %d, want seed %d", i, s.Input[i], seed)
 		}
 	}
-	v.ids.reset(len(s.Input), true)
+	v.ids.reset(len(s.Input))
 	for local, global := range s.Input {
 		if v.ids.add(global) != int32(local) {
 			return fmt.Errorf("sampling: duplicate global vertex %d at local %d", global, local)
@@ -167,19 +200,10 @@ type localizer struct {
 	grows int64
 }
 
-// newLocalizer returns a localizer ready for roughly `expected` vertices.
-func newLocalizer(expected int) *localizer {
-	m := &localizer{}
-	m.reset(expected, false)
-	return m
-}
-
 // reset empties the localizer for a new Sample call. The hash table is
-// kept (stamp bump) and grown only if `expected` outsizes it. When
-// reuseInput is true the input buffer is recycled too — pooled mode —
-// otherwise a fresh escaping buffer is allocated, matching the
-// historical per-call behavior.
-func (m *localizer) reset(expected int, reuseInput bool) {
+// kept (stamp bump) and grown only if `expected` outsizes it; the input
+// buffer is recycled too.
+func (m *localizer) reset(expected int) {
 	size := 64
 	for size < expected*2 {
 		size <<= 1
@@ -199,11 +223,7 @@ func (m *localizer) reset(expected int, reuseInput bool) {
 		}
 	}
 	m.filled = 0
-	if reuseInput {
-		m.input = m.input[:0]
-	} else {
-		m.input = make([]int32, 0, expected)
-	}
+	m.input = m.input[:0]
 }
 
 // add returns the local ID of global, inserting it if new.

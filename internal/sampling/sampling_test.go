@@ -272,7 +272,7 @@ func TestAlgorithmNamesAndHops(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	alg := NewKHop([]int{5, 5}, FisherYates)
-	clone := CloneAlgorithm(alg).(*KHop)
+	clone := ClonePooled(alg).(*KHop)
 	if clone == alg {
 		t.Fatal("Clone returned the receiver")
 	}
@@ -287,7 +287,8 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestLocalizerProperty(t *testing.T) {
 	if err := quick.Check(func(ids []uint16) bool {
-		loc := newLocalizer(4)
+		var loc localizer
+		loc.reset(4)
 		want := map[int32]int32{}
 		for _, raw := range ids {
 			id := int32(raw)

@@ -6,32 +6,28 @@ import "gnnlab/internal/graph"
 // Sample call used to build a fresh localizer hash table, fresh
 // Src/Dst/Input slices and — in the walk- and subgraph-based algorithms —
 // Go maps for dedup and visit counting. This file gives each algorithm
-// instance a reusable scratch arena instead. Two invariants make it safe:
-//
-//  1. Buffers that never escape into the returned *Sample (hash tables,
-//     pick buffers, visit counters, member lists, stamped sets) are
-//     always reused across calls. An algorithm instance is already not
-//     safe for concurrent use (clone per executor), so this changes
-//     nothing observable.
-//  2. Buffers that do escape (the Sample header, Input, Layers, Src,
-//     Dst) are reused only in pooled mode (ClonePooled). A pooled
-//     clone's Sample is valid until the clone's next Sample call;
-//     callers that retain data across calls must copy it first.
+// instance a reusable scratch arena instead, and the arena is the only
+// buffer discipline: every buffer, including those that escape into the
+// returned *Sample (the Sample header, Input, Layers, Src, Dst), is reused
+// by the instance's next Sample call. A sample is therefore valid until
+// that call; a caller that keeps one copies it with Sample.Clone. An
+// instance is not safe for concurrent use — clone one per executor with
+// ClonePooled.
 //
 // Resets are O(1): stamped structures bump a generation counter instead
-// of zeroing or reallocating, so steady-state Sample calls on a pooled
-// clone perform zero heap allocations (pinned by TestSampleSteadyStateZeroAllocs).
-// Pooling never changes results: local IDs depend only on insertion
-// order, not table geometry, and no RNG draw moves — pooled and fresh
-// runs are bit-identical (TestPooledMatchesFresh).
+// of zeroing or reallocating, so steady-state Sample calls perform zero
+// heap allocations (pinned by TestSampleSteadyStateZeroAllocs). Reuse
+// never changes results: local IDs depend only on insertion order, not
+// table geometry, and no RNG draw moves — a warm arena and a new one
+// sample bit-identically (TestPooledMatchesFresh).
 
 // ScratchStats counts how an algorithm's scratch arena behaved, for the
 // obs counters the measurement engine exports (measure.scratch_*).
 type ScratchStats struct {
 	// Samples is the number of Sample calls served by this arena.
 	Samples int64
-	// Reuses counts pooled calls that handed out recycled escaping
-	// buffers (every pooled call after the first).
+	// Reuses counts calls that handed out recycled escaping buffers
+	// (every call after the first).
 	Reuses int64
 	// Grows counts backing-array growths: localizer rebuilds, stamped-set
 	// resizes and layer-buffer reallocations. A steady state has Reuses
@@ -48,10 +44,9 @@ type ScratchStats struct {
 // scratch is the per-algorithm-instance arena. Fields are grouped by the
 // algorithms that use them; unused groups stay nil and cost nothing.
 type scratch struct {
-	pooled bool
-	stats  ScratchStats
+	stats ScratchStats
 
-	// Escaping buffers (pooled mode only).
+	// Escaping buffers: the returned Sample and its slices.
 	loc    localizer
 	samp   Sample
 	layers []Layer
@@ -84,19 +79,13 @@ type scratch struct {
 }
 
 // begin starts one Sample call: it resets the localizer for the expected
-// vertex count and returns the localizer plus the Sample to fill. In
-// pooled mode both come from the arena; otherwise the escaping pieces
-// are freshly allocated exactly as the pre-arena code did.
+// vertex count and returns the localizer plus the arena's Sample to fill.
 func (sc *scratch) begin(seeds []int32, expected, hops int) (*localizer, *Sample) {
 	sc.stats.Samples++
-	if !sc.pooled {
-		sc.loc.reset(expected, false)
-		return &sc.loc, &Sample{Seeds: seeds, Layers: make([]Layer, 0, hops)}
-	}
 	if sc.stats.Samples > 1 {
 		sc.stats.Reuses++
 	}
-	sc.loc.reset(expected, true)
+	sc.loc.reset(expected)
 	if cap(sc.layers) < hops {
 		sc.layers = make([]Layer, 0, hops)
 		sc.stats.Grows++
@@ -106,10 +95,7 @@ func (sc *scratch) begin(seeds []int32, expected, hops int) (*localizer, *Sample
 }
 
 // layerStart hands out the Src/Dst backing buffers for layer li.
-func (sc *scratch) layerStart(li, capHint int) (src, dst []int32) {
-	if !sc.pooled {
-		return make([]int32, 0, capHint), make([]int32, 0, capHint)
-	}
+func (sc *scratch) layerStart(li int) (src, dst []int32) {
 	for len(sc.srcBuf) <= li {
 		sc.srcBuf = append(sc.srcBuf, nil)
 		sc.dstBuf = append(sc.dstBuf, nil)
@@ -120,29 +106,23 @@ func (sc *scratch) layerStart(li, capHint int) (src, dst []int32) {
 // layerEnd stores the (possibly grown) buffers back so capacity persists
 // across calls.
 func (sc *scratch) layerEnd(li int, src, dst []int32) {
-	if !sc.pooled {
-		return
-	}
 	if cap(src) > cap(sc.srcBuf[li]) || cap(dst) > cap(sc.dstBuf[li]) {
 		sc.stats.Grows++
 	}
 	sc.srcBuf[li], sc.dstBuf[li] = src, dst
 }
 
-// finish seals the Sample: Input is the localizer's dense ID list, and in
-// pooled mode the Layers backing is stored back for the next call.
+// finish seals the Sample: Input is the localizer's dense ID list, and the
+// Layers backing is stored back for the next call.
 func (sc *scratch) finish(s *Sample) *Sample {
 	s.Input = sc.loc.input
 	sc.stats.Grows += sc.loc.grows
 	sc.loc.grows = 0
-	if sc.pooled {
-		sc.layers = s.Layers
-	}
+	sc.layers = s.Layers
 	return s
 }
 
-// pickBuf returns the neighbor pick buffer with capacity ≥ n. Never
-// escapes, so it is reused in both modes.
+// pickBuf returns the neighbor pick buffer with capacity ≥ n.
 func (sc *scratch) pickBuf(n int) []int32 {
 	if cap(sc.pick) < n {
 		sc.pick = make([]int32, n)
@@ -265,24 +245,21 @@ func (sc *scratch) adj(g graph.View, dec graph.NeighborDecoder, v int32) (adj []
 }
 
 // scratchOwner is implemented by the built-in algorithms; it exposes the
-// lazily created arena so ClonePooled and ScratchStatsOf stay uniform.
+// lazily created arena so ScratchStatsOf stays uniform.
 type scratchOwner interface {
 	scratchArena() *scratch
 }
 
-// ClonePooled returns an executor-private clone of alg with buffer
-// pooling enabled: each returned *Sample — including its Input, Layers
-// and per-layer Src/Dst slices — is valid only until the clone's next
-// Sample call. Callers that retain sample data across calls (e.g. the
-// measurement engine's Batch records) must copy what they keep. The
-// sampled stream is bit-identical to a fresh-allocation clone's.
-// Algorithms that do not own a scratch arena fall back to CloneAlgorithm.
+// ClonePooled returns an executor-private instance of alg: Clone's result
+// when alg implements Cloner, otherwise alg itself (the caller must then
+// not share it across goroutines). Each returned *Sample — including its
+// Input, Layers and per-layer Src/Dst slices — is valid only until the
+// instance's next Sample call.
 func ClonePooled(alg Algorithm) Algorithm {
-	c := CloneAlgorithm(alg)
-	if o, ok := c.(scratchOwner); ok {
-		o.scratchArena().pooled = true
+	if c, ok := alg.(Cloner); ok {
+		return c.Clone()
 	}
-	return c
+	return alg
 }
 
 // ScratchStatsOf reports alg's arena counters; ok is false for custom

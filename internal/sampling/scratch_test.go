@@ -42,20 +42,20 @@ func gobBytes(t *testing.T, s *Sample) []byte {
 	return buf.Bytes()
 }
 
-// TestPooledMatchesFresh is the tentpole equivalence property: a pooled
-// clone must produce a bit-identical sample stream to a fresh-allocation
-// clone driven by the same RNG stream — pooling may never change results.
+// TestPooledMatchesFresh is the arena equivalence property: one instance
+// whose arena is reused across calls must produce a bit-identical sample
+// stream to a new arena per call (a fresh ClonePooled each time) driven
+// by the same RNG stream — buffer reuse may never change results.
 func TestPooledMatchesFresh(t *testing.T) {
 	g := testGraph(1, 400, 8, 2)
 	for _, tc := range scratchAlgorithms() {
 		t.Run(tc.name, func(t *testing.T) {
 			base := tc.mk()
-			fresh := CloneAlgorithm(base)
 			pooled := ClonePooled(base)
 			rF, rP, rSeeds := rng.New(7), rng.New(7), rng.New(8)
 			for call := 0; call < 25; call++ {
 				sd := seeds(6+call%5, 400, rSeeds)
-				sF := fresh.Sample(g, sd, rF)
+				sF := ClonePooled(base).Sample(g, sd, rF)
 				sP := pooled.Sample(g, sd, rP)
 				if err := sP.Validate(); err != nil {
 					t.Fatalf("call %d: pooled sample invalid: %v", call, err)
@@ -68,6 +68,53 @@ func TestPooledMatchesFresh(t *testing.T) {
 				if !bytes.Equal(gobBytes(t, sF), gobBytes(t, sP)) {
 					t.Fatalf("call %d: serialized samples differ", call)
 				}
+			}
+		})
+	}
+}
+
+// TestSampleClone: a Clone serializes to the source's bytes, shares no
+// backing array with it (scribbling over one clone leaves the source
+// intact), and survives the source arena's next Sample call intact.
+func TestSampleClone(t *testing.T) {
+	g := testGraph(6, 400, 8, 2)
+	for _, tc := range scratchAlgorithms() {
+		t.Run(tc.name, func(t *testing.T) {
+			alg := ClonePooled(tc.mk())
+			r := rng.New(21)
+			src := alg.Sample(g, seeds(8, 400, r), r)
+			src.CachedMask = make([]bool, len(src.Input))
+			for i := range src.CachedMask {
+				src.CachedMask[i] = i%3 == 0
+			}
+			want := gobBytes(t, src)
+			c := src.Clone()
+			if !bytes.Equal(gobBytes(t, c), want) {
+				t.Fatal("clone serializes differently from its source")
+			}
+			scribble := src.Clone()
+			for _, xs := range [][]int32{scribble.Seeds, scribble.Input} {
+				for i := range xs {
+					xs[i] = -1
+				}
+			}
+			for i := range scribble.Layers {
+				scribble.Layers[i] = Layer{Src: scribble.Layers[i].Src, Dst: scribble.Layers[i].Dst}
+				for j := range scribble.Layers[i].Src {
+					scribble.Layers[i].Src[j], scribble.Layers[i].Dst[j] = -1, -1
+				}
+			}
+			for i := range scribble.CachedMask {
+				scribble.CachedMask[i] = !scribble.CachedMask[i]
+			}
+			if !bytes.Equal(gobBytes(t, src), want) {
+				t.Fatal("writing to a clone changed its source")
+			}
+			for i := 0; i < 3; i++ {
+				alg.Sample(g, seeds(8, 400, r), r)
+			}
+			if !bytes.Equal(gobBytes(t, c), want) {
+				t.Fatal("clone changed after the source arena's next Sample call")
 			}
 		})
 	}
@@ -100,7 +147,7 @@ func TestSampleSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestScratchStats checks the arena counters the measurement engine
-// exports: pooled reuse counts rise with calls while growth stabilizes.
+// exports: reuse counts rise with calls while growth stabilizes.
 func TestScratchStats(t *testing.T) {
 	g := testGraph(3, 300, 6, 1)
 	alg := ClonePooled(NewKHop([]int{4, 4}, FisherYates))
@@ -164,7 +211,8 @@ func TestClonePooledIndependence(t *testing.T) {
 // TestLocalizerLookup checks the non-inserting probe used by the induced-
 // subgraph pass.
 func TestLocalizerLookup(t *testing.T) {
-	m := newLocalizer(4)
+	var m localizer
+	m.reset(4)
 	ids := []int32{7, 3, 7, 100, 3, 55}
 	for _, v := range ids {
 		m.add(v)
@@ -180,7 +228,7 @@ func TestLocalizerLookup(t *testing.T) {
 		t.Error("lookup of absent vertex reported present")
 	}
 	// After a stamped reset the old entries must be gone.
-	m.reset(4, true)
+	m.reset(4)
 	if _, ok := m.lookup(7); ok {
 		t.Error("lookup found an entry from a previous generation")
 	}
@@ -234,28 +282,21 @@ func TestValidateCachedMaskLength(t *testing.T) {
 	}
 }
 
-// BenchmarkSample covers every algorithm in fresh vs pooled mode;
-// -benchmem shows the allocation contrast the arena exists for.
+// BenchmarkSample covers every algorithm on a warm arena; -benchmem
+// shows the zero-allocation steady state.
 func BenchmarkSample(b *testing.B) {
 	g := testGraph(1, 20000, 12, 2)
 	for _, tc := range scratchAlgorithms() {
-		for _, mode := range []string{"fresh", "pooled"} {
-			b.Run(tc.name+"/"+mode, func(b *testing.B) {
-				var alg Algorithm
-				if mode == "pooled" {
-					alg = ClonePooled(tc.mk())
-				} else {
-					alg = CloneAlgorithm(tc.mk())
-				}
-				r := rng.New(3)
-				sd := seeds(64, 20000, r)
-				alg.Sample(g, sd, r) // build lazy tables outside the loop
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					alg.Sample(g, sd, r)
-				}
-			})
-		}
+		b.Run(tc.name, func(b *testing.B) {
+			alg := tc.mk()
+			r := rng.New(3)
+			sd := seeds(64, 20000, r)
+			alg.Sample(g, sd, r) // build lazy tables outside the loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alg.Sample(g, sd, r)
+			}
+		})
 	}
 }

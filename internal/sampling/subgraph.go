@@ -37,7 +37,7 @@ func inducedSample(g graph.View, seeds, members []int32, sc *scratch) *Sample {
 		loc.add(v)
 	}
 	layer := Layer{NumDst: len(members)}
-	src, dst := sc.layerStart(0, 0)
+	src, dst := sc.layerStart(0)
 	for dstLocal, v := range loc.input {
 		row, _ := sc.adj(g, dec, v)
 		for _, nbr := range row {

@@ -250,7 +250,7 @@ func (w *WeightedKHop) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample 
 	for li, fanout := range w.Fanouts {
 		frontierEnd := loc.numVertices()
 		layer := Layer{NumDst: frontierEnd - frontierStart}
-		src, dst := sc.layerStart(li, layer.NumDst*fanout)
+		src, dst := sc.layerStart(li)
 		for dstLocal := frontierStart; dstLocal < frontierEnd; dstLocal++ {
 			v := loc.input[dstLocal]
 			adj, _ := sc.adj(g, dec, v)

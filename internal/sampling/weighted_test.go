@@ -21,7 +21,7 @@ func TestWeightTablesBuiltExactlyOnce(t *testing.T) {
 		for i := 0; i < workers; i++ {
 			go func(i int) {
 				defer wg.Done()
-				alg := CloneAlgorithm(w)
+				alg := ClonePooled(w)
 				r := rng.New(uint64(i))
 				for iter := 0; iter < 4; iter++ {
 					s := alg.Sample(g, []int32{0, 1, 2, 3}, r)
@@ -49,7 +49,7 @@ func TestWeightedPrepareBuildsEagerly(t *testing.T) {
 		if n := w.tables.builds.Load(); n != 1 {
 			t.Fatalf("method %v: builds after Prepare = %d, want 1", method, n)
 		}
-		clone := CloneAlgorithm(w)
+		clone := ClonePooled(w)
 		_ = clone.Sample(g, []int32{0, 1}, rng.New(1))
 		if n := w.tables.builds.Load(); n != 1 {
 			t.Errorf("method %v: Sample after Prepare rebuilt tables (builds=%d)", method, n)

@@ -9,6 +9,7 @@ import (
 	"gnnlab/internal/obs"
 	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
+	"gnnlab/internal/tensor"
 	"gnnlab/internal/workload"
 )
 
@@ -148,13 +149,14 @@ func TestServeMatchesDirectPath(t *testing.T) {
 	// Same prepared algorithm, same seed-keyed RNG stream, same model.
 	alg := spec.NewSampler()
 	sampling.Prepare(alg, d.Graph)
-	smp := sampling.CloneAlgorithm(alg).Sample(d.Graph, seeds, rng.New(uint64(5)^0x5E12F))
-	g, err := nn.NewCompact(smp)
-	if err != nil {
+	smp := alg.Sample(d.Graph, seeds, rng.New(uint64(5)^0x5E12F))
+	var g nn.Compact
+	if err := nn.NewCompactInto(&g, smp); err != nil {
 		t.Fatal(err)
 	}
-	feats, _, _ := s.store.Gather(smp)
-	want, err := model.ClassifyWS(nil, g, feats, nil)
+	var feats tensor.Matrix
+	s.store.GatherInto(&feats, smp)
+	want, err := model.ClassifyWS(nn.NewWorkspace(), &g, &feats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

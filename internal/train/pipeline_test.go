@@ -229,7 +229,7 @@ type panicSampler struct {
 func (p *panicSampler) Name() string { return "panic-sampler" }
 func (p *panicSampler) NumHops() int { return p.inner.NumHops() }
 func (p *panicSampler) Clone() sampling.Algorithm {
-	return &panicSampler{inner: sampling.CloneAlgorithm(p.inner), calls: p.calls, panicAt: p.panicAt}
+	return &panicSampler{inner: sampling.ClonePooled(p.inner), calls: p.calls, panicAt: p.panicAt}
 }
 func (p *panicSampler) Sample(g graph.View, seeds []int32, r *rng.Rand) *sampling.Sample {
 	if atomic.AddInt32(p.calls, 1) == p.panicAt {

@@ -17,11 +17,12 @@ import (
 	"gnnlab/internal/workload"
 )
 
-// referenceTrain is Train spelled out on one goroutine over the fresh
-// layer-level references — CloneAlgorithm + nn.NewCompact + Store.Gather +
-// nn.SeedLabels + Model.LossAndGrad/Predict — with no executor, no pooled
-// buffer and no queue. It mirrors Train's seed derivations and gradient
-// exchange order, nothing else.
+// referenceTrain is Train spelled out on one goroutine over the
+// layer-level calls with a new arena at every stage of every mini-batch —
+// a new ClonePooled, a zero nn.Compact and tensor.Matrix, a new
+// nn.Workspace — so no buffer is ever reused, and with no executor and no
+// queue. It mirrors Train's seed derivations and gradient exchange order,
+// nothing else.
 func referenceTrain(t *testing.T, d *gen.Dataset, opts Options) *Result {
 	t.Helper()
 	check := func(err error) {
@@ -43,8 +44,15 @@ func referenceTrain(t *testing.T, d *gen.Dataset, opts Options) *Result {
 	model := workers[0]
 	opt := tensor.NewAdam(opts.LR, model.Params())
 	evalSet := holdout(d, opts.EvalSize, opts.Seed)
-	a := sampling.CloneAlgorithm(alg)
 	r := rng.New(opts.Seed)
+	fresh := func(seeds []int32, r *rng.Rand) (*nn.Compact, *tensor.Matrix, []int32) {
+		s := sampling.ClonePooled(alg).Sample(d.Graph, seeds, r)
+		var g nn.Compact
+		check(nn.NewCompactInto(&g, s))
+		var feats tensor.Matrix
+		store.GatherInto(&feats, s)
+		return &g, &feats, nn.SeedLabelsInto(nil, s, d.Labels)
+	}
 
 	res := &Result{Model: model}
 	updates := 0
@@ -55,11 +63,8 @@ func referenceTrain(t *testing.T, d *gen.Dataset, opts Options) *Result {
 			width := min(len(workers), len(batches)-start)
 			for i := 0; i < width; i++ {
 				idx := start + i
-				s := a.Sample(d.Graph, batches[idx], rng.New(opts.Seed^uint64(epoch)<<20^uint64(idx)))
-				g, err := nn.NewCompact(s)
-				check(err)
-				feats, _, _ := store.Gather(s)
-				loss, _, err := workers[i].LossAndGrad(g, feats, nn.SeedLabels(s, d.Labels))
+				g, feats, labels := fresh(batches[idx], rng.New(opts.Seed^uint64(epoch)<<20^uint64(idx)))
+				loss, _, err := workers[i].LossAndGradWS(nn.NewWorkspace(), g, feats, labels)
 				check(err)
 				epochLoss += loss
 			}
@@ -77,14 +82,11 @@ func referenceTrain(t *testing.T, d *gen.Dataset, opts Options) *Result {
 		correct, total := 0, 0
 		er := rng.New(opts.Seed ^ 0xEA11)
 		for start := 0; start < len(evalSet); start += opts.BatchSize {
-			s := a.Sample(d.Graph, evalSet[start:min(start+opts.BatchSize, len(evalSet))], er)
-			g, err := nn.NewCompact(s)
-			check(err)
-			feats, _, _ := store.Gather(s)
-			c, err := model.Predict(g, feats, nn.SeedLabels(s, d.Labels))
+			g, feats, labels := fresh(evalSet[start:min(start+opts.BatchSize, len(evalSet))], er)
+			c, err := model.PredictWS(nn.NewWorkspace(), g, feats, labels)
 			check(err)
 			correct += c
-			total += len(s.Seeds)
+			total += len(labels)
 		}
 		acc := float64(correct) / float64(total)
 		res.History = append(res.History, EpochRecord{Epoch: epoch, Loss: epochLoss / float64(len(batches)), EvalAcc: acc, Updates: updates})

@@ -122,7 +122,7 @@ type Result struct {
 	// gathers (0 when no cache was enabled).
 	CacheHitRate float64
 	// Model is the trained model (checkpoint with Model.SaveCheckpoint,
-	// or keep predicting with Model.Predict).
+	// or keep predicting with Model.PredictWS).
 	Model *nn.Model
 	// Recoveries counts injected crashes the run recovered from by
 	// restoring the per-epoch checkpoint.
@@ -579,12 +579,12 @@ func (st *sampleStream) take(k int) ([]*sampling.Sample, error) {
 
 // produceSamples starts an epoch's Sample stage on the live factored
 // pipeline: opts.NumSamplers (> 0) Sampler goroutines feeding the global
-// queue.
-// Each owns a fresh-allocation clone of alg, because its samples cross
-// the queue and must own their memory. The per-batch RNG streams are
-// keyed by (epoch, batch) so the sampled neighborhoods do not depend on
-// goroutine scheduling — or on whether a Sampler or a trainer's executor
-// draws them; the stream's reorder buffer keeps delivery order
+// queue. Each owns a ClonePooled instance of alg and enqueues a Clone of
+// every sample — the paper's copy into the host-memory queue (§5.2), and
+// the only place a sample outlives its arena. The per-batch RNG streams
+// are keyed by (epoch, batch) so the sampled neighborhoods do not depend
+// on goroutine scheduling — or on whether a Sampler or a trainer's
+// executor draws them; the stream's reorder buffer keeps delivery order
 // deterministic too.
 func produceSamples(d *gen.Dataset, alg sampling.Algorithm, batches [][]int32, opts Options, epoch int) *sampleStream {
 	work := queue.New[sampleTask](len(batches))
@@ -605,8 +605,8 @@ func produceSamples(d *gen.Dataset, alg sampling.Algorithm, batches [][]int32, o
 			lane = opts.Obs.Lane("Train", fmt.Sprintf("sampler-%d", w))
 		}
 		go func() {
-			a := sampling.CloneAlgorithm(alg)
-			sample := func(seeds []int32, r *rng.Rand) *sampling.Sample { return a.Sample(d.Graph, seeds, r) }
+			a := sampling.ClonePooled(alg)
+			sample := func(seeds []int32, r *rng.Rand) *sampling.Sample { return a.Sample(d.Graph, seeds, r).Clone() }
 			for {
 				t, ok := work.Dequeue()
 				if !ok {

@@ -26,6 +26,12 @@ go test -timeout 3600s -run xxx -bench=BenchmarkCacheRank -benchtime=1x ./intern
 # One iteration of every root benchmark: sampling arena, minibatch, live
 # serve cycle, snapshot/delta/packed graph storage, measurement engine.
 go test -timeout 3600s -run xxx -bench=. -benchtime=1x .
+# Every shipped example end to end under the race detector at a small
+# scale: they drive the public API with user-defined pieces (e.g. a
+# sampler without Clone) that no test constructs.
+for ex in ./examples/*/; do
+	go run -race "$ex" -scale 16 > /dev/null
+done
 # Resilience smoke: the fault sweep end to end through the CLI.
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -faults 3 resilience
 # Packed CLI smoke: compressed inventory, degree stats and dataset write
