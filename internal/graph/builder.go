@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed edge with an optional weight, used while building.
@@ -70,11 +71,11 @@ func (b *Builder) Build(dedup bool) (*CSR, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.Src, e.Dst, n)
 		}
 	}
-	sort.SliceStable(b.edges, func(i, j int) bool {
-		if b.edges[i].Src != b.edges[j].Src {
-			return b.edges[i].Src < b.edges[j].Src
+	slices.SortStableFunc(b.edges, func(x, y Edge) int {
+		if c := cmp.Compare(x.Src, y.Src); c != 0 {
+			return c
 		}
-		return b.edges[i].Dst < b.edges[j].Dst
+		return cmp.Compare(x.Dst, y.Dst)
 	})
 	edges := b.edges
 	if dedup {

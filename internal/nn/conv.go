@@ -84,7 +84,7 @@ func (c *Conv) Params() []*tensor.Param {
 type convCtx struct {
 	hIn    *tensor.Matrix // input activations (Needed[l-1] rows)
 	agg    *tensor.Matrix // aggregated neighborhoods (numOut rows)
-	mask   []bool         // ReLU mask, nil when no activation
+	out    *tensor.Matrix // post-ReLU output, nil when no activation
 	numOut int
 }
 
@@ -128,7 +128,8 @@ func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOu
 	ctx := &c.ctxPool
 	*ctx = convCtx{hIn: hIn, agg: agg, numOut: numOut}
 	if c.ReLUAfter {
-		ctx.mask = tensor.ReLUMask(out, ws.arena.Mask(len(out.Data)))
+		tensor.ReLU(out)
+		ctx.out = out
 	}
 	return out, ctx
 }
@@ -141,8 +142,8 @@ func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOu
 // it (returning nil) leaves every Param.Grad bit-identical.
 func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, saved any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
 	ctx := saved.(*convCtx)
-	if ctx.mask != nil {
-		tensor.ReLUBackward(gradOut, ctx.mask)
+	if ctx.out != nil {
+		tensor.ReLUBackward(gradOut, ctx.out)
 	}
 	// Bias gradient.
 	tensor.SumRows(gradOut, c.Bias.Grad.Data)

@@ -95,7 +95,7 @@ type gatHeadCtx struct {
 type gatCtx struct {
 	hIn    *tensor.Matrix
 	heads  []gatHeadCtx
-	mask   []bool
+	out    *tensor.Matrix // post-ReLU output, nil when no activation
 	numOut int
 }
 
@@ -108,7 +108,7 @@ func (g *GAT) ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut
 	headDim := g.OutDim / g.NumHeads
 	out := ws.arena.Matrix(numOut, g.OutDim)
 	ctx := &g.ctxPool
-	ctx.hIn, ctx.numOut, ctx.mask = hIn, numOut, nil
+	ctx.hIn, ctx.numOut, ctx.out = hIn, numOut, nil
 	ctx.heads = growHeadCtxs(ctx.heads, g.NumHeads)
 	for hi, head := range g.heads {
 		hc := &ctx.heads[hi]
@@ -139,7 +139,8 @@ func (g *GAT) ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut
 	}
 	tensor.AddBiasRows(out, g.Bias.Value.Data)
 	if g.ReLUAfter {
-		ctx.mask = tensor.ReLUMask(out, ws.arena.Mask(len(out.Data)))
+		tensor.ReLU(out)
+		ctx.out = out
 	}
 	return out, ctx
 }
@@ -168,8 +169,8 @@ func growFloatRows(buf [][]float32, n int) [][]float32 {
 // feeds W_h's gradient and is always computed.
 func (g *GAT) BackwardLayer(ws *Workspace, c *Compact, saved any, gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
 	ctx := saved.(*gatCtx)
-	if ctx.mask != nil {
-		tensor.ReLUBackward(gradOut, ctx.mask)
+	if ctx.out != nil {
+		tensor.ReLUBackward(gradOut, ctx.out)
 	}
 	tensor.SumRows(gradOut, g.Bias.Grad.Data)
 

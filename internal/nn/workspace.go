@@ -4,7 +4,7 @@ import "gnnlab/internal/tensor"
 
 // Workspace is the per-trainer activation/gradient arena for the model
 // hot path. A forward+backward (or predict) pass requests its working
-// tensors — aggregation buffers, layer outputs, ReLU masks, attention
+// tensors — aggregation buffers, layer outputs, attention
 // rows, gradient matrices — through the workspace instead of the heap;
 // the request sequence is fixed by the model architecture, so after one
 // warm-up pass every slot is sized and a steady-state mini-batch

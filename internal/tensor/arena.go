@@ -1,7 +1,7 @@
 package tensor
 
 // Arena is a slot-ordered workspace for the training hot path: a fixed
-// sequence of Matrix/Mask/Floats requests per pass (the sequence is
+// sequence of Matrix/Floats/View requests per pass (the sequence is
 // determined by the model architecture, so it repeats every mini-batch)
 // is served from pooled backing arrays instead of fresh heap
 // allocations. Reset rewinds the slot cursors in O(1); backing arrays
@@ -11,7 +11,7 @@ package tensor
 // Everything handed out is borrowed: valid only until the next Reset.
 // Matrices are zeroed on hand-out (several consumers accumulate into
 // them with AXPY and rely on zero initialization, exactly like a fresh
-// tensor.New); masks, float slices and views are not cleared — their
+// tensor.New); float slices and views are not cleared — their
 // consumers overwrite every element.
 //
 // An Arena is not safe for concurrent use; pool one per worker.
@@ -19,8 +19,6 @@ type Arena struct {
 	mats []*Matrix
 	next int
 
-	masks  [][]bool
-	mnext  int
 	floats [][]float32
 	fnext  int
 	views  []*Matrix
@@ -32,7 +30,7 @@ type Arena struct {
 // Reset rewinds all slot cursors, recycling every borrowed buffer. Call
 // once per mini-batch pass, before the first request.
 func (a *Arena) Reset() {
-	a.next, a.mnext, a.fnext, a.vnext = 0, 0, 0, 0
+	a.next, a.fnext, a.vnext = 0, 0, 0
 }
 
 // Grows returns the cumulative number of backing-array growths (each one
@@ -52,23 +50,6 @@ func (a *Arena) Matrix(rows, cols int) *Matrix {
 	}
 	clear(m.Data)
 	return m
-}
-
-// Mask returns a length-n bool slice from the next mask slot. Contents
-// are unspecified: the caller must write every element (ReLUMask does).
-func (a *Arena) Mask(n int) []bool {
-	if a.mnext == len(a.masks) {
-		a.masks = append(a.masks, nil)
-		a.grows++
-	}
-	buf := a.masks[a.mnext]
-	if cap(buf) < n {
-		buf = make([]bool, n)
-		a.masks[a.mnext] = buf
-		a.grows++
-	}
-	a.mnext++
-	return buf[:n]
 }
 
 // Floats returns a length-n float32 slice from the next float slot.

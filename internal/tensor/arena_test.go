@@ -24,29 +24,28 @@ func TestMatrixReuse(t *testing.T) {
 
 func TestArenaSlotsStabilize(t *testing.T) {
 	var a Arena
-	pass := func() (m1, m2 *Matrix, mask []bool, fs []float32, v *Matrix) {
+	pass := func() (m1, m2 *Matrix, fs []float32, v *Matrix) {
 		a.Reset()
 		m1 = a.Matrix(4, 3)
 		m2 = a.Matrix(2, 2)
-		mask = a.Mask(12)
 		fs = a.Floats(5)
 		v = a.View(2, 2, m2.Data)
 		return
 	}
-	m1a, m2a, maska, fsa, va := pass()
+	m1a, m2a, fsa, va := pass()
 	for i := range m1a.Data {
 		m1a.Data[i] = float32(i)
 	}
 	grows := a.Grows()
-	m1b, m2b, maskb, fsb, vb := pass()
+	m1b, m2b, fsb, vb := pass()
 	if a.Grows() != grows {
 		t.Errorf("second identical pass grew: %d -> %d", grows, a.Grows())
 	}
 	if m1a != m1b || m2a != m2b || va != vb {
 		t.Error("arena did not reuse matrix/view headers")
 	}
-	if &maska[0] != &maskb[0] || &fsa[0] != &fsb[0] {
-		t.Error("arena did not reuse mask/float backing")
+	if &fsa[0] != &fsb[0] {
+		t.Error("arena did not reuse float backing")
 	}
 	for i, x := range m1b.Data {
 		if x != 0 {
@@ -71,39 +70,16 @@ func TestArenaMatrixZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 3; i++ { // warm all slots to max size
 		a.Reset()
 		a.Matrix(6, 6)
-		a.Mask(36)
 		a.Floats(9)
 		a.View(6, 6, a.mats[0].Data)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		a.Reset()
 		m := a.Matrix(6, 6)
-		a.Mask(36)
 		a.Floats(9)
 		a.View(6, 6, m.Data)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state arena pass allocates %v times", allocs)
-	}
-}
-
-func TestReLUMaskMatchesReLU(t *testing.T) {
-	mk := func() *Matrix {
-		m := New(2, 3)
-		copy(m.Data, []float32{-1, 2, 0, 3, -4, 5})
-		return m
-	}
-	a, b := mk(), mk()
-	ma := ReLU(a)
-	mask := make([]bool, 6)
-	for i := range mask {
-		mask[i] = true // stale content must be overwritten
-	}
-	mb := ReLUMask(b, mask)
-	for i := range ma {
-		if ma[i] != mb[i] || a.Data[i] != b.Data[i] {
-			t.Fatalf("ReLUMask diverges at %d: mask %v/%v data %v/%v",
-				i, ma[i], mb[i], a.Data[i], b.Data[i])
-		}
 	}
 }

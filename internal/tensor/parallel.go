@@ -21,21 +21,24 @@ import (
 // identical to the serial computation (each output row is an independent
 // serial reduction), so the constant moves time only, never results.
 //
-// Re-derived with BenchmarkFanOut after the kernels were blocked (2-core
-// box, GOMAXPROCS 2, n×64 @ 64×64, median of 7 in µs):
+// Re-derived with BenchmarkFanOut on the AVX2 kernels (2-core box,
+// GOMAXPROCS 2, n×64 @ 64×64, median of 7 in µs):
 //
-//	mul-adds       serial  fanned
-//	1<<20 (0.5×)      221     300   fan-out loses
-//	3<<19 (0.75×)     417     338   1.2×, and lost in a noisier run
-//	1<<21 (1×)        542     377   1.4×
-//	1<<22 (2×)       1154     711   1.6×
-//	1<<23 (4×)       2147    1423   1.5×
+//	mul-adds        serial  fanned
+//	1<<19 (0.25×)       69     110   fan-out loses
+//	1<<20 (0.5×)       193     169   1.1×
+//	3<<19 (0.75×)      248     192   1.3×
+//	1<<21 (1×)         293     222   1.3×
+//	1<<22 (2×)         609     482   1.3×
+//	1<<23 (4×)        1409     843   1.7×
 //
-// The serial kernels got ~2× faster, which moves the break-even up, but
-// it still sits below 1<<21: the constant stays. (Back-to-back calls keep
-// the second thread spinning; after ≥1 ms of serial work it has parked,
-// and on this VM fan-out then gains nothing at any size — a persistent
-// pool, not this constant, is the fix for that.)
+// The serial kernels got 3–4× faster. Back to back, fan-out now breaks
+// even between 1<<19 and 1<<20, but that is with the second thread still
+// spinning from the previous call. In a real step the products are
+// separated by serial work and it has parked: with the constant at 1<<20,
+// work_per_s was 0.97× (train-inline) and 1.00× (train-factored) of its
+// value at 1<<21, over five alternated benchmark pairs each. The constant
+// stays; a persistent pool, not this constant, is the fix.
 const parallelThreshold = 1 << 21
 
 // rowKernel computes dst rows [lo,hi) of one of the three products.
@@ -76,9 +79,21 @@ const kBlock = 8
 // axpyBlock folds kBlock scaled rows into d, in index order, holding each
 // d[j] in a register across the adds: d[j] = (…((d[j] + a[0]·b[0][j]) +
 // a[1]·b[1][j]) + …) + a[7]·b[7][j] — the chain eight AXPY calls produce,
-// with an eighth of the loads and stores of d.
+// with an eighth of the loads and stores of d. The AVX2 arm computes eight
+// j per instruction with the same chain. A b row shorter than d panics
+// here, before either arm reads it (slicing alone would check capacity,
+// and a Matrix row's capacity runs on into the next row).
 func axpyBlock(d []float32, a *[8]float32, b *[8][]float32) {
 	n := len(d)
+	for _, r := range b {
+		if len(r) < n {
+			panic("tensor: axpyBlock row shorter than d")
+		}
+	}
+	if useAVX2 {
+		axpyBlockAVX2(d, a, b)
+		return
+	}
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
 	b0, b1, b2, b3, b4, b5, b6, b7 := b[0][:n], b[1][:n], b[2][:n], b[3][:n], b[4][:n], b[5][:n], b[6][:n], b[7][:n]
 	for j, v := range d {

@@ -130,36 +130,33 @@ func AddBiasRows(m *Matrix, bias []float32) {
 	}
 }
 
-// ReLU applies max(0, x) in place and returns a mask of active elements
-// for the backward pass.
-func ReLU(m *Matrix) []bool {
-	return ReLUMask(m, make([]bool, len(m.Data)))
-}
-
-// ReLUMask is ReLU writing into a caller-supplied mask (len(m.Data));
-// every mask element is overwritten, so a pooled, uncleared buffer works.
-func ReLUMask(m *Matrix, mask []bool) []bool {
-	if len(mask) != len(m.Data) {
-		panic("tensor: ReLU mask length mismatch")
+// ReLU applies x > 0 ? x : +0 in place (NaN and −0 become +0). The
+// backward pass reads the result back instead of a mask.
+func ReLU(m *Matrix) {
+	if useAVX2 {
+		reluAVX2(m.Data)
+		return
 	}
 	for i, v := range m.Data {
-		if v > 0 {
-			mask[i] = true
-		} else {
-			mask[i] = false
+		if !(v > 0) {
 			m.Data[i] = 0
 		}
 	}
-	return mask
 }
 
-// ReLUBackward zeroes grad entries whose forward activation was clipped.
-func ReLUBackward(grad *Matrix, mask []bool) {
-	if len(mask) != len(grad.Data) {
-		panic("tensor: ReLU mask length mismatch")
+// ReLUBackward zeroes grad entries whose forward activation was clipped:
+// out is ReLU's result, unchanged since, so the activation was active
+// exactly where out > 0.
+func ReLUBackward(grad, out *Matrix) {
+	if len(out.Data) != len(grad.Data) {
+		panic("tensor: ReLUBackward length mismatch")
 	}
-	for i := range grad.Data {
-		if !mask[i] {
+	if useAVX2 {
+		reluBackwardAVX2(grad.Data, out.Data)
+		return
+	}
+	for i, v := range out.Data {
+		if !(v > 0) {
 			grad.Data[i] = 0
 		}
 	}
@@ -224,6 +221,10 @@ func SumRows(m *Matrix, out []float32) {
 func AXPY(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("tensor: AXPY length mismatch")
+	}
+	if useAVX2 {
+		axpyAVX2(alpha, x, y)
+		return
 	}
 	for i := range x {
 		y[i] += alpha * x[i]

@@ -108,22 +108,24 @@ func TestAddBiasRows(t *testing.T) {
 }
 
 func TestReLUForwardBackward(t *testing.T) {
-	m := FromData(1, 4, []float32{-1, 2, 0, 3})
-	mask := ReLU(m)
-	want := []float32{0, 2, 0, 3}
-	for i, v := range want {
-		if m.Data[i] != v {
-			t.Fatalf("ReLU output %v, want %v", m.Data, want)
+	forEachArm(t, func(t *testing.T) {
+		m := FromData(1, 4, []float32{-1, 2, 0, 3})
+		ReLU(m)
+		want := []float32{0, 2, 0, 3}
+		for i, v := range want {
+			if m.Data[i] != v {
+				t.Fatalf("ReLU output %v, want %v", m.Data, want)
+			}
 		}
-	}
-	grad := FromData(1, 4, []float32{10, 10, 10, 10})
-	ReLUBackward(grad, mask)
-	wantGrad := []float32{0, 10, 0, 10}
-	for i, v := range wantGrad {
-		if grad.Data[i] != v {
-			t.Fatalf("ReLU grad %v, want %v", grad.Data, wantGrad)
+		grad := FromData(1, 4, []float32{10, 10, 10, 10})
+		ReLUBackward(grad, m)
+		wantGrad := []float32{0, 10, 0, 10}
+		for i, v := range wantGrad {
+			if grad.Data[i] != v {
+				t.Fatalf("ReLU grad %v, want %v", grad.Data, wantGrad)
+			}
 		}
-	}
+	})
 }
 
 func TestSoftmaxCrossEntropyLossAndAccuracy(t *testing.T) {
@@ -497,41 +499,44 @@ func TestKernelsExactFoldOrder(t *testing.T) {
 		}
 		shapes = append(shapes, s)
 	}
-	r := rng.New(10)
-	for _, p := range products {
-		for _, s := range shapes {
-			for _, pct := range []int{0, 33, 100} {
-				a, b := p.operands(s.rows, s.k, s.cols, r)
-				sprinkleZeros(a, pct, r)
-				// An Inf in b opposite a zero in a: the skipping products
-				// must not see it, MatMulABT must turn it into NaN exactly
-				// as the reference does.
-				for ai, v := range a.Data {
-					if v == 0 && len(b.Data) > 0 {
-						b.Data[p.opposite(a, b, ai)] = inf
-						break
+	// Once per arm: the Go loops and, where the CPU has it, AVX2.
+	forEachArm(t, func(t *testing.T) {
+		r := rng.New(10)
+		for _, p := range products {
+			for _, s := range shapes {
+				for _, pct := range []int{0, 33, 100} {
+					a, b := p.operands(s.rows, s.k, s.cols, r)
+					sprinkleZeros(a, pct, r)
+					// An Inf in b opposite a zero in a: the skipping products
+					// must not see it, MatMulABT must turn it into NaN exactly
+					// as the reference does.
+					for ai, v := range a.Data {
+						if v == 0 && len(b.Data) > 0 {
+							b.Data[p.opposite(a, b, ai)] = inf
+							break
+						}
 					}
-				}
-				want := p.ref(a, b)
-				got := New(want.Rows, want.Cols)
-				for i := range got.Data {
-					got.Data[i] = float32(math.NaN()) // dst is overwritten, not accumulated into
-				}
-				p.run(got, a, b)
-				if i := sameBits(got, want); i >= 0 {
-					t.Fatalf("%s %dx%dx%d zeros %d%%: element %d = %v, reference %v",
-						p.name, s.rows, s.k, s.cols, pct, i, got.Data[i], want.Data[i])
-				}
-				if p.skips && pct == 100 {
-					for i, v := range got.Data {
-						if math.Float32bits(v) != 0 {
-							t.Fatalf("%s %dx%dx%d all-zero a: element %d = %v, want +0", p.name, s.rows, s.k, s.cols, i, v)
+					want := p.ref(a, b)
+					got := New(want.Rows, want.Cols)
+					for i := range got.Data {
+						got.Data[i] = float32(math.NaN()) // dst is overwritten, not accumulated into
+					}
+					p.run(got, a, b)
+					if i := sameBits(got, want); i >= 0 {
+						t.Fatalf("%s %dx%dx%d zeros %d%%: element %d = %v, reference %v",
+							p.name, s.rows, s.k, s.cols, pct, i, got.Data[i], want.Data[i])
+					}
+					if p.skips && pct == 100 {
+						for i, v := range got.Data {
+							if math.Float32bits(v) != 0 {
+								t.Fatalf("%s %dx%dx%d all-zero a: element %d = %v, want +0", p.name, s.rows, s.k, s.cols, i, v)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestParallelRowsCoversEveryRowOnce checks the chunking, the caller's
@@ -587,9 +592,13 @@ var kernelShapes = []struct {
 }
 
 // BenchmarkKernels reports GFLOP/s (2 flops per multiply-add) for the
-// three products at the live shapes, at GOMAXPROCS 1 and 2.
+// three products at the live shapes, on each kernel arm (the Go loops and
+// AVX2; MatMulABT has no AVX2 arm yet, so there the two read the same) at
+// GOMAXPROCS 1 and 2.
 func BenchmarkKernels(b *testing.B) {
 	r := rng.New(11)
+	cpuHasAVX2 := useAVX2
+	defer func() { useAVX2 = cpuHasAVX2 }()
 	for _, s := range kernelShapes {
 		x, w := randomMatrix(s.rows, s.k, r), randomMatrix(s.k, s.cols, r)
 		g := randomMatrix(s.rows, s.cols, r)
@@ -603,16 +612,22 @@ func BenchmarkKernels(b *testing.B) {
 			{"MatMulABT", func() { MatMulABT(gx, g, w) }}, // input gradient: gradOut @ Wᵀ
 		}
 		for _, k := range kernels {
-			for _, procs := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%s/%s/procs=%d", k.name, s.name, procs), func(b *testing.B) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						k.run()
-					}
-					flops := 2 * float64(s.rows) * float64(s.k) * float64(s.cols) * float64(b.N)
-					b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
+			for _, arm := range []string{"go", "avx2"} {
+				for _, procs := range []int{1, 2} {
+					b.Run(fmt.Sprintf("%s/%s/arm=%s/procs=%d", k.name, s.name, arm, procs), func(b *testing.B) {
+						if arm == "avx2" && !cpuHasAVX2 {
+							b.Skip("no AVX2 arm on this CPU")
+						}
+						useAVX2 = arm == "avx2"
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							k.run()
+						}
+						flops := 2 * float64(s.rows) * float64(s.k) * float64(s.cols) * float64(b.N)
+						b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
 			}
 		}
 	}
@@ -620,10 +635,10 @@ func BenchmarkKernels(b *testing.B) {
 
 // BenchmarkFanOut is the measurement behind parallelThreshold: n×64 @
 // 64×64 run serially and fanned out regardless of size, for n·64·64
-// multiply-adds from half the constant to 4 times it.
+// multiply-adds from a quarter of the constant to 4 times it.
 func BenchmarkFanOut(b *testing.B) {
 	r := rng.New(12)
-	for _, madds := range []int{1 << 20, 3 << 19, 1 << 21, 1 << 22, 1 << 23} {
+	for _, madds := range []int{1 << 19, 1 << 20, 3 << 19, 1 << 21, 1 << 22, 1 << 23} {
 		rows := madds / (64 * 64)
 		x, w, out := randomMatrix(rows, 64, r), randomMatrix(64, 64, r), New(rows, 64)
 		b.Run(fmt.Sprintf("madds=%d/serial", madds), func(b *testing.B) {

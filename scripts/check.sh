@@ -13,6 +13,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# The pure-Go build, which has no assembly arm: vet (asmdecl checks the
+# amd64 frames above) and the kernel test binaries must still compile.
+GOARCH=arm64 go vet ./...
+GOARCH=arm64 go test -c -o /dev/null ./internal/tensor ./internal/nn
 go build ./...
 go test -race -timeout 3600s ./...
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
