@@ -51,8 +51,8 @@ type stageTotals struct {
 // run them. simulateEpoch executes it.
 type epochSpec struct {
 	tasks []sim.Task
-	// producers > 0 runs Produce→Consume (sim.RunEpoch) with that many
-	// producers; 0 means the tasks are pre-staged and only consumed.
+	// producers is the Sampler count sim.RunEpoch produces the tasks
+	// with; 0 means the tasks are pre-staged and only consumed.
 	producers int
 	opts      sim.ConsumeOptions
 	// twoPhase runs batch-mode epochs: produce everything, then swap
@@ -69,8 +69,7 @@ type epochSpec struct {
 // simulation epochs; it owns the design-specific memory accounting and
 // OOM rules, but performs no sampling and no event simulation itself.
 // Implementations must be stateless (per-run state travels through
-// Plan's return value) and are registered once, at init time, via
-// RegisterDesign.
+// Plan's return value).
 type Design interface {
 	// PlanMemory performs the design-specific GPU memory accounting and
 	// returns the cache budget, or a plan carrying an OOM error.
@@ -90,34 +89,25 @@ type Design interface {
 	CostEpoch(rn *runner, rep *Report, state any, epoch int, work []batchWork, tot *stageTotals) epochSpec
 }
 
-// designs is the registry the DesignKind dispatch resolves through.
-var designs = map[DesignKind]Design{}
-
-// RegisterDesign installs a design implementation for a kind,
-// replacing any previous registration. Call it from init functions
-// only: the registry is read without locking once runs start.
-func RegisterDesign(kind DesignKind, d Design) { designs[kind] = d }
-
+// designFor resolves a DesignKind to its implementation.
 func designFor(kind DesignKind) (Design, error) {
-	d, ok := designs[kind]
-	if !ok {
-		return nil, fmt.Errorf("system: unknown design %v", kind)
+	switch kind {
+	case DesignGNNLab:
+		return gnnlabDesign{}, nil
+	case DesignTimeSharing:
+		return timeSharingDesign{}, nil
+	case DesignCPUSampling:
+		return cpuSamplingDesign{}, nil
+	case DesignBatchMode:
+		return batchModeDesign{}, nil
 	}
-	return d, nil
-}
-
-func init() {
-	RegisterDesign(DesignGNNLab, gnnlabDesign{})
-	RegisterDesign(DesignTimeSharing, timeSharingDesign{})
-	RegisterDesign(DesignCPUSampling, cpuSamplingDesign{})
-	RegisterDesign(DesignBatchMode, batchModeDesign{})
+	return nil, fmt.Errorf("system: unknown design %v", kind)
 }
 
 // simulateEpoch hands one costed epoch to the event engine and returns
 // its makespan, folding trace/standby/fault outcomes into the report.
 func (rn runner) simulateEpoch(rep *Report, s epochSpec) float64 {
-	switch {
-	case s.twoPhase:
+	if s.twoPhase {
 		finish := sim.Produce(s.tasks, s.producers, s.startAt)
 		var sampleEnd float64
 		for _, f := range finish {
@@ -132,24 +122,15 @@ func (rn runner) simulateEpoch(rep *Report, s epochSpec) float64 {
 		res := sim.Consume(s.tasks, s.opts)
 		rn.foldFaults(rep, res)
 		return sampleEnd + s.phaseGap + res.Makespan
-	case s.producers > 0:
-		res := sim.RunEpoch(s.tasks, s.producers, s.opts)
-		rep.TasksByStandby += res.TasksByStandby
-		if res.Timeline != nil {
-			rep.Timeline = res.Timeline
-			rn.accountEpoch(rep, res, s.tasks)
-		}
-		rn.foldFaults(rep, res)
-		return res.Makespan
-	default:
-		res := sim.Consume(s.tasks, s.opts)
-		if res.Timeline != nil {
-			rep.Timeline = res.Timeline
-			rn.accountEpoch(rep, res, s.tasks)
-		}
-		rn.foldFaults(rep, res)
-		return res.Makespan
 	}
+	res := sim.RunEpoch(s.tasks, s.producers, s.opts)
+	rep.TasksByStandby += res.TasksByStandby
+	if res.Timeline != nil {
+		rep.Timeline = res.Timeline
+		rn.accountEpoch(rep, res, s.tasks)
+	}
+	rn.foldFaults(rep, res)
+	return res.Makespan
 }
 
 // accountEpoch decomposes the traced epoch's timeline into the exact

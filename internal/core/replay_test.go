@@ -10,8 +10,6 @@ import (
 	"gnnlab/internal/gen"
 	"gnnlab/internal/measure"
 	"gnnlab/internal/sampling"
-	"gnnlab/internal/sched"
-	"gnnlab/internal/sim"
 	"gnnlab/internal/workload"
 )
 
@@ -193,41 +191,6 @@ func TestMeasureStoreReuse(t *testing.T) {
 	}
 }
 
-// TestRegisterCustomDesign proves the Cost layer is pluggable: a design
-// registered outside the built-in four runs end to end through
-// Run/Measure/Replay.
-func TestRegisterCustomDesign(t *testing.T) {
-	const kindEcho DesignKind = 1000
-	RegisterDesign(kindEcho, echoDesign{})
-	t.Cleanup(func() { delete(designs, kindEcho) })
-
-	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
-	w := scaledSpec(workload.GCN, 16)
-	cfg := scaledCfg(GNNLab(w, 2), mem, ms)
-	cfg.Name = "Echo"
-	cfg.Design = kindEcho
-
-	rep := mustRun(t, d, cfg)
-	if rep.OOM {
-		t.Fatalf("unexpected OOM: %s", rep.OOMReason)
-	}
-	if rep.EpochTime <= 0 || rep.SampleG <= 0 {
-		t.Errorf("custom design produced empty report: %v", rep)
-	}
-	if rep.Alloc != (sched.Allocation{Trainers: 2}) {
-		t.Errorf("custom design allocation = %v", rep.Alloc)
-	}
-
-	m, err := Measure(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := mustReplay(t, m, cfg)
-	if !reflect.DeepEqual(rep, replayed) {
-		t.Errorf("custom design Replay differs from Run:\n run:    %v\n replay: %v", rep, replayed)
-	}
-}
-
 func TestUnknownDesignErrors(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
@@ -236,35 +199,6 @@ func TestUnknownDesignErrors(t *testing.T) {
 	if _, err := Run(d, cfg); err == nil || !strings.Contains(err.Error(), "unknown design") {
 		t.Errorf("Run with unregistered design: err = %v, want unknown-design error", err)
 	}
-}
-
-// echoDesign is a minimal sequential design: every GPU trains its own
-// samples back to back, no cache accounting beyond the time-sharing plan.
-type echoDesign struct{}
-
-func (echoDesign) PlanMemory(pc planContext) memPlan {
-	return timeSharingDesign{}.PlanMemory(pc)
-}
-
-func (echoDesign) Preflight(Config, memPlan) string { return "" }
-
-func (echoDesign) Plan(rn *runner, rep *Report, plan memPlan, epochs [][]batchWork, haveStandby bool) (any, string) {
-	rep.Alloc = sched.Allocation{Samplers: 0, Trainers: rn.cfg.NumGPUs}
-	return nil, ""
-}
-
-func (echoDesign) CostEpoch(rn *runner, rep *Report, _ any, epoch int, work []batchWork, tot *stageTotals) epochSpec {
-	tasks := make([]sim.Task, len(work))
-	for i, w := range work {
-		g := rn.sampleDuration(w)
-		extr := rn.extractOnly(w, rn.cfg.NumGPUs, false)
-		train := rn.cfg.Cost.TrainTime(w.flops)
-		tasks[i] = sim.Task{Extract: g + extr, Train: train}
-		tot.g += g
-		tot.e += extr
-		tot.t += train
-	}
-	return epochSpec{tasks: tasks, opts: sim.ConsumeOptions{NumTrainers: rn.cfg.NumGPUs}}
 }
 
 // TestRankKeyPerPolicy pins the ranking memo key of each policy: it holds

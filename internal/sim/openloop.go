@@ -1,20 +1,19 @@
 package sim
 
-// Open-loop serving simulation. The epoch engine (sim.go) answers "how
-// long does one epoch take"; this file answers the production question
-// the ROADMAP's serving item asks: under an open-loop request stream
+// Open-loop serving simulation: under an open-loop request stream
 // (arrivals do not wait for completions), what latency distribution and
 // maximum sustainable QPS does a Sampler/Trainer split deliver?
 //
-// The model mirrors internal/serve's live pipeline: requests are
-// admitted into a bounded queue (load-shed when the queue is full or the
-// projected wait already exceeds the deadline), free Samplers coalesce
-// pending requests into microbatches, and each sampled batch dispatches
-// to the earliest-available Trainer for the Extract→Forward stages.
-// Faults reuse the epoch engine's machinery verbatim: consumer crash
-// windows abort in-flight batches (which re-dispatch at the crash time),
-// ExtractDegrade stretches the host→GPU path, and QueueStalls push batch
-// pickups out of the stall window.
+// Serve is the epoch loop's second arrival source (Produce is the
+// first). It owns only what belongs to serving, mirroring
+// internal/serve's live pipeline: admission into a bounded queue
+// (load-shed when the queue is full or the projected wait already
+// exceeds the deadline) and batch formation on free Samplers. Each
+// sampled microbatch becomes a Task, ready when its Sample stage ends,
+// and one Consume call drains them under the epoch's rules: Ready
+// order, the Trainer that would start training first, and the same
+// fault set (crash-requeue, slowdown windows, ExtractDegrade,
+// QueueStalls, which also delay batch formation).
 //
 // Determinism rule: Serve is a pure function of its config — arrival
 // streams are seed-keyed, so the same seed yields a bit-identical
@@ -121,7 +120,8 @@ type ServeConfig struct {
 	QueueCap int
 	// Deadline is the per-request latency budget, measured from
 	// arrival. Admission sheds requests whose projected wait exceeds
-	// it, and requests still queued past it are dropped at dispatch.
+	// it, and requests still queued past it are dropped at batch
+	// formation.
 	Deadline Seconds
 	// Cost is the microbatch stage cost model.
 	Cost BatchCost
@@ -132,9 +132,9 @@ type ServeConfig struct {
 	// Pipelined lets a Trainer's Extract of batch k+1 overlap Forward
 	// of batch k, as in the training pipeline (§5.2).
 	Pipelined bool
-	// Faults injects the epoch engine's deterministic fault set onto
-	// the Trainers (crashes, slowdown windows, PCIe degrade, queue
-	// stalls). Nil injects nothing.
+	// Faults injects the epoch loop's deterministic fault set onto the
+	// Trainers (crashes, slowdown windows, PCIe degrade, queue stalls).
+	// Nil injects nothing.
 	Faults *Faults
 }
 
@@ -146,8 +146,8 @@ type ServeResult struct {
 	// ShedQueueFull and ShedDeadline count admission rejections: a full
 	// queue, or a projected wait already past the deadline.
 	ShedQueueFull, ShedDeadline int
-	// Expired counts admitted requests dropped at dispatch because
-	// their deadline passed while queued.
+	// Expired counts admitted requests dropped at batch formation
+	// because their deadline passed while queued.
 	Expired int
 	// Served counts requests that completed (possibly late).
 	Served int
@@ -172,7 +172,7 @@ type ServeResult struct {
 	TrainerBusy []Seconds
 }
 
-// request is one in-flight request's state.
+// openRequest is one request's arrival and deadline.
 type openRequest struct {
 	arrive   Seconds
 	deadline Seconds
@@ -199,16 +199,6 @@ func Serve(cfg ServeConfig) ServeResult {
 		panic("sim: Serve with no arrival stream")
 	}
 
-	faults := cfg.Faults
-	if faults.empty() {
-		faults = nil
-	}
-	trainers := make([]*consumer, cfg.Trainers)
-	for i := range trainers {
-		trainers[i] = newConsumer(false, 0, 1)
-	}
-	applyFaults(trainers, faults)
-
 	reqs := make([]openRequest, cfg.Requests)
 	now := Seconds(0)
 	for i := range reqs {
@@ -220,87 +210,20 @@ func Serve(cfg ServeConfig) ServeResult {
 		reqs[i] = openRequest{arrive: now, deadline: now + cfg.Deadline}
 	}
 
-	res := ServeResult{Offered: cfg.Requests, TrainerBusy: make([]Seconds, cfg.Trainers)}
+	res := ServeResult{Offered: cfg.Requests}
 	samplerFree := make([]Seconds, cfg.Samplers)
 	pending := make([]int, 0, cfg.QueueCap)
-	batch := make([]int, 0, cfg.BatchSize)
-	latencies := make([]Seconds, 0, cfg.Requests)
-	var latencySum Seconds
-	var occupancySum int
+	// Formed microbatches, in formation order: batch b is tasks[b], and
+	// its requests are members[bounds[b]:bounds[b+1]].
+	var tasks []Task
+	members := make([]int, 0, cfg.Requests)
+	bounds := []int{0}
 	perBatch := cfg.Cost.batchEstimate(cfg.BatchSize, cfg.Samplers, cfg.Trainers)
-
-	// dispatch runs one sampled batch through the earliest-available
-	// Trainer's Extract→Forward stages, re-dispatching after crash
-	// aborts. earliestStart keeps post-crash starts out of the dead
-	// window, so each Trainer aborts at most one batch and the retry
-	// loop terminates.
-	dispatch := func(members []int, ready Seconds) {
-		k := len(members)
-		for {
-			best, bestStart := -1, math.Inf(1)
-			for ci, c := range trainers {
-				s := c.earliestStart(ready)
-				if faults != nil {
-					s = faults.stallClamp(s)
-					if s >= c.crashAt && s < c.recoverAt {
-						s = faults.stallClamp(c.recoverAt)
-					}
-				}
-				if s < bestStart {
-					best, bestStart = ci, s
-				}
-			}
-			if best < 0 || math.IsInf(bestStart, 1) {
-				panic("sim: all trainers failed with requests pending")
-			}
-			c := trainers[best]
-			extractDur := c.extractDur(cfg.Cost.extract(k), bestStart, faults)
-			extractEnd := bestStart + extractDur
-			trainStart := extractEnd
-			if c.trainFree > trainStart {
-				trainStart = c.trainFree
-			}
-			trainDur := c.trainDur(cfg.Cost.train(k), trainStart)
-			trainEnd := trainStart + trainDur
-
-			if bestStart < c.crashAt && trainEnd > c.crashAt {
-				// Crash mid-batch: occupancy up to the crash is lost and
-				// the whole batch re-dispatches at the crash time.
-				res.Requeued++
-				res.TrainerBusy[best] += c.crashAt - bestStart
-				c.extractFree, c.trainFree = c.recoverAt, c.recoverAt
-				if ready < c.crashAt {
-					ready = c.crashAt
-				}
-				continue
-			}
-
-			if cfg.Pipelined {
-				c.extractFree = extractEnd
-			} else {
-				c.extractFree = trainEnd
-			}
-			c.trainFree = trainEnd
-			res.TrainerBusy[best] += extractDur + trainDur
-			if trainEnd > res.Makespan {
-				res.Makespan = trainEnd
-			}
-			for _, r := range members {
-				lat := trainEnd - reqs[r].arrive
-				latencies = append(latencies, lat)
-				latencySum += lat
-				res.Served++
-				if trainEnd > reqs[r].deadline {
-					res.DeadlineMiss++
-				}
-			}
-			return
-		}
-	}
 
 	// formBatches coalesces pending requests into microbatches on free
 	// Samplers, as long as formation starts strictly before `until`.
-	// Requests whose deadline passed while queued are dropped here.
+	// Requests whose deadline passed while queued are dropped here. A
+	// formed batch enters the global queue when its Sample stage ends.
 	formBatches := func(until Seconds) {
 		for len(pending) > 0 {
 			s := argmin(samplerFree)
@@ -308,14 +231,12 @@ func Serve(cfg ServeConfig) ServeResult {
 			if a := reqs[pending[0]].arrive; a > start {
 				start = a
 			}
-			if faults != nil {
-				start = faults.stallClamp(start)
-			}
+			start = cfg.Faults.stallClamp(start)
 			if start >= until {
 				return
 			}
-			batch = batch[:0]
-			for len(pending) > 0 && len(batch) < cfg.BatchSize {
+			first := len(members)
+			for len(pending) > 0 && len(members)-first < cfg.BatchSize {
 				r := pending[0]
 				if reqs[r].arrive > start {
 					break // arrived after this batch's formation
@@ -325,16 +246,17 @@ func Serve(cfg ServeConfig) ServeResult {
 					res.Expired++
 					continue
 				}
-				batch = append(batch, r)
+				members = append(members, r)
 			}
-			if len(batch) == 0 {
+			k := len(members) - first
+			if k == 0 {
 				continue // drained only expired requests; re-plan
 			}
-			sampleEnd := start + cfg.Cost.sample(len(batch))
-			samplerFree[s] = sampleEnd
-			res.Batches++
-			occupancySum += len(batch)
-			dispatch(batch, sampleEnd)
+			sample := cfg.Cost.sample(k)
+			samplerFree[s] = start + sample
+			tasks = append(tasks, Task{Sample: sample, Extract: cfg.Cost.extract(k),
+				Train: cfg.Cost.train(k), Ready: samplerFree[s], Producer: s})
+			bounds = append(bounds, len(members))
 		}
 	}
 
@@ -365,8 +287,29 @@ func Serve(cfg ServeConfig) ServeResult {
 	}
 	formBatches(math.Inf(1))
 
+	// The Trainers drain the sampled batches through the epoch loop.
+	run := Consume(tasks, ConsumeOptions{NumTrainers: cfg.Trainers,
+		Pipelined: cfg.Pipelined, Faults: cfg.Faults, Trace: true})
+	res.Batches = len(tasks)
+	res.Requeued = run.Requeued
+	res.Makespan = run.Makespan
+	res.TrainerBusy = run.TrainerBusy
+	latencies := make([]Seconds, 0, len(members))
+	var latencySum Seconds
+	for _, rec := range run.Timeline {
+		for _, r := range members[bounds[rec.Task]:bounds[rec.Task+1]] {
+			lat := rec.TrainEnd - reqs[r].arrive
+			latencies = append(latencies, lat)
+			latencySum += lat
+			if rec.TrainEnd > reqs[r].deadline {
+				res.DeadlineMiss++
+			}
+		}
+	}
+	res.Served = len(latencies)
+
 	if res.Batches > 0 {
-		res.MeanBatchOccupancy = float64(occupancySum) / float64(res.Batches)
+		res.MeanBatchOccupancy = float64(len(members)) / float64(res.Batches)
 	}
 	if len(latencies) > 0 {
 		sort.Float64s(latencies)

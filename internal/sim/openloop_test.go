@@ -167,6 +167,39 @@ func TestServeCrashRedispatch(t *testing.T) {
 	}
 }
 
+// TestServeTakesBatchesInReadyOrder pins the global queue's FIFO rule:
+// a batch formed later but sampled sooner is trained first. Four
+// requests at t=0 fill batch A on Sampler 0 (ready at 4 ms); a fifth at
+// 0.5 ms forms batch B alone on Sampler 1 (ready at 1.5 ms). The single
+// Trainer must take B at 1.5 ms rather than idle until A is ready.
+func TestServeTakesBatchesInReadyOrder(t *testing.T) {
+	r := Serve(ServeConfig{
+		Samplers:  2,
+		Trainers:  1,
+		BatchSize: 4,
+		QueueCap:  64,
+		Deadline:  1,
+		Cost:      BatchCost{SamplePerReq: 1e-3, ExtractFixed: 1e-4, TrainFixed: 1e-4},
+		Arrivals:  TraceArrivals([]Seconds{0, 0, 0, 0, 5e-4}),
+		Requests:  5,
+	})
+	if r.Batches != 2 || r.Served != 5 {
+		t.Fatalf("batches %d, served %d; want 2 batches serving 5", r.Batches, r.Served)
+	}
+	// A trains 4.0–4.2 ms; B trains 1.5–1.7 ms, so its one request waits
+	// 1.2 ms and the mean is (4×4.2 + 1.2)/5 = 3.6 ms.
+	const eps = 1e-12
+	if math.Abs(r.Makespan-4.2e-3) > eps {
+		t.Errorf("makespan %v, want 4.2ms", r.Makespan)
+	}
+	if math.Abs(r.Mean-3.6e-3) > eps {
+		t.Errorf("mean latency %v, want 3.6ms (B trained before A)", r.Mean)
+	}
+	if math.Abs(r.P50-4.2e-3) > eps || math.Abs(r.Max-4.2e-3) > eps {
+		t.Errorf("p50 %v, max %v; want both 4.2ms", r.P50, r.Max)
+	}
+}
+
 func TestServePermanentCrashFallsToSurvivor(t *testing.T) {
 	cfg := serveConfig(200)
 	cfg.Faults = &Faults{Crashes: []Crash{{Consumer: 1, At: 0.1}}} // permanent

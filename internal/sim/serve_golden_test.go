@@ -31,8 +31,8 @@ func TestServeGolden(t *testing.T) {
 		samplers                              int
 		maxQPS, p50, p99, p99Fault, shedFault float64
 	}{
-		{1, 62918.40234375, 0.0037210433877860084, 0.004786688942663155, 0.012236122876045072, 0},
-		{2, 2253.1865234375, 0.0017457690258859682, 0.0038782993723505133, 0.13710448830472288, 0.0945},
+		{1, 62918.40234375, 0.0037210433877860084, 0.004786688942663155, 0.010504861306630902, 0},
+		{2, 2252.443359375, 0.0017448364334944205, 0.003876993581079513, 0.13699678538396143, 0.0945},
 	}
 	for _, want := range golden {
 		ns := want.samplers

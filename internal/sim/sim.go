@@ -1,16 +1,20 @@
 // Package sim is the discrete-event engine that turns per-mini-batch stage
 // durations (produced by the device cost model from real measured work)
-// into end-to-end epoch timelines. It models the factored pipeline of §5:
+// into end-to-end timelines. It models the factored pipeline of §5:
 // producers (Samplers) feed a FIFO global queue, consumers (Trainers) run
 // a two-stage Extract→Train pipeline, gradient synchronization barriers
 // couple consumers, and standby Trainers join late under the dynamic
-// switching profit rule of §5.3.
+// switching profit rule of §5.3 (sched.ShouldSwitch). Consume is the one
+// event loop; Produce (an epoch's mini-batches) and Serve (an open-loop
+// request stream, openloop.go) are its two arrival sources.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"sort"
+
+	"gnnlab/internal/sched"
 )
 
 // Seconds is simulated time.
@@ -31,10 +35,11 @@ type Task struct {
 	// resident; zero means "same as Extract".
 	StandbyExtract Seconds
 
-	// Ready is filled by Produce: when the task enters the global queue.
+	// Ready is when the task enters the global queue (filled by Produce
+	// and Serve).
 	Ready Seconds
-	// Producer is filled by Produce: which Sampler produced the task
-	// (for timeline attribution; zero for pre-staged tasks).
+	// Producer is which Sampler produced the task (for timeline
+	// attribution; zero for pre-staged tasks).
 	Producer int
 }
 
@@ -396,7 +401,8 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 			best := -1
 			bestTrain, bestExtract := math.Inf(1), math.Inf(1)
 			for ci, c := range consumers {
-				if c.standby && !includeIdleStandby && !standbyProfitable(remaining, aliveNormal, opts) {
+				if c.standby && !includeIdleStandby &&
+					!sched.ShouldSwitch(remaining, opts.TrainerTaskTime, aliveNormal, opts.StandbyTaskTime) {
 					continue
 				}
 				es, ts := plan(c, t)
@@ -520,16 +526,6 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 	return res
 }
 
-// standbyProfitable evaluates the §5.3 profit metric for the current
-// queue depth over the aliveNormal surviving normal Trainers.
-func standbyProfitable(remaining, aliveNormal int, opts ConsumeOptions) bool {
-	if aliveNormal <= 0 {
-		return true // P = +∞
-	}
-	p := float64(remaining)*opts.TrainerTaskTime/float64(aliveNormal) - opts.StandbyTaskTime
-	return p > 0
-}
-
 // activeConsumersAt counts consumers available at simulated time t
 // (standbys count once their Sampler has finished; crashed consumers
 // drop out for their dead window).
@@ -548,12 +544,15 @@ func activeConsumersAt(cs []*consumer, t Seconds) int {
 
 // RunEpoch wires Produce and Consume together: numSamplers produce the
 // tasks from time zero, standby switching (if enabled in opts) uses the
-// producers' finish times. It returns the epoch makespan and result.
+// producers' finish times. numSamplers 0 consumes pre-staged tasks as
+// they are. It returns the epoch result.
 func RunEpoch(tasks []Task, numSamplers int, opts ConsumeOptions) Result {
-	finish := Produce(tasks, numSamplers, 0)
-	if opts.StandbyAvailable != nil {
-		// Samplers become standby Trainers when they finish producing.
-		opts.StandbyAvailable = append([]Seconds(nil), finish...)
+	if numSamplers != 0 {
+		finish := Produce(tasks, numSamplers, 0)
+		if opts.StandbyAvailable != nil {
+			// Samplers become standby Trainers when they finish producing.
+			opts.StandbyAvailable = append([]Seconds(nil), finish...)
+		}
 	}
 	res := Consume(tasks, opts)
 	res.Context.Producers = numSamplers

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,18 @@ func TestRunEpochEndToEnd(t *testing.T) {
 	// plus at least one task's extract+train.
 	if res.Makespan < 5.6 {
 		t.Errorf("makespan %v below producer lower bound", res.Makespan)
+	}
+}
+
+// TestRunEpochPreStaged pins the single-phase entry point: with no
+// Samplers, RunEpoch consumes the tasks exactly as Consume does.
+func TestRunEpochPreStaged(t *testing.T) {
+	opts := ConsumeOptions{NumTrainers: 2, Pipelined: true, Trace: true}
+	tasks := uniformTasks(6, 0, 0.1, 0.5)
+	tasks[3].Ready = 0.2
+	want := Consume(append([]Task(nil), tasks...), opts)
+	if got := RunEpoch(tasks, 0, opts); !reflect.DeepEqual(got, want) {
+		t.Errorf("RunEpoch(tasks, 0) = %+v, want Consume's %+v", got, want)
 	}
 }
 

@@ -51,12 +51,4 @@ go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -packed table2 > /dev/null
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -drift 3 drift
 # Epoch-accounting smoke: the critical-path/what-if report end to end.
 go run ./cmd/gnnlab-bench -scale 16 -gpus 4 -whatif PA > /dev/null
-# Serving determinism: the open-loop latency report is seed-keyed
-# simulation downstream of measured stage costs, so two runs of the same
-# binary must emit byte-identical tables (csv omits wall-clock footers).
-SERVE_TMP="$(mktemp -d)"
-go run ./cmd/gnnlab-bench -serve -scale 8 -gpus 4 -epochs 2 -format csv > "$SERVE_TMP/a.csv"
-go run ./cmd/gnnlab-bench -serve -scale 8 -gpus 4 -epochs 2 -format csv > "$SERVE_TMP/b.csv"
-cmp "$SERVE_TMP/a.csv" "$SERVE_TMP/b.csv"
-rm -rf "$SERVE_TMP"
 echo "check.sh: passed in ${SECONDS}s"
