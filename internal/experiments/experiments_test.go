@@ -35,8 +35,8 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// runExp runs an experiment at quick scale and applies basic structure
-// checks.
+// runExp runs an experiment at quick scale. TestExperimentGolden checks
+// every table's structure.
 func runExp(t *testing.T, id string) *Table {
 	t.Helper()
 	fn, ok := Lookup(id)
@@ -46,20 +46,6 @@ func runExp(t *testing.T, id string) *Table {
 	tbl, err := fn(quickOpts())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
-	}
-	if tbl.ID != id {
-		t.Errorf("%s: table ID %q", id, tbl.ID)
-	}
-	if len(tbl.Rows) == 0 {
-		t.Fatalf("%s: no rows", id)
-	}
-	for i, row := range tbl.Rows {
-		if len(row) != len(tbl.Header) && len(row) < 2 {
-			t.Errorf("%s: row %d has %d cells for %d headers", id, i, len(row), len(tbl.Header))
-		}
-	}
-	if r := tbl.Render(); !strings.Contains(r, tbl.ID) {
-		t.Errorf("%s: render lacks ID", id)
 	}
 	return tbl
 }
@@ -186,22 +172,6 @@ func TestFigure17aSwitchingHelpsWhenStarved(t *testing.T) {
 	on := cellFloat(t, first[2])
 	if on >= off {
 		t.Errorf("1 trainer: switching %.3f not faster than %.3f", on, off)
-	}
-}
-
-func TestRemainingExperimentsRun(t *testing.T) {
-	for _, id := range []string{"figure3", "figure4a", "figure4b", "figure5",
-		"table3", "figure11a", "figure11c", "table6", "figure17b"} {
-		runExp(t, id)
-	}
-}
-
-func TestHeavyExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy experiments skipped in -short")
-	}
-	for _, id := range []string{"figure12", "figure13", "figure15"} {
-		runExp(t, id)
 	}
 }
 

@@ -9,50 +9,98 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"gnnlab/internal/measure"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/<id>.csv from the current output")
 
-// goldenIDs lists the experiments whose tables are pinned cell by cell in
-// testdata/<id>.csv. Pinning another experiment is one more ID here and
-// one `go test ./internal/experiments -run TestExperimentGolden -update`.
-var goldenIDs = []string{"serving"}
+// stableIDs each cover one path through the worker pool and the
+// measurement store: table1 core.Run (six system variants), figure10 the
+// analytic cache path (footprints, PreSC rankings), table2 per-epoch
+// footprints, table6 preprocessing's PreSC ranking, and ablation-coupling
+// cache.Rank with the Options' pool. They render once more serially and
+// once more without a store; both renders must equal the golden.
+var stableIDs = []string{"table1", "figure10", "table2", "table6", "ablation-coupling"}
 
-// TestExperimentGolden renders each pinned experiment and compares it
-// with its golden CSV. A failure names the experiment, row and column.
+// TestExperimentGolden renders every registered experiment with one
+// shared measurement store, as gnnlab-bench does, and compares each table
+// with its golden CSV, testdata/<id>.csv. A failure names the
+// experiment, row and column; `go test ./internal/experiments -run
+// TestExperimentGolden -update` re-records the files. The nostore arm
+// renders stableIDs with no store: every cell re-measures, and the
+// tables must not change.
 func TestExperimentGolden(t *testing.T) {
+	skipOffAMD64(t)
+	store := measure.NewStore()
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{Store: store}, *update) })
+	}
+	for _, id := range stableIDs {
+		t.Run("nostore/"+id, func(t *testing.T) { checkGolden(t, id, Options{}, false) })
+	}
+}
+
+// TestRenderStableAcrossWorkers renders stableIDs on one worker, with a
+// store of its own so every measurement runs serially, and compares each
+// with the golden the default pool rendered. On a machine with two or
+// more cores the two renders ran at different worker counts.
+func TestRenderStableAcrossWorkers(t *testing.T) {
+	skipOffAMD64(t)
+	store := measure.NewStore()
+	for _, id := range stableIDs {
+		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{Workers: 1, Store: store}, false) })
+	}
+}
+
+func skipOffAMD64(t *testing.T) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("goldens recorded on amd64; architectures that fuse x*y+z round differently")
 	}
-	for _, id := range goldenIDs {
-		t.Run(id, func(t *testing.T) {
-			fn, ok := Lookup(id)
-			if !ok {
-				t.Fatalf("unknown experiment %s", id)
-			}
-			// The options of `gnnlab-bench -scale 16 -gpus 4 -epochs 2
-			// -format csv`: a golden file is that command's table body.
-			tbl, err := fn(Options{Scale: 16, NumGPUs: 4, Epochs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := tbl.RenderCSV()
-			path := filepath.Join("testdata", id+".csv")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("read golden (run with -update to create): %v", err)
-			}
-			diffCSV(t, id, got, string(want))
-		})
+}
+
+// checkGolden renders experiment id at the options of `gnnlab-bench
+// -scale 16 -gpus 4 -epochs 2 -format csv`, with o's Workers and Store,
+// checks the table's structure, and compares it with testdata/<id>.csv
+// (whose body is that command's table), first rewriting the file when
+// write is set.
+func checkGolden(t *testing.T, id string, o Options, write bool) {
+	fn, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("unknown experiment %s", id)
 	}
+	o.Scale, o.NumGPUs, o.Epochs = 16, 4, 2
+	tbl, err := fn(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.ID != id {
+		t.Errorf("%s: table ID %q", id, tbl.ID)
+	}
+	if len(tbl.Rows) == 0 {
+		t.Fatalf("%s: no rows", id)
+	}
+	for i, row := range tbl.Rows {
+		if len(row) != len(tbl.Header) && len(row) < 2 {
+			t.Errorf("%s: row %d has %d cells for %d headers", id, i, len(row), len(tbl.Header))
+		}
+	}
+	got := tbl.RenderCSV()
+	path := filepath.Join("testdata", id+".csv")
+	if write {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	diffCSV(t, id, got, string(want))
 }
 
 // diffCSV reports every cell where got and want differ, naming the row

@@ -16,7 +16,8 @@ import (
 // the dead-gradient elimination and the register-blocked kernels — and
 // every later kernel or backward-pass change must reproduce them: moving
 // one means a float fold order moved, which is a re-baselining decision
-// (DESIGN.md "The training path"), not a refactor.
+// (DESIGN.md "The training path"), not a refactor. graphsage-inline-4t
+// (four inline trainers sharing a 5% cache) was added at commit 8e00fd2.
 var goldenRuns = []struct {
 	name                string
 	opts                Options
@@ -26,6 +27,7 @@ var goldenRuns = []struct {
 	{"graphsage", Options{Model: workload.GraphSAGE}, 0xfe3c632222ff710c, 0x41b1c379329a6a1f},
 	{"pinsage", Options{Model: workload.PinSAGE}, 0x564ca755a4e52011, 0x692b5561dc2baeda},
 	{"gat", Options{Model: workload.GAT}, 0x3f437d5a8ca30e07, 0x0e75312e7814c3e9},
+	{"graphsage-inline-4t", Options{Model: workload.GraphSAGE, NumTrainers: 4, CacheRatio: 0.05}, 0xa54a93e58f591352, 0x67238859577c9b52},
 	{"gcn-factored", Options{Model: workload.GCN, NumTrainers: 2, NumSamplers: 2, CacheRatio: 0.05}, 0xbb842b865a8e6b3f, 0xcb4037d3e6f6ed8a},
 }
 
