@@ -2,6 +2,7 @@ package gnnlab
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gnnlab/internal/cache"
 	"gnnlab/internal/rng"
@@ -25,6 +26,14 @@ const (
 // goroutine. One that also has a Clone() SamplingAlgorithm method hands
 // each measurement worker its own instance; one without is run on a
 // single worker.
+//
+// A custom algorithm must emit the built-in layout: distinct Input
+// vertices, seeds first; a CSR (AdjStart/AdjNbr) with one row of sampled
+// neighbor locals per input; Layers whose targets' rows are their edges;
+// empty rows for the locals no layer expanded (sampling.Validator.Check
+// lists every rule). Editing a built-in sampler's rows in place, as
+// examples/customsampler does, keeps it. EvaluateCachePolicy rejects a
+// custom algorithm's first invalid sample with an error.
 type SamplingAlgorithm = sampling.Algorithm
 
 // Sample is the output of the Sample stage for one mini-batch. A
@@ -72,10 +81,15 @@ type CacheEvaluation struct {
 // EvaluateCachePolicy measures `epochs` epochs of the Sample stage on d
 // with alg and evaluates the named policy at the given cache ratio —
 // the analysis behind the paper's Figures 4, 5, 10 and 11. PreSC runs
-// PreSC#1; Optimal ranks by the measured epochs themselves.
+// PreSC#1; Optimal ranks by the measured epochs themselves. A custom
+// algorithm's samples are validated before the cache code reads them.
 func EvaluateCachePolicy(d *Dataset, alg SamplingAlgorithm, policy CachePolicy, ratio float64, batchSize, epochs int, seed uint64) (CacheEvaluation, error) {
 	if alg == nil || batchSize <= 0 || epochs <= 0 || !(ratio >= 0 && ratio <= 1) {
 		return CacheEvaluation{}, fmt.Errorf("gnnlab: need a sampler, a positive batch size and epoch count, and a cache ratio in [0, 1] (batch size %d, epochs %d, ratio %v)", batchSize, epochs, ratio)
+	}
+	var failed atomic.Pointer[error]
+	if _, builtin := sampling.ScratchStatsOf(alg); !builtin {
+		alg = checked(alg, &failed)
 	}
 	fp := cache.CollectFootprintN(d.Graph, alg, d.TrainSet, batchSize, epochs, seed, 0)
 	var hot cache.Hotness
@@ -91,6 +105,9 @@ func EvaluateCachePolicy(d *Dataset, alg SamplingAlgorithm, policy CachePolicy, 
 		}
 		hot = r.Hotness
 	}
+	if err := failed.Load(); err != nil {
+		return CacheEvaluation{}, *err
+	}
 	// Only the cached prefix of the ranking is ever consulted, so rank
 	// top-`slots` (O(|V|) selection) instead of sorting every vertex.
 	slots := int(ratio * float64(d.NumVertices()))
@@ -101,6 +118,47 @@ func EvaluateCachePolicy(d *Dataset, alg SamplingAlgorithm, policy CachePolicy, 
 		HitRate:          fp.HitRate(ranking, slots),
 		TransferredBytes: fp.TransferredBytes(ranking, slots, d.VertexFeatureBytes()) / int64(epochs),
 	}, nil
+}
+
+// checkedSampler wraps a custom algorithm for EvaluateCachePolicy and
+// checks every sample it returns. An invalid sample is replaced by an
+// empty one, so the cache code never reads it, and the first such error
+// is kept in failed for the caller to return.
+type checkedSampler struct {
+	SamplingAlgorithm
+	check  sampling.Validator
+	failed *atomic.Pointer[error]
+}
+
+// checkedCloner is a checkedSampler over an algorithm that hands out
+// per-worker instances; each clone checks its own samples.
+type checkedCloner struct{ *checkedSampler }
+
+func checked(alg SamplingAlgorithm, failed *atomic.Pointer[error]) SamplingAlgorithm {
+	c := &checkedSampler{SamplingAlgorithm: alg, failed: failed}
+	if _, ok := alg.(sampling.Cloner); ok {
+		return checkedCloner{c}
+	}
+	return c
+}
+
+// Clone implements sampling.Cloner.
+func (c checkedCloner) Clone() SamplingAlgorithm {
+	return checked(c.SamplingAlgorithm.(sampling.Cloner).Clone(), c.failed)
+}
+
+// Prepare implements sampling.Preparer for the wrapped algorithm.
+func (c *checkedSampler) Prepare(g GraphView) { sampling.Prepare(c.SamplingAlgorithm, g) }
+
+// Sample implements SamplingAlgorithm.
+func (c *checkedSampler) Sample(g GraphView, seeds []int32, r *Rand) *Sample {
+	s := c.SamplingAlgorithm.Sample(g, seeds, r)
+	if err := c.check.Check(s, g.NumVertices()); err != nil {
+		err = fmt.Errorf("gnnlab: sampler %s returned an invalid sample: %w", c.Name(), err)
+		c.failed.CompareAndSwap(nil, &err)
+		return &Sample{}
+	}
+	return s
 }
 
 // Rand is the deterministic random number generator handed to sampling

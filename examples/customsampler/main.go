@@ -40,21 +40,16 @@ func (h *hubAware) NumHops() int { return 2 }
 
 func (h *hubAware) Sample(g gnnlab.GraphView, seeds []int32, r *gnnlab.Rand) *gnnlab.Sample {
 	s := h.inner.Sample(g, seeds, r)
-	// Keep only the top-degree third of each hop-2 target's picks.
-	l := &s.Layers[1]
-	perTarget := map[int32][]int32{}
-	for i := range l.Src {
-		perTarget[l.Dst[i]] = append(perTarget[l.Dst[i]], l.Src[i])
-	}
-	l.Src = l.Src[:0]
-	l.Dst = l.Dst[:0]
-	targets := make([]int32, 0, len(perTarget))
-	for t := range perTarget {
-		targets = append(targets, t)
-	}
-	sort.Slice(targets, func(a, b int) bool { return targets[a] < targets[b] })
-	for _, t := range targets {
-		picks := perTarget[t]
+	// The sample's edges are one CSR over local IDs: row v holds the
+	// neighbors sampled for local v. Hop 2's targets are the rows after
+	// hop 1's. Keep only the top-degree third of each of those rows,
+	// compacting the CSR in place.
+	lo := s.Layers[0].NumDst
+	hi := lo + s.Layers[1].NumDst
+	read, write := s.AdjStart[lo], s.AdjStart[lo]
+	for v := lo; v < hi; v++ {
+		picks := s.AdjNbr[read:s.AdjStart[v+1]]
+		read = s.AdjStart[v+1]
 		sort.Slice(picks, func(a, b int) bool {
 			da, db := g.Degree(s.Input[picks[a]]), g.Degree(s.Input[picks[b]])
 			if da != db {
@@ -65,11 +60,14 @@ func (h *hubAware) Sample(g gnnlab.GraphView, seeds []int32, r *gnnlab.Rand) *gn
 		if len(picks) > h.fanout {
 			picks = picks[:h.fanout]
 		}
-		for _, p := range picks {
-			l.Src = append(l.Src, p)
-			l.Dst = append(l.Dst, t)
-		}
+		write += int32(copy(s.AdjNbr[write:], picks))
+		s.AdjStart[v+1] = write
 	}
+	// The locals hop 2 discovered are leaves: their rows stay empty.
+	for v := hi; v < len(s.Input); v++ {
+		s.AdjStart[v+1] = write
+	}
+	s.AdjNbr = s.AdjNbr[:write]
 	return s
 }
 

@@ -83,11 +83,16 @@ func TestEvaluateCachePolicyOrdering(t *testing.T) {
 	}
 }
 
-// EvaluateCachePolicy rejects out-of-domain arguments with an error
-// instead of a zero result or a panic.
+// EvaluateCachePolicy rejects out-of-domain arguments, and custom
+// samplers that break the sample invariants, with an error instead of a
+// zero result or a panic.
 func TestEvaluateCachePolicyRejectsHostileInput(t *testing.T) {
 	d := loadPA(t)
 	alg := NewKHopSampler([]int{5, 3})
+	localPastInput := corruptSampler{func(s *Sample, _ GraphView) *Sample {
+		s.AdjNbr[0] = int32(len(s.Input))
+		return s
+	}}
 	cases := []struct {
 		name      string
 		alg       SamplingAlgorithm
@@ -95,21 +100,78 @@ func TestEvaluateCachePolicyRejectsHostileInput(t *testing.T) {
 		ratio     float64
 		batchSize int
 		epochs    int
+		want      string // in the error, when set
 	}{
-		{"unknown policy", alg, CachePolicy(9), 0.10, 8, 1},
-		{"zero epochs", alg, PolicyPreSC, 0.10, 8, 0},
-		{"zero batch size", alg, PolicyDegree, 0.10, 0, 1},
-		{"negative ratio", alg, PolicyPreSC, -1, 8, 1},
-		{"ratio above one", alg, PolicyDegree, 1.5, 8, 1},
-		{"nil sampler", nil, PolicyRandom, 0.10, 8, 1},
+		{"unknown policy", alg, CachePolicy(9), 0.10, 8, 1, ""},
+		{"zero epochs", alg, PolicyPreSC, 0.10, 8, 0, ""},
+		{"zero batch size", alg, PolicyDegree, 0.10, 0, 1, ""},
+		{"negative ratio", alg, PolicyPreSC, -1, 8, 1, ""},
+		{"ratio above one", alg, PolicyDegree, 1.5, 8, 1, ""},
+		{"nil sampler", nil, PolicyRandom, 0.10, 8, 1, ""},
+		{"local past input presc", localPastInput, PolicyPreSC, 0.10, 8, 1, "outside the"},
+		{"local past input degree", localPastInput, PolicyDegree, 0.10, 8, 1, "outside the"},
+		{"global past graph", corruptSampler{func(s *Sample, g GraphView) *Sample {
+			s.Input[len(s.Input)-1] = int32(g.NumVertices())
+			return s
+		}}, PolicyRandom, 0.10, 8, 1, "not a vertex"},
+		{"duplicate input", corruptSampler{func(s *Sample, _ GraphView) *Sample {
+			s.Input[len(s.Input)-1] = s.Input[0]
+			return s
+		}}, PolicyOptimal, 0.10, 8, 1, "duplicate"},
+		{"nil sample", corruptSampler{func(*Sample, GraphView) *Sample { return nil }}, PolicyDegree, 0.10, 8, 1, "nil sample"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ev, err := EvaluateCachePolicy(d, tc.alg, tc.policy, tc.ratio, tc.batchSize, tc.epochs, 7)
 			if err == nil {
-				t.Errorf("got %+v, want an error", ev)
+				t.Fatalf("got %+v, want an error", ev)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name the broken invariant (%q)", err, tc.want)
 			}
 		})
+	}
+}
+
+// corruptSampler is a custom sampler that edits each sample of a built-in
+// 2-hop sampler with corrupt.
+type corruptSampler struct {
+	corrupt func(s *Sample, g GraphView) *Sample
+}
+
+func (c corruptSampler) Name() string { return "corrupt" }
+func (c corruptSampler) NumHops() int { return 2 }
+func (c corruptSampler) Sample(g GraphView, seeds []int32, r *Rand) *Sample {
+	return c.corrupt(NewKHopSampler([]int{5, 5}).Sample(g, seeds, r), g)
+}
+
+// passThrough is a custom sampler that returns a built-in sampler's
+// samples unchanged and hands each worker its own instance.
+type passThrough struct{ inner SamplingAlgorithm }
+
+func (p passThrough) Name() string { return "pass-through" }
+func (p passThrough) NumHops() int { return p.inner.NumHops() }
+func (p passThrough) Sample(g GraphView, seeds []int32, r *Rand) *Sample {
+	return p.inner.Sample(g, seeds, r)
+}
+func (p passThrough) Clone() SamplingAlgorithm { return passThrough{NewKHopSampler([]int{5, 3})} }
+
+// A custom sampler's valid samples pass the checks unchanged: it scores
+// exactly what the built-in sampler it forwards to scores.
+func TestCheckedCustomSamplerMatchesBuiltin(t *testing.T) {
+	d := loadPA(t)
+	for _, p := range []CachePolicy{PolicyDegree, PolicyPreSC, PolicyOptimal} {
+		want, err := EvaluateCachePolicy(d, NewKHopSampler([]int{5, 3}), p, 0.10, 8, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EvaluateCachePolicy(d, passThrough{NewKHopSampler([]int{5, 3})}, p, 0.10, 8, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%v: custom pass-through %+v, built-in %+v", p, got, want)
+		}
 	}
 }
 

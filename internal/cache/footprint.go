@@ -103,7 +103,7 @@ type EpochFootprint struct {
 }
 
 // absorb adds one sample's visits and sampler work to ef. Every sampled
-// occurrence counts (seeds plus each layer's drawn neighbors), not just
+// occurrence counts (seeds plus every sampled edge's neighbor), not just
 // the unique input set: revisit frequency within a batch is hotness
 // signal too.
 func (ef *EpochFootprint) absorb(s *sampling.Sample) {
@@ -112,10 +112,8 @@ func (ef *EpochFootprint) absorb(s *sampling.Sample) {
 	for _, v := range s.Seeds {
 		ef.Visits[v]++
 	}
-	for _, l := range s.Layers {
-		for _, src := range l.Src {
-			ef.Visits[s.Input[src]]++
-		}
+	for _, nbr := range s.AdjNbr {
+		ef.Visits[s.Input[nbr]]++
 	}
 }
 

@@ -129,8 +129,11 @@ func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, workers int, rec
 		}
 		s := alg.Sample(d.Graph, c.Seeds, c.R)
 		layers := make([]workload.LayerDims, len(s.Layers))
+		lo := 0 // each layer's targets follow the previous layer's
 		for li, l := range s.Layers {
-			layers[li] = workload.LayerDims{Edges: len(l.Src), Targets: l.NumDst}
+			hi := lo + l.NumDst
+			layers[li] = workload.LayerDims{Edges: int(s.AdjStart[hi] - s.AdjStart[lo]), Targets: l.NumDst}
+			lo = hi
 		}
 		// The sample is pooled (borrowed until the next call on this
 		// worker); copy the retained input set out of the arena.

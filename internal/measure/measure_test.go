@@ -175,8 +175,11 @@ func TestCollectPooledMatchesFreshReference(t *testing.T) {
 	for _, c := range cells {
 		s := sampling.ClonePooled(alg).Sample(d.Graph, c.Seeds, c.R)
 		layers := make([]workload.LayerDims, len(s.Layers))
+		lo := 0
 		for li, l := range s.Layers {
-			layers[li] = workload.LayerDims{Edges: len(l.Src), Targets: l.NumDst}
+			hi := lo + l.NumDst
+			layers[li] = workload.LayerDims{Edges: int(s.AdjStart[hi] - s.AdjStart[lo]), Targets: l.NumDst}
+			lo = hi
 		}
 		ref.Epochs[c.Epoch][c.Batch] = Batch{
 			SampledEdges: s.SampledEdges,

@@ -54,9 +54,9 @@ func (e *Executor) Sample(seeds []int32, r *rng.Rand) *sampling.Sample {
 // over through the global queue) the current sample, in place of Sample.
 func (e *Executor) Accept(s *sampling.Sample) { e.smp = s }
 
-// Compact reshapes the current sample for computation: the per-vertex
+// Compact views the current sample for computation: its per-vertex
 // sampled-neighbor CSR and, when the executor has labels, the seeds'
-// labels. It fails on a structurally inconsistent sample.
+// labels. It fails on a sample that carries no CSR over its inputs.
 func (e *Executor) Compact() error {
 	if err := nn.NewCompactInto(&e.cmp, e.smp); err != nil {
 		return err

@@ -12,8 +12,9 @@ import (
 	"gnnlab/internal/sampling"
 )
 
-// Compact is a sampling.Sample reshaped for GNN computation: a per-vertex
-// sampled-neighbor CSR over local IDs, plus the per-level active prefix.
+// Compact is a sampling.Sample viewed for GNN computation: the sample's
+// per-vertex sampled-neighbor CSR over local IDs, plus the per-level
+// active prefix.
 //
 // GNNLab's sampler deduplicates vertices across hops (Figure 1): each
 // unique vertex's neighborhood is sampled once, when first discovered, and
@@ -29,28 +30,24 @@ type Compact struct {
 	// Needed[0] = NumVertices (raw features), Needed[L] = NumSeeds.
 	Needed []int
 
-	// AdjStart/AdjNbr is a CSR of each local vertex's sampled neighbors.
-	// Leaves (vertices never expanded) have empty lists.
+	// AdjStart/AdjNbr alias the sample's CSR of each local vertex's
+	// sampled neighbors. Leaves (vertices never expanded) have empty lists.
 	AdjStart []int32
 	AdjNbr   []int32
-
-	// Build scratch, reused across NewCompactInto calls on the same
-	// Compact: per-vertex degree counts, the CSR fill cursor, and the
-	// sample validator (its duplicate-ID set resets by a counter bump,
-	// not a reallocation).
-	counts []int32
-	next   []int32
-	check  sampling.Validator
 }
 
-// NewCompactInto rebuilds c from s, reusing c's slices and validator; a
-// zero Compact is ready. It returns an error when the sample's layer
-// structure is inconsistent. In steady state (shapes no larger than a
-// previous call's) it performs zero heap allocations. The rebuilt Compact
-// is valid until the next NewCompactInto on the same c.
+// NewCompactInto makes c a view of s: it fills Needed, reusing c's slice,
+// and aliases the CSR the sampler wrote as it localized, so nothing is
+// rebuilt or copied and a warm c allocates nothing. A zero Compact is
+// ready. The view is valid until the next NewCompactInto on c and only
+// while s's buffers are (a built-in sampler reuses them on its next
+// Sample call). It returns an error when s carries no CSR over its
+// inputs. The sample's other invariants are the sampler's own: the
+// built-in samplers establish them, and sampling.Validator checks samples
+// from anywhere else.
 func NewCompactInto(c *Compact, s *sampling.Sample) error {
-	if err := c.check.Check(s); err != nil {
-		return err
+	if len(s.AdjStart) != len(s.Input)+1 || len(s.Input) < len(s.Seeds) {
+		return fmt.Errorf("nn: sample has %d seeds, %d inputs and %d CSR row starts", len(s.Seeds), len(s.Input), len(s.AdjStart))
 	}
 	l := len(s.Layers)
 	c.NumVertices = len(s.Input)
@@ -68,58 +65,13 @@ func NewCompactInto(c *Compact, s *sampling.Sample) error {
 			c.Needed[lv] = s.Layers[hop-1].NumVertices
 		}
 	}
-
-	counts := growInt32s(c.counts, c.NumVertices+1)
-	clear(counts)
-	for _, layer := range s.Layers {
-		for _, d := range layer.Dst {
-			counts[d+1]++
-		}
-	}
-	c.counts = counts
-	c.AdjStart = growInt32s(c.AdjStart, c.NumVertices+1)
-	c.AdjStart[0] = 0
-	for v := 0; v < c.NumVertices; v++ {
-		c.AdjStart[v+1] = c.AdjStart[v] + counts[v+1]
-	}
-	c.AdjNbr = growInt32s(c.AdjNbr, int(c.AdjStart[c.NumVertices]))
-	next := growInt32s(c.next, c.NumVertices)
-	copy(next, c.AdjStart[:c.NumVertices])
-	for _, layer := range s.Layers {
-		for i, d := range layer.Dst {
-			c.AdjNbr[next[d]] = layer.Src[i]
-			next[d]++
-		}
-	}
-	c.next = next
+	c.AdjStart, c.AdjNbr = s.AdjStart, s.AdjNbr
 	return nil
 }
 
 // Neighbors returns the sampled neighbor locals of vertex v.
 func (c *Compact) Neighbors(v int32) []int32 {
 	return c.AdjNbr[c.AdjStart[v]:c.AdjStart[v+1]]
-}
-
-// Validate checks internal consistency.
-func (c *Compact) Validate() error {
-	if len(c.Needed) != c.NumLevels+1 {
-		return fmt.Errorf("nn: Needed has %d entries for %d levels", len(c.Needed), c.NumLevels)
-	}
-	if c.Needed[0] != c.NumVertices || c.Needed[c.NumLevels] != c.NumSeeds {
-		return fmt.Errorf("nn: Needed endpoints %d/%d, want %d/%d",
-			c.Needed[0], c.Needed[c.NumLevels], c.NumVertices, c.NumSeeds)
-	}
-	for l := 1; l < len(c.Needed); l++ {
-		if c.Needed[l] > c.Needed[l-1] {
-			return fmt.Errorf("nn: Needed not non-increasing at level %d", l)
-		}
-	}
-	for _, nbr := range c.AdjNbr {
-		if nbr < 0 || int(nbr) >= c.NumVertices {
-			return fmt.Errorf("nn: neighbor local %d out of range", nbr)
-		}
-	}
-	return nil
 }
 
 // growInts returns buf resliced to length n, reallocating only when the

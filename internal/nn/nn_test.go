@@ -34,7 +34,7 @@ func sampleFor(t *testing.T, g *graph.CSR, seeds []int32, fanouts []int) *sampli
 	t.Helper()
 	alg := sampling.NewKHop(fanouts, sampling.FisherYates)
 	s := alg.Sample(g, seeds, rng.New(7))
-	if err := s.Validate(); err != nil {
+	if err := new(sampling.Validator).Check(s, g.NumVertices()); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -53,43 +53,37 @@ func TestCompactStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
+	if c.NumVertices != len(s.Input) || c.NumSeeds != 2 || c.NumLevels != 2 {
+		t.Errorf("compact shape: %d vertices %d seeds %d levels", c.NumVertices, c.NumSeeds, c.NumLevels)
 	}
-	if c.NumSeeds != 2 || c.NumLevels != 2 {
-		t.Errorf("compact shape: %d seeds %d levels", c.NumSeeds, c.NumLevels)
-	}
-	if c.Needed[0] != c.NumVertices || c.Needed[2] != 2 {
+	if c.Needed[0] != c.NumVertices || c.Needed[1] != s.Layers[0].NumVertices || c.Needed[2] != 2 {
 		t.Errorf("Needed = %v", c.Needed)
 	}
-	// Every sample edge must appear in the adjacency CSR.
-	total := 0
-	for _, l := range s.Layers {
-		total += len(l.Src)
+	// The compact is a view: every sampled edge, in the sample's CSR.
+	if int(c.AdjStart[c.NumVertices]) != int(s.SampledEdges) || &c.AdjNbr[0] != &s.AdjNbr[0] {
+		t.Errorf("compact has %d edges, sample drew %d", c.AdjStart[c.NumVertices], s.SampledEdges)
 	}
-	if int(c.AdjStart[c.NumVertices]) != total {
-		t.Errorf("compact has %d edges, sample has %d", c.AdjStart[c.NumVertices], total)
-	}
-	// Neighbors of the first seed must match its sample layer edges.
+	// The first seed's neighbors are distinct graph neighbors of it, as
+	// many as the fanout allows.
+	seed := s.Seeds[0]
 	want := map[int32]bool{}
-	for i, d := range s.Layers[0].Dst {
-		if d == 0 {
-			want[s.Layers[0].Src[i]] = true
-		}
+	for _, nbr := range g.Adj(seed) {
+		want[nbr] = true
 	}
-	for _, nbr := range c.Neighbors(0) {
-		if !want[nbr] {
-			t.Errorf("unexpected neighbor %d of seed 0", nbr)
-		}
-		delete(want, nbr)
+	got := c.Neighbors(0)
+	if len(got) != min(3, len(want)) {
+		t.Errorf("seed %d has %d sampled neighbors, want %d", seed, len(got), min(3, len(want)))
 	}
-	if len(want) != 0 {
-		t.Errorf("missing neighbors %v of seed 0", want)
+	for _, nbr := range got {
+		if !want[s.Input[nbr]] {
+			t.Errorf("neighbor local %d (vertex %d) is not a graph neighbor of seed %d", nbr, s.Input[nbr], seed)
+		}
+		delete(want, s.Input[nbr])
 	}
 }
 
 func TestCompactRejectsBadSample(t *testing.T) {
-	s := &sampling.Sample{Seeds: []int32{1}, Input: []int32{2}} // input[0] != seed
+	s := &sampling.Sample{Seeds: []int32{1}, Input: []int32{2}} // no CSR
 	if _, err := newCompact(s); err == nil {
 		t.Error("NewCompactInto accepted inconsistent sample")
 	}

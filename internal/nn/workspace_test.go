@@ -57,10 +57,10 @@ func TestNewCompactIntoMatchesNewCompact(t *testing.T) {
 func TestNewCompactIntoRejectsBadSample(t *testing.T) {
 	var c Compact
 	bad := []*sampling.Sample{
-		{Seeds: []int32{1}, Input: []int32{2}},          // input[0] != seed
-		{Seeds: []int32{1, 2}, Input: []int32{1}},       // fewer inputs than seeds
-		{Seeds: []int32{1, 2}, Input: []int32{1, 2, 2}}, // duplicate global
-		{Seeds: []int32{1}, Input: []int32{1, 5}, Layers: []sampling.Layer{{Src: []int32{1}, Dst: []int32{9}, NumVertices: 2}}}, // dst out of range
+		{Seeds: []int32{1}, Input: []int32{1}},                                   // no CSR
+		{Seeds: []int32{1, 2}, Input: []int32{1}, AdjStart: []int32{0, 0}},       // fewer inputs than seeds
+		{Seeds: []int32{1}, Input: []int32{1, 5}, AdjStart: []int32{0, 1}},       // a row start short
+		{Seeds: []int32{1}, Input: []int32{1, 5}, AdjStart: []int32{0, 1, 1, 1}}, // a row start too many
 	}
 	for i, s := range bad {
 		if err := NewCompactInto(&c, s); err == nil {

@@ -86,30 +86,15 @@ func (k *KHop) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample {
 	dec, _ := g.(graph.NeighborDecoder)
 	expect := expectedVertices(len(seeds), k.Fanouts)
 	loc, s := sc.begin(seeds, expect, len(k.Fanouts))
-	for _, seed := range seeds {
-		loc.add(seed)
-	}
-	frontierStart := 0
-	for li, fanout := range k.Fanouts {
-		frontierEnd := loc.numVertices()
-		layer := Layer{NumDst: frontierEnd - frontierStart}
-		src, dst := sc.layerStart(li)
-		for dstLocal := frontierStart; dstLocal < frontierEnd; dstLocal++ {
-			v := loc.input[dstLocal]
-			adj, mutable := sc.adj(g, dec, v)
+	for _, fanout := range k.Fanouts {
+		for v, end := sc.frontier(); v < end; v++ {
+			adj, mutable := sc.adj(g, dec, loc.input[v])
 			picked, scanned := k.pickUniform(sc, adj, mutable, fanout, r)
 			s.SampledEdges += int64(len(picked))
 			s.ScannedEdges += scanned
-			for _, nbr := range picked {
-				src = append(src, loc.add(nbr))
-				dst = append(dst, int32(dstLocal))
-			}
+			sc.row(picked)
 		}
-		sc.layerEnd(li, src, dst)
-		layer.Src, layer.Dst = src, dst
-		layer.NumVertices = loc.numVertices()
-		s.Layers = append(s.Layers, layer)
-		frontierStart = frontierEnd
+		sc.layer()
 	}
 	return sc.finish(s)
 }

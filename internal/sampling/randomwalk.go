@@ -77,16 +77,9 @@ func (w *RandomWalk) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample {
 	dec, _ := g.(graph.NeighborDecoder)
 	expect := expectedVertices(len(seeds), w.fanouts)
 	loc, s := sc.begin(seeds, expect, w.Layers)
-	for _, seed := range seeds {
-		loc.add(seed)
-	}
-	frontierStart := 0
-	for layerIdx := 0; layerIdx < w.Layers; layerIdx++ {
-		frontierEnd := loc.numVertices()
-		layer := Layer{NumDst: frontierEnd - frontierStart}
-		src, dst := sc.layerStart(layerIdx)
-		for dstLocal := frontierStart; dstLocal < frontierEnd; dstLocal++ {
-			v := loc.input[dstLocal]
+	for range w.Layers {
+		for local, end := sc.frontier(); local < end; local++ {
+			v := loc.input[local]
 			sc.stats.Grows += sc.visits.reset(w.NumPaths * w.WalkLength)
 			for p := 0; p < w.NumPaths; p++ {
 				cur := v
@@ -101,17 +94,11 @@ func (w *RandomWalk) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample {
 					s.ScannedEdges++
 				}
 			}
-			for _, nbr := range sc.topVisited(w.NumNeighbors, v) {
-				src = append(src, loc.add(nbr))
-				dst = append(dst, int32(dstLocal))
-				s.SampledEdges++
-			}
+			top := sc.topVisited(w.NumNeighbors, v)
+			s.SampledEdges += int64(len(top))
+			sc.row(top)
 		}
-		sc.layerEnd(layerIdx, src, dst)
-		layer.Src, layer.Dst = src, dst
-		layer.NumVertices = loc.numVertices()
-		s.Layers = append(s.Layers, layer)
-		frontierStart = frontierEnd
+		sc.layer()
 	}
 	return sc.finish(s)
 }

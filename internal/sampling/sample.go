@@ -3,10 +3,18 @@
 // vertices, select a bounded neighborhood, deduplicate the sampled vertices
 // and reassign them consecutive local IDs starting at zero (Figure 1).
 //
+// A Sample carries its edges as one CSR over local IDs, written by the
+// sampler as it localizes: row v holds the neighbors sampled for local v,
+// in pick order. The sampler is the one owner of that layout and of the
+// local-ID invariants; the Trainer's model reads the rows in place
+// (nn.Compact is a view of them). Validator re-checks the invariants only
+// for samples that code outside this package produced.
+//
 // Algorithms provided: k-hop uniform neighborhood sampling in a GPU-friendly
 // Fisher–Yates variant (GNNLab/T_SOTA) and a reservoir variant whose cost is
 // proportional to vertex degree (the DGL baseline, §7.3), k-hop weighted
-// neighborhood sampling, and PinSAGE-style random walks.
+// neighborhood sampling, PinSAGE-style random walks, and induced-subgraph
+// sampling (ClusterGCN, GraphSAINT).
 package sampling
 
 import (
@@ -17,14 +25,12 @@ import (
 	"gnnlab/internal/rng"
 )
 
-// Layer is one bipartite sampling block. Edges connect a sampled neighbor
-// (Src) to the vertex whose neighborhood was sampled (Dst); both sides use
-// local IDs into Sample.Input.
+// Layer is one sampling hop. Its targets — the frontier it expanded — are
+// the NumDst locals that follow the earlier layers' targets (layer 0
+// starts at local 0), and its edges are those targets' rows of the
+// Sample's CSR, one contiguous range of AdjNbr.
 type Layer struct {
-	Src []int32 // local IDs of sampled neighbors, len == len(Dst)
-	Dst []int32 // local IDs of target vertices
-	// NumDst is the number of target vertices of this layer (the frontier
-	// the layer expanded).
+	// NumDst is the number of target vertices of this layer.
 	NumDst int
 	// NumVertices is the number of unique local vertices known after this
 	// layer, i.e. targets of the *next* layer live in [0, NumVertices).
@@ -32,11 +38,20 @@ type Layer struct {
 }
 
 // Sample is the output of the Sample stage for one mini-batch: the unique
-// sampled vertices (global IDs, position = local ID; seeds come first) plus
-// per-hop bipartite layers, ordered from the seeds outward.
+// sampled vertices (global IDs, position = local ID; seeds come first),
+// their sampled neighbors as a CSR over local IDs, and the per-hop layer
+// shapes, ordered from the seeds outward.
 type Sample struct {
-	Seeds  []int32
-	Input  []int32 // unique global IDs; Input[local] = global
+	Seeds []int32
+	Input []int32 // unique global IDs; Input[local] = global
+
+	// AdjStart/AdjNbr is the CSR of sampled edges: the neighbors sampled
+	// for local v are AdjNbr[AdjStart[v]:AdjStart[v+1]], as local IDs in
+	// pick order. len(AdjStart) == len(Input)+1, and the locals no layer
+	// expanded (the leaves) have empty rows.
+	AdjStart []int32
+	AdjNbr   []int32
+
 	Layers []Layer
 
 	// CachedMask marks, per local vertex, whether its feature resides in
@@ -44,29 +59,20 @@ type Sample struct {
 	// stage (§5.2, "M" in Table 5); it is nil until marked.
 	CachedMask []bool
 
-	// Subgraph marks induced-subgraph samples (ClusterGCN, GraphSAINT):
-	// their single layer targets every member vertex rather than an
-	// expanding frontier, so layer targets may reference locals
-	// introduced by the same layer.
-	Subgraph bool
-
 	// Work accounting, consumed by the device cost model.
 	SampledEdges int64 // neighbor draws performed
 	ScannedEdges int64 // adjacency entries touched (reservoir ∝ degree)
 	Walks        int64 // random-walk steps, for the walk-based algorithms
 }
 
-// NumInput returns the number of unique sampled vertices, i.e. how many
-// feature rows the Extract stage must provide.
-func (s *Sample) NumInput() int { return len(s.Input) }
-
-// Bytes estimates the in-memory size of the sample task itself: what
-// Clone copies into the global queue ("C" in Table 5).
+// Bytes is the size of the sample task as the paper ships it between
+// Sampler and Trainer: what Clone's copy into the global queue costs ("C"
+// in Table 5) and what the simulator charges for queueing and PCIe. It
+// models the paper's COO encoding, not this struct's layout: 4 B per input
+// and per seed, 8 B (source and target) per sampled edge, plus a byte per
+// CachedMask entry.
 func (s *Sample) Bytes() int64 {
-	b := int64(len(s.Input)+len(s.Seeds)) * 4
-	for _, l := range s.Layers {
-		b += int64(len(l.Src)+len(l.Dst)) * 4
-	}
+	b := int64(len(s.Input)+len(s.Seeds))*4 + int64(len(s.AdjNbr))*8
 	if s.CachedMask != nil {
 		b += int64(len(s.CachedMask))
 	}
@@ -81,11 +87,7 @@ func (s *Sample) Bytes() int64 {
 // backing array, capped so that appending to one cannot overwrite
 // another.
 func (s *Sample) Clone() *Sample {
-	n := len(s.Seeds) + len(s.Input)
-	for _, l := range s.Layers {
-		n += len(l.Src) + len(l.Dst)
-	}
-	buf := make([]int32, 0, n)
+	buf := make([]int32, 0, len(s.Seeds)+len(s.Input)+len(s.AdjStart)+len(s.AdjNbr))
 	take := func(src []int32) []int32 {
 		if src == nil {
 			return nil
@@ -96,72 +98,99 @@ func (s *Sample) Clone() *Sample {
 	}
 	c := *s
 	c.Seeds, c.Input = take(s.Seeds), take(s.Input)
+	c.AdjStart, c.AdjNbr = take(s.AdjStart), take(s.AdjNbr)
 	c.Layers = slices.Clone(s.Layers)
-	for i := range c.Layers {
-		l := &c.Layers[i]
-		l.Src, l.Dst = take(l.Src), take(l.Dst)
-	}
 	c.CachedMask = slices.Clone(s.CachedMask)
 	return &c
 }
 
-// Validate checks s with a fresh Validator.
-func (s *Sample) Validate() error { return new(Validator).Check(s) }
-
-// Validator checks the structural invariants a correct sampler must
-// uphold. Its duplicate-ID set is generation-stamped and reused across
-// calls, so checking one sample after another allocates nothing once
-// the set has grown to the largest input. The zero value is ready.
+// Validator checks the structural invariants that code reading a sample
+// relies on. The built-in samplers establish them as they sample, so it
+// runs only at the trust boundary: on samples from an Algorithm outside
+// this package. Its duplicate-ID set is generation-stamped and reused
+// across calls, so checking one sample after another allocates nothing
+// once the set has grown to the largest input. The zero value is ready.
 type Validator struct {
 	ids localizer
 }
 
-// Check reports the first invariant s violates.
-func (v *Validator) Check(s *Sample) error {
-	if len(s.Input) < len(s.Seeds) {
-		return fmt.Errorf("sampling: %d inputs but %d seeds", len(s.Input), len(s.Seeds))
+// Check reports the first invariant s violates as a sample of a graph
+// with numVertices vertices:
+//   - Input holds distinct vertices of the graph and starts with Seeds;
+//   - CachedMask, if set, covers Input;
+//   - the CSR has one row per input, and its row starts never decrease;
+//   - each layer knows at least the vertices the one before it knew, its
+//     targets are known after it, and the last layer knows every input;
+//   - a local first known before layer h has only neighbors known after
+//     layer h (locals known after the last layer: any local), which is
+//     what lets each GNN level read just a prefix of the locals;
+//   - locals past every layer's targets have empty rows.
+func (v *Validator) Check(s *Sample, numVertices int) error {
+	if s == nil {
+		return fmt.Errorf("sampling: nil sample")
+	}
+	n := len(s.Input)
+	if n < len(s.Seeds) {
+		return fmt.Errorf("sampling: %d inputs but %d seeds", n, len(s.Seeds))
 	}
 	for i, seed := range s.Seeds {
 		if s.Input[i] != seed {
 			return fmt.Errorf("sampling: input[%d] = %d, want seed %d", i, s.Input[i], seed)
 		}
 	}
-	v.ids.reset(len(s.Input))
+	v.ids.reset(n)
 	for local, global := range s.Input {
+		if global < 0 || int(global) >= numVertices {
+			return fmt.Errorf("sampling: input[%d] = %d is not a vertex of the %d-vertex graph", local, global, numVertices)
+		}
 		if v.ids.add(global) != int32(local) {
 			return fmt.Errorf("sampling: duplicate global vertex %d at local %d", global, local)
 		}
 	}
-	if s.CachedMask != nil && len(s.CachedMask) != len(s.Input) {
-		return fmt.Errorf("sampling: CachedMask covers %d vertices, input has %d", len(s.CachedMask), len(s.Input))
+	if s.CachedMask != nil && len(s.CachedMask) != n {
+		return fmt.Errorf("sampling: CachedMask covers %d vertices, input has %d", len(s.CachedMask), n)
 	}
-	known := len(s.Seeds)
+	if len(s.AdjStart) != n+1 || s.AdjStart[0] != 0 || int(s.AdjStart[n]) != len(s.AdjNbr) {
+		return fmt.Errorf("sampling: CSR has %d row starts for %d inputs and %d edges", len(s.AdjStart), n, len(s.AdjNbr))
+	}
+	for r := range n {
+		if s.AdjStart[r+1] < s.AdjStart[r] {
+			return fmt.Errorf("sampling: CSR row %d ends before it starts", r)
+		}
+	}
+	lo, known, targets := 0, len(s.Seeds), 0
 	for li, l := range s.Layers {
-		if len(l.Src) != len(l.Dst) {
-			return fmt.Errorf("sampling: layer %d: len(Src)=%d len(Dst)=%d", li, len(l.Src), len(l.Dst))
+		if l.NumVertices < known || l.NumVertices > n {
+			return fmt.Errorf("sampling: layer %d: NumVertices %d out of range [%d,%d]", li, l.NumVertices, known, n)
 		}
-		dstBound := known
-		if s.Subgraph {
-			// Induced subgraphs target every member of the layer.
-			dstBound = l.NumVertices
+		targets += l.NumDst
+		if l.NumDst < 0 || targets > l.NumVertices {
+			return fmt.Errorf("sampling: layer %d: targets end at local %d, past the %d known after it", li, targets, l.NumVertices)
 		}
-		for _, d := range l.Dst {
-			if d < 0 || int(d) >= dstBound {
-				return fmt.Errorf("sampling: layer %d targets unknown local %d (bound %d)", li, d, dstBound)
-			}
+		if err := checkNeighbors(s, lo, known, l.NumVertices); err != nil {
+			return err
 		}
-		for _, src := range l.Src {
-			if src < 0 || int(src) >= l.NumVertices {
-				return fmt.Errorf("sampling: layer %d: src local %d out of range %d", li, src, l.NumVertices)
-			}
-		}
-		if l.NumVertices < known || l.NumVertices > len(s.Input) {
-			return fmt.Errorf("sampling: layer %d: NumVertices %d out of range [%d,%d]", li, l.NumVertices, known, len(s.Input))
-		}
-		known = l.NumVertices
+		lo, known = known, l.NumVertices
 	}
-	if known != len(s.Input) {
-		return fmt.Errorf("sampling: layers cover %d locals, input has %d", known, len(s.Input))
+	if known != n {
+		return fmt.Errorf("sampling: layers cover %d locals, input has %d", known, n)
+	}
+	if err := checkNeighbors(s, lo, n, n); err != nil {
+		return err
+	}
+	if int(s.AdjStart[targets]) != len(s.AdjNbr) {
+		return fmt.Errorf("sampling: locals past the %d layer targets have sampled neighbors", targets)
+	}
+	return nil
+}
+
+// checkNeighbors checks that the rows of locals [lo, hi) hold only
+// neighbors in [0, bound).
+func checkNeighbors(s *Sample, lo, hi, bound int) error {
+	for _, nbr := range s.AdjNbr[s.AdjStart[lo]:s.AdjStart[hi]] {
+		if nbr < 0 || int(nbr) >= bound {
+			return fmt.Errorf("sampling: a local in [%d,%d) has neighbor local %d, outside the %d known after its layer", lo, hi, nbr, bound)
+		}
 	}
 	return nil
 }
@@ -245,20 +274,6 @@ func (m *localizer) add(global int32) int32 {
 		}
 		if m.keys[h] == global {
 			return m.vals[h]
-		}
-		h = (h + 1) & m.mask
-	}
-}
-
-// lookup returns the local ID of global without inserting.
-func (m *localizer) lookup(global int32) (int32, bool) {
-	h := uint32(global+1) * 2654435761 & m.mask
-	for {
-		if m.gen[h] != m.cur {
-			return 0, false
-		}
-		if m.keys[h] == global {
-			return m.vals[h], true
 		}
 		h = (h + 1) & m.mask
 	}

@@ -30,6 +30,19 @@ func testGraph(seed uint64, n, avgDeg, minDeg int) *graph.CSR {
 	return g
 }
 
+// validate checks s with a fresh Validator as a sample of g.
+func validate(s *Sample, g graph.View) error { return new(Validator).Check(s, g.NumVertices()) }
+
+// layerEdges returns layer li's sampled neighbor locals: the CSR rows of
+// its targets.
+func layerEdges(s *Sample, li int) []int32 {
+	lo := 0
+	for _, l := range s.Layers[:li] {
+		lo += l.NumDst
+	}
+	return s.AdjNbr[s.AdjStart[lo]:s.AdjStart[lo+s.Layers[li].NumDst]]
+}
+
 func seeds(n, max int, r *rng.Rand) []int32 {
 	out := make([]int32, 0, n)
 	seen := map[int32]bool{}
@@ -49,7 +62,7 @@ func TestKHopSampleValid(t *testing.T) {
 	alg := NewKHop([]int{5, 3}, FisherYates)
 	for trial := 0; trial < 20; trial++ {
 		s := alg.Sample(g, seeds(10, 500, r), r)
-		if err := s.Validate(); err != nil {
+		if err := validate(s, g); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if len(s.Layers) != 2 {
@@ -63,12 +76,8 @@ func TestKHopFanoutBound(t *testing.T) {
 	r := rng.New(4)
 	alg := NewKHop([]int{4}, FisherYates)
 	s := alg.Sample(g, seeds(20, 300, r), r)
-	perTarget := map[int32]int{}
-	for _, d := range s.Layers[0].Dst {
-		perTarget[d]++
-	}
-	for target, c := range perTarget {
-		if c > 4 {
+	for target := range s.Layers[0].NumDst {
+		if c := s.AdjStart[target+1] - s.AdjStart[target]; c > 4 {
 			t.Errorf("target %d sampled %d neighbors, fanout 4", target, c)
 		}
 	}
@@ -81,8 +90,8 @@ func TestKHopTakesAllWhenDegreeSmall(t *testing.T) {
 	}
 	alg := NewKHop([]int{10}, FisherYates)
 	s := alg.Sample(g, []int32{0}, rng.New(1))
-	if len(s.Layers[0].Src) != 2 {
-		t.Errorf("sampled %d neighbors of a degree-2 vertex with fanout 10", len(s.Layers[0].Src))
+	if n := len(layerEdges(s, 0)); n != 2 {
+		t.Errorf("sampled %d neighbors of a degree-2 vertex with fanout 10", n)
 	}
 	if s.ScannedEdges != 2 || s.SampledEdges != 2 {
 		t.Errorf("work accounting: scanned %d sampled %d, want 2/2", s.ScannedEdges, s.SampledEdges)
@@ -96,11 +105,11 @@ func TestKHopZeroDegreeSeed(t *testing.T) {
 	}
 	alg := NewKHop([]int{5, 5}, FisherYates)
 	s := alg.Sample(g, []int32{0}, rng.New(1))
-	if err := s.Validate(); err != nil {
+	if err := validate(s, g); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumInput() != 1 {
-		t.Errorf("isolated seed produced %d inputs, want 1", s.NumInput())
+	if len(s.Input) != 1 {
+		t.Errorf("isolated seed produced %d inputs, want 1", len(s.Input))
 	}
 }
 
@@ -152,7 +161,7 @@ func TestUniformMethodsSameDistribution(t *testing.T) {
 		c := make([]int, 9)
 		for i := 0; i < trials; i++ {
 			s := alg.Sample(g, []int32{0}, r)
-			for _, src := range s.Layers[0].Src {
+			for _, src := range layerEdges(s, 0) {
 				c[s.Input[src]]++
 			}
 		}
@@ -183,7 +192,7 @@ func TestWeightedPrefersHeavyEdges(t *testing.T) {
 	counts := map[int32]int{}
 	for i := 0; i < 10000; i++ {
 		s := alg.Sample(g, []int32{0}, r)
-		for _, src := range s.Layers[0].Src {
+		for _, src := range layerEdges(s, 0) {
 			counts[s.Input[src]]++
 		}
 	}
@@ -199,7 +208,7 @@ func TestWeightedSampleValid(t *testing.T) {
 	r := rng.New(12)
 	for trial := 0; trial < 10; trial++ {
 		s := alg.Sample(g, seeds(10, 400, r), r)
-		if err := s.Validate(); err != nil {
+		if err := validate(s, g); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -220,15 +229,11 @@ func TestRandomWalkValidAndBounded(t *testing.T) {
 	alg := NewRandomWalk(2, 4, 3, 5)
 	r := rng.New(14)
 	s := alg.Sample(g, seeds(10, 300, r), r)
-	if err := s.Validate(); err != nil {
+	if err := validate(s, g); err != nil {
 		t.Fatal(err)
 	}
-	perTarget := map[int32]int{}
-	for _, d := range s.Layers[0].Dst {
-		perTarget[d]++
-	}
-	for target, c := range perTarget {
-		if c > 5 {
+	for target := range s.Layers[0].NumDst {
+		if c := s.AdjStart[target+1] - s.AdjStart[target]; c > 5 {
 			t.Errorf("target %d got %d walk neighbors, cap 5", target, c)
 		}
 	}
@@ -243,7 +248,7 @@ func TestRandomWalkExcludesSelf(t *testing.T) {
 	g, _ := graph.FromAdjacency([][]int32{{1}, {0}})
 	alg := NewRandomWalk(1, 4, 4, 3)
 	s := alg.Sample(g, []int32{0}, rng.New(15))
-	for _, src := range s.Layers[0].Src {
+	for _, src := range layerEdges(s, 0) {
 		if s.Input[src] == 0 {
 			t.Fatal("walk selected the seed as its own neighbor")
 		}
@@ -280,8 +285,8 @@ func TestCloneIndependence(t *testing.T) {
 	r1, r2 := rng.New(17), rng.New(17)
 	s1 := alg.Sample(g, []int32{1, 2, 3}, r1)
 	s2 := clone.Sample(g, []int32{1, 2, 3}, r2)
-	if s1.NumInput() != s2.NumInput() {
-		t.Errorf("clone produced different sample: %d vs %d inputs", s1.NumInput(), s2.NumInput())
+	if len(s1.Input) != len(s2.Input) {
+		t.Errorf("clone produced different sample: %d vs %d inputs", len(s1.Input), len(s2.Input))
 	}
 }
 
@@ -378,7 +383,7 @@ func TestSampleBytesPositive(t *testing.T) {
 		t.Errorf("Bytes() = %d", s.Bytes())
 	}
 	withMask := *s
-	withMask.CachedMask = make([]bool, s.NumInput())
+	withMask.CachedMask = make([]bool, len(s.Input))
 	if withMask.Bytes() <= s.Bytes() {
 		t.Error("mask did not increase byte estimate")
 	}
@@ -481,7 +486,7 @@ func TestWeightedMethodsSameDistribution(t *testing.T) {
 		c := make([]int, 6)
 		for i := 0; i < trials; i++ {
 			s := alg.Sample(g, []int32{0}, r)
-			for _, src := range s.Layers[0].Src {
+			for _, src := range layerEdges(s, 0) {
 				c[s.Input[src]]++
 			}
 		}
@@ -505,7 +510,7 @@ func TestWeightedAliasSampleValid(t *testing.T) {
 	r := rng.New(47)
 	for trial := 0; trial < 10; trial++ {
 		s := alg.Sample(g, seeds(10, 300, r), r)
-		if err := s.Validate(); err != nil {
+		if err := validate(s, g); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

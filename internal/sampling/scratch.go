@@ -3,12 +3,12 @@ package sampling
 import "gnnlab/internal/graph"
 
 // The sampling hot path is allocation-bound, not arithmetic-bound: every
-// Sample call used to build a fresh localizer hash table, fresh
-// Src/Dst/Input slices and — in the walk- and subgraph-based algorithms —
-// Go maps for dedup and visit counting. This file gives each algorithm
-// instance a reusable scratch arena instead, and the arena is the only
-// buffer discipline: every buffer, including those that escape into the
-// returned *Sample (the Sample header, Input, Layers, Src, Dst), is reused
+// Sample call used to build a fresh localizer hash table, fresh edge and
+// Input slices and — in the walk- and subgraph-based algorithms — Go maps
+// for dedup and visit counting. This file gives each algorithm instance a
+// reusable scratch arena instead, and the arena is the only buffer
+// discipline: every buffer, including those that escape into the returned
+// *Sample (the Sample header, Input, Layers, AdjStart, AdjNbr), is reused
 // by the instance's next Sample call. A sample is therefore valid until
 // that call; a caller that keeps one copies it with Sample.Clone. An
 // instance is not safe for concurrent use — clone one per executor with
@@ -30,7 +30,7 @@ type ScratchStats struct {
 	// (every call after the first).
 	Reuses int64
 	// Grows counts backing-array growths: localizer rebuilds, stamped-set
-	// resizes and layer-buffer reallocations. A steady state has Reuses
+	// resizes and CSR-buffer reallocations. A steady state has Reuses
 	// rising and Grows flat.
 	Grows int64
 	// RowCacheHits / RowCacheMisses count decoded-row cache lookups for
@@ -46,14 +46,17 @@ type ScratchStats struct {
 type scratch struct {
 	stats ScratchStats
 
-	// Escaping buffers: the returned Sample and its slices.
+	// Escaping buffers: the returned Sample and its slices. start and nbr
+	// back the sample's CSR; csrCap is their summed capacity when the
+	// current call began, so finish can count a growth.
 	loc    localizer
 	samp   Sample
 	layers []Layer
-	srcBuf [][]int32 // per-layer Src backing
-	dstBuf [][]int32 // per-layer Dst backing
+	start  []int32
+	nbr    []int32
+	csrCap int
 
-	// KHop / WeightedKHop: neighbor pick buffer.
+	// Neighbor pick buffer: k-hop draws, induced-row filtering.
 	pick []int32
 
 	// Decode buffer for compressed views (graph.NeighborDecoder): every
@@ -79,43 +82,67 @@ type scratch struct {
 }
 
 // begin starts one Sample call: it resets the localizer for the expected
-// vertex count and returns the localizer plus the arena's Sample to fill.
+// vertex count and localizes the seeds, empties the CSR, and returns the
+// localizer plus the arena's Sample to fill.
 func (sc *scratch) begin(seeds []int32, expected, hops int) (*localizer, *Sample) {
 	sc.stats.Samples++
 	if sc.stats.Samples > 1 {
 		sc.stats.Reuses++
 	}
 	sc.loc.reset(expected)
+	for _, seed := range seeds {
+		sc.loc.add(seed)
+	}
 	if cap(sc.layers) < hops {
 		sc.layers = make([]Layer, 0, hops)
 		sc.stats.Grows++
 	}
+	sc.start = append(sc.start[:0], 0)
+	sc.nbr = sc.nbr[:0]
+	sc.csrCap = cap(sc.start) + cap(sc.nbr)
 	sc.samp = Sample{Seeds: seeds, Layers: sc.layers[:0]}
 	return &sc.loc, &sc.samp
 }
 
-// layerStart hands out the Src/Dst backing buffers for layer li.
-func (sc *scratch) layerStart(li int) (src, dst []int32) {
-	for len(sc.srcBuf) <= li {
-		sc.srcBuf = append(sc.srcBuf, nil)
-		sc.dstBuf = append(sc.dstBuf, nil)
+// frontier returns the next hop's targets: the locals from the first one
+// without a row up to the last one known.
+func (sc *scratch) frontier() (lo, hi int) { return len(sc.start) - 1, sc.loc.numVertices() }
+
+// row writes the CSR row of the next local: nbrs are the global IDs
+// sampled for it, in pick order, and each is localized (so deduplicated)
+// as it is written. Every algorithm expands its targets in local-ID order
+// and writes one row per target through here, an empty one included.
+func (sc *scratch) row(nbrs []int32) {
+	out := sc.nbr
+	for _, nbr := range nbrs {
+		out = append(out, sc.loc.add(nbr))
 	}
-	return sc.srcBuf[li][:0], sc.dstBuf[li][:0]
+	sc.nbr = out
+	sc.start = append(sc.start, int32(len(out)))
 }
 
-// layerEnd stores the (possibly grown) buffers back so capacity persists
-// across calls.
-func (sc *scratch) layerEnd(li int, src, dst []int32) {
-	if cap(src) > cap(sc.srcBuf[li]) || cap(dst) > cap(sc.dstBuf[li]) {
-		sc.stats.Grows++
+// layer closes a hop: its targets are the rows written since the last.
+func (sc *scratch) layer() {
+	s := &sc.samp
+	numDst := len(sc.start) - 1
+	for _, l := range s.Layers {
+		numDst -= l.NumDst
 	}
-	sc.srcBuf[li], sc.dstBuf[li] = src, dst
+	s.Layers = append(s.Layers, Layer{NumDst: numDst, NumVertices: sc.loc.numVertices()})
 }
 
-// finish seals the Sample: Input is the localizer's dense ID list, and the
-// Layers backing is stored back for the next call.
+// finish seals the Sample: Input is the localizer's dense ID list, the
+// locals no layer expanded get empty rows, and the Layers backing is
+// stored back for the next call.
 func (sc *scratch) finish(s *Sample) *Sample {
 	s.Input = sc.loc.input
+	for len(sc.start) <= len(s.Input) {
+		sc.start = append(sc.start, int32(len(sc.nbr)))
+	}
+	s.AdjStart, s.AdjNbr = sc.start, sc.nbr
+	if cap(sc.start)+cap(sc.nbr) > sc.csrCap {
+		sc.stats.Grows++
+	}
 	sc.stats.Grows += sc.loc.grows
 	sc.loc.grows = 0
 	sc.layers = s.Layers
@@ -253,8 +280,8 @@ type scratchOwner interface {
 // ClonePooled returns an executor-private instance of alg: Clone's result
 // when alg implements Cloner, otherwise alg itself (the caller must then
 // not share it across goroutines). Each returned *Sample — including its
-// Input, Layers and per-layer Src/Dst slices — is valid only until the
-// instance's next Sample call.
+// Input, Layers and CSR — is valid only until the instance's next Sample
+// call.
 func ClonePooled(alg Algorithm) Algorithm {
 	if c, ok := alg.(Cloner); ok {
 		return c.Clone()
@@ -293,6 +320,9 @@ func (s *stampSet) reset(n int) int64 {
 	}
 	return 0
 }
+
+// has reports whether v is a member.
+func (s *stampSet) has(v int32) bool { return s.gen[v] == s.cur }
 
 // add inserts v, reporting whether it was new.
 func (s *stampSet) add(v int32) bool {

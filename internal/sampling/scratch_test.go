@@ -57,7 +57,7 @@ func TestPooledMatchesFresh(t *testing.T) {
 				sd := seeds(6+call%5, 400, rSeeds)
 				sF := ClonePooled(base).Sample(g, sd, rF)
 				sP := pooled.Sample(g, sd, rP)
-				if err := sP.Validate(); err != nil {
+				if err := validate(sP, g); err != nil {
 					t.Fatalf("call %d: pooled sample invalid: %v", call, err)
 				}
 				// Compare before the next call: the pooled sample is only
@@ -93,16 +93,13 @@ func TestSampleClone(t *testing.T) {
 				t.Fatal("clone serializes differently from its source")
 			}
 			scribble := src.Clone()
-			for _, xs := range [][]int32{scribble.Seeds, scribble.Input} {
+			for _, xs := range [][]int32{scribble.Seeds, scribble.Input, scribble.AdjStart, scribble.AdjNbr} {
 				for i := range xs {
 					xs[i] = -1
 				}
 			}
 			for i := range scribble.Layers {
-				scribble.Layers[i] = Layer{Src: scribble.Layers[i].Src, Dst: scribble.Layers[i].Dst}
-				for j := range scribble.Layers[i].Src {
-					scribble.Layers[i].Src[j], scribble.Layers[i].Dst[j] = -1, -1
-				}
+				scribble.Layers[i] = Layer{}
 			}
 			for i := range scribble.CachedMask {
 				scribble.CachedMask[i] = !scribble.CachedMask[i]
@@ -208,32 +205,6 @@ func TestClonePooledIndependence(t *testing.T) {
 	}
 }
 
-// TestLocalizerLookup checks the non-inserting probe used by the induced-
-// subgraph pass.
-func TestLocalizerLookup(t *testing.T) {
-	var m localizer
-	m.reset(4)
-	ids := []int32{7, 3, 7, 100, 3, 55}
-	for _, v := range ids {
-		m.add(v)
-	}
-	want := map[int32]int32{7: 0, 3: 1, 100: 2, 55: 3}
-	for g, local := range want {
-		got, ok := m.lookup(g)
-		if !ok || got != local {
-			t.Errorf("lookup(%d) = (%d, %v), want (%d, true)", g, got, ok, local)
-		}
-	}
-	if _, ok := m.lookup(999); ok {
-		t.Error("lookup of absent vertex reported present")
-	}
-	// After a stamped reset the old entries must be gone.
-	m.reset(4)
-	if _, ok := m.lookup(7); ok {
-		t.Error("lookup found an entry from a previous generation")
-	}
-}
-
 // TestExpectedVerticesOverflow: the per-layer product must saturate at the
 // cap instead of overflowing int.
 func TestExpectedVerticesOverflow(t *testing.T) {
@@ -265,19 +236,19 @@ func TestValidateCachedMaskLength(t *testing.T) {
 	g := testGraph(5, 200, 6, 1)
 	r := rng.New(6)
 	s := NewKHop([]int{3}, FisherYates).Sample(g, seeds(5, 200, r), r)
-	if err := s.Validate(); err != nil {
+	if err := validate(s, g); err != nil {
 		t.Fatalf("baseline sample invalid: %v", err)
 	}
 	s.CachedMask = make([]bool, len(s.Input))
-	if err := s.Validate(); err != nil {
+	if err := validate(s, g); err != nil {
 		t.Errorf("full-length mask rejected: %v", err)
 	}
 	s.CachedMask = make([]bool, len(s.Input)+1)
-	if err := s.Validate(); err == nil {
+	if err := validate(s, g); err == nil {
 		t.Error("overlong CachedMask accepted")
 	}
 	s.CachedMask = make([]bool, len(s.Input)-1)
-	if err := s.Validate(); err == nil {
+	if err := validate(s, g); err == nil {
 		t.Error("short CachedMask accepted")
 	}
 }

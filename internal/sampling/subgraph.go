@@ -17,44 +17,37 @@ import (
 // still helps — the ablation-subgraph experiment measures this.
 //
 // A subgraph sample is encoded as a single Layer whose targets are every
-// member vertex and whose edges are the induced adjacency. NumHops() is 1;
+// member vertex and whose rows are the induced adjacency. NumHops() is 1;
 // models consuming these samples apply their convolutions over the same
 // induced structure at every layer (as ClusterGCN does).
 //
-// Member selection runs on the arena's generation-stamped structures:
-// a dense stampSet over vertices replaces the per-call seen/picked maps,
-// and the induced-adjacency pass probes the localizer itself (lookup)
-// instead of building a members→locals map — the localizer already holds
-// exactly that mapping.
+// Member selection runs on the arena's generation-stamped structures: a
+// dense stampSet over vertices (sc.seen) replaces the per-call
+// seen/picked maps, and the induced-adjacency pass filters each row by
+// that same set before the localizer maps the survivors to their locals.
 
 // inducedSample builds the single-layer induced-subgraph sample for the
-// given member set (seeds must be a prefix of members) on sc's buffers.
+// given member set on sc's buffers. Seeds must be a prefix of members,
+// and sc.seen must hold exactly the members.
 func inducedSample(g graph.View, seeds, members []int32, sc *scratch) *Sample {
 	dec, _ := g.(graph.NeighborDecoder)
 	loc, s := sc.begin(seeds, len(members)*2, 1)
-	s.Subgraph = true
 	for _, v := range members {
 		loc.add(v)
 	}
-	layer := Layer{NumDst: len(members)}
-	src, dst := sc.layerStart(0)
-	for dstLocal, v := range loc.input {
+	for _, v := range loc.input {
 		row, _ := sc.adj(g, dec, v)
+		in := sc.pickBuf(len(row))[:0]
 		for _, nbr := range row {
-			srcLocal, ok := loc.lookup(nbr)
-			if !ok {
-				continue
+			if sc.seen.has(nbr) {
+				in = append(in, nbr)
 			}
-			src = append(src, srcLocal)
-			dst = append(dst, int32(dstLocal))
-			s.SampledEdges++
 		}
+		sc.row(in)
+		s.SampledEdges += int64(len(in))
 		s.ScannedEdges += int64(len(row))
 	}
-	sc.layerEnd(0, src, dst)
-	layer.Src, layer.Dst = src, dst
-	layer.NumVertices = loc.numVertices()
-	s.Layers = append(s.Layers, layer)
+	sc.layer()
 	return sc.finish(s)
 }
 

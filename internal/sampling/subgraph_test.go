@@ -12,7 +12,7 @@ func TestClusterGCNSampleValid(t *testing.T) {
 	alg := NewClusterGCN(8, 5)
 	r := rng.New(31)
 	s := alg.Sample(g, seeds(10, 400, r), r)
-	if err := s.Validate(); err != nil {
+	if err := validate(s, g); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Layers) != 1 || alg.NumHops() != 1 {
@@ -40,31 +40,39 @@ func TestInducedEdgesStayInside(t *testing.T) {
 		NewSAINTEdge(100),
 	} {
 		s := alg.Sample(g, seeds(8, 300, r), r)
-		if err := s.Validate(); err != nil {
+		if err := validate(s, g); err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
 		inSet := map[int32]bool{}
 		for _, v := range s.Input {
 			inSet[v] = true
 		}
-		layer := s.Layers[0]
-		for i := range layer.Src {
-			src := s.Input[layer.Src[i]]
-			dst := s.Input[layer.Dst[i]]
-			if !inSet[src] || !inSet[dst] {
-				t.Fatalf("%s: induced edge leaves the member set", alg.Name())
-			}
-			// The edge must exist in the graph (dst -> src direction:
-			// src is dst's sampled neighbor).
-			found := false
+		for local := range s.Layers[0].NumDst {
+			dst := s.Input[local]
+			want := 0 // dst's graph neighbors inside the member set
 			for _, nbr := range g.Adj(dst) {
-				if nbr == src {
-					found = true
-					break
+				if inSet[nbr] {
+					want++
 				}
 			}
-			if !found {
-				t.Fatalf("%s: fabricated edge %d->%d", alg.Name(), dst, src)
+			row := s.AdjNbr[s.AdjStart[local]:s.AdjStart[local+1]]
+			if len(row) != want {
+				t.Fatalf("%s: member %d has %d induced neighbors, want %d", alg.Name(), dst, len(row), want)
+			}
+			for _, srcLocal := range row {
+				// The edge must exist in the graph (dst -> src direction:
+				// src is dst's sampled neighbor).
+				src := s.Input[srcLocal]
+				found := false
+				for _, nbr := range g.Adj(dst) {
+					if nbr == src {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Fatalf("%s: fabricated edge %d->%d", alg.Name(), dst, src)
+				}
 			}
 		}
 	}
@@ -75,7 +83,7 @@ func TestSAINTNodeBudget(t *testing.T) {
 	r := rng.New(35)
 	sd := seeds(10, 500, r)
 	s := NewSAINTNode(50).Sample(g, sd, r)
-	if got := s.NumInput(); got != 60 {
+	if got := len(s.Input); got != 60 {
 		t.Errorf("member count %d, want seeds+budget = 60", got)
 	}
 }

@@ -243,35 +243,23 @@ func (w *WeightedKHop) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample 
 	dec, _ := g.(graph.NeighborDecoder)
 	expect := expectedVertices(len(seeds), w.Fanouts)
 	loc, s := sc.begin(seeds, expect, len(w.Fanouts))
-	for _, seed := range seeds {
-		loc.add(seed)
-	}
-	frontierStart := 0
-	for li, fanout := range w.Fanouts {
-		frontierEnd := loc.numVertices()
-		layer := Layer{NumDst: frontierEnd - frontierStart}
-		src, dst := sc.layerStart(li)
-		for dstLocal := frontierStart; dstLocal < frontierEnd; dstLocal++ {
-			v := loc.input[dstLocal]
+	for _, fanout := range w.Fanouts {
+		for local, end := sc.frontier(); local < end; local++ {
+			v := loc.input[local]
 			adj, _ := sc.adj(g, dec, v)
 			d := len(adj)
-			if d == 0 {
-				continue
-			}
-			lo := rowPtr[v]
-			hi := lo + int64(d)
 			if d <= fanout {
-				// Degenerate case: take everyone once, like the
-				// uniform sampler does.
-				for _, nbr := range adj {
-					src = append(src, loc.add(nbr))
-					dst = append(dst, int32(dstLocal))
-				}
+				// Degenerate case, an empty row included: take everyone
+				// once, like the uniform sampler does.
+				sc.row(adj)
 				s.SampledEdges += int64(d)
 				s.ScannedEdges += int64(d)
 				continue
 			}
-			for i := 0; i < fanout; i++ {
+			lo := rowPtr[v]
+			hi := lo + int64(d)
+			picks := sc.pickBuf(fanout)
+			for i := range picks {
 				var idx int
 				if fa != nil {
 					// Alias method: O(1) per draw.
@@ -284,17 +272,13 @@ func (w *WeightedKHop) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample 
 					u := float32(r.Float64()) * row[d-1]
 					idx = searchCDF(row, u)
 				}
-				src = append(src, loc.add(adj[idx]))
-				dst = append(dst, int32(dstLocal))
+				picks[i] = adj[idx]
 			}
+			sc.row(picks)
 			s.SampledEdges += int64(fanout)
 			s.ScannedEdges += int64(fanout) // per-draw cost folded into the rate
 		}
-		sc.layerEnd(li, src, dst)
-		layer.Src, layer.Dst = src, dst
-		layer.NumVertices = loc.numVertices()
-		s.Layers = append(s.Layers, layer)
-		frontierStart = frontierEnd
+		sc.layer()
 	}
 	return sc.finish(s)
 }

@@ -25,7 +25,7 @@ func TestWeightTablesBuiltExactlyOnce(t *testing.T) {
 				r := rng.New(uint64(i))
 				for iter := 0; iter < 4; iter++ {
 					s := alg.Sample(g, []int32{0, 1, 2, 3}, r)
-					if err := s.Validate(); err != nil {
+					if err := validate(s, g); err != nil {
 						t.Error(err)
 						return
 					}
@@ -67,7 +67,7 @@ func TestPrepareNoOpForStatelessAlgorithms(t *testing.T) {
 	c := NewClusterGCN(4, 9)
 	Prepare(c, g)
 	s := c.Sample(g, []int32{0}, rng.New(1))
-	if err := s.Validate(); err != nil {
+	if err := validate(s, g); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -112,26 +112,17 @@ func (s Spec) NewSampler() sampling.Algorithm {
 // Measurement (internal/measure) records these shapes so the FLOP count
 // can be re-derived later under any feature/hidden dimension.
 type LayerDims struct {
-	Edges   int // sampled edges feeding the layer (len(Layer.Src))
+	Edges   int // sampled edges feeding the layer (its targets' CSR rows)
 	Targets int // target vertices the layer updates (Layer.NumDst)
 }
 
-// TrainFLOPs estimates the floating point work of one training iteration
-// on the given sample: for each GNN layer, a neighbor aggregation
+// FLOPsFor estimates the floating point work of one training iteration
+// on a sample with the given layer shapes (ordered seeds-outward, exactly
+// as Sample.Layers is): for each GNN layer, a neighbor aggregation
 // (2 × edges × dim_in) plus a dense transform (2 × targets × dim_in ×
 // dim_out), with backward ≈ 2× forward. GNN layers consume the sample's
 // bipartite layers from the outermost hop inward; layer l's targets are
 // layer l-1's frontier.
-func (s Spec) TrainFLOPs(sample *sampling.Sample, inputDim int) float64 {
-	layers := make([]LayerDims, len(sample.Layers))
-	for i, l := range sample.Layers {
-		layers[i] = LayerDims{Edges: len(l.Src), Targets: l.NumDst}
-	}
-	return s.FLOPsFor(layers, inputDim)
-}
-
-// FLOPsFor is TrainFLOPs over recorded layer shapes (ordered seeds-outward,
-// exactly as Sample.Layers is).
 func (s Spec) FLOPsFor(layers []LayerDims, inputDim int) float64 {
 	const fwdBwd = 3.0 // forward + ~2x backward
 	var flops float64

@@ -47,31 +47,19 @@ func TestSpecLayersAndSamplers(t *testing.T) {
 
 func TestTrainFLOPsMonotone(t *testing.T) {
 	spec := NewSpec(GCN)
-	small := &sampling.Sample{
-		Layers: []sampling.Layer{
-			{Src: make([]int32, 10), Dst: make([]int32, 10), NumDst: 2, NumVertices: 12},
-			{Src: make([]int32, 30), Dst: make([]int32, 30), NumDst: 10, NumVertices: 40},
-			{Src: make([]int32, 90), Dst: make([]int32, 90), NumDst: 30, NumVertices: 130},
-		},
-	}
-	big := &sampling.Sample{
-		Layers: []sampling.Layer{
-			{Src: make([]int32, 20), Dst: make([]int32, 20), NumDst: 4, NumVertices: 24},
-			{Src: make([]int32, 60), Dst: make([]int32, 60), NumDst: 20, NumVertices: 80},
-			{Src: make([]int32, 180), Dst: make([]int32, 180), NumDst: 60, NumVertices: 260},
-		},
-	}
-	fs, fb := spec.TrainFLOPs(small, 64), spec.TrainFLOPs(big, 64)
+	small := []LayerDims{{Edges: 10, Targets: 2}, {Edges: 30, Targets: 10}, {Edges: 90, Targets: 30}}
+	big := []LayerDims{{Edges: 20, Targets: 4}, {Edges: 60, Targets: 20}, {Edges: 180, Targets: 60}}
+	fs, fb := spec.FLOPsFor(small, 64), spec.FLOPsFor(big, 64)
 	if fs <= 0 || fb <= fs {
 		t.Errorf("FLOPs not monotone: %v vs %v", fs, fb)
 	}
 	// Wider features cost more.
-	if spec.TrainFLOPs(small, 128) <= fs {
+	if spec.FLOPsFor(small, 128) <= fs {
 		t.Error("FLOPs not monotone in feature dim")
 	}
 	// PinSAGE pays the importance-pooling premium.
 	psg := NewSpec(PinSAGE)
-	if psg.TrainFLOPs(small, 64) <= fs {
+	if psg.FLOPsFor(small, 64) <= fs {
 		t.Error("PinSAGE FLOPs not above GCN")
 	}
 }
