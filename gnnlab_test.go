@@ -134,13 +134,15 @@ func TestEvaluateCachePolicyRejectsHostileInput(t *testing.T) {
 }
 
 // corruptSampler is a custom sampler that edits each sample of a built-in
-// 2-hop sampler with corrupt.
+// 2-hop sampler with corrupt. It keeps no state, so every measurement
+// worker shares it, and several check samples at once.
 type corruptSampler struct {
 	corrupt func(s *Sample, g GraphView) *Sample
 }
 
-func (c corruptSampler) Name() string { return "corrupt" }
-func (c corruptSampler) NumHops() int { return 2 }
+func (c corruptSampler) Name() string             { return "corrupt" }
+func (c corruptSampler) NumHops() int             { return 2 }
+func (c corruptSampler) Clone() SamplingAlgorithm { return c }
 func (c corruptSampler) Sample(g GraphView, seeds []int32, r *Rand) *Sample {
 	return c.corrupt(NewKHopSampler([]int{5, 5}).Sample(g, seeds, r), g)
 }

@@ -58,8 +58,8 @@ type Batch struct {
 	SampledEdges int64
 	ScannedEdges int64
 	Walks        int64
-	// SampleBytes is the in-memory size of the sample task (what crosses
-	// the global queue).
+	// SampleBytes is the size of the sample task in the paper's encoding
+	// (Sample.Bytes): what crosses the global queue.
 	SampleBytes int64
 	// Input is the deduplicated global input-vertex set — the feature
 	// rows this batch extracts. Replays probe it against whatever cache

@@ -253,6 +253,45 @@ func TestValidateCachedMaskLength(t *testing.T) {
 	}
 }
 
+// TestValidatorRejectsBrokenCSR: each corruption of a valid 2-hop
+// sample's CSR or layer shapes must fail the Validator.
+func TestValidatorRejectsBrokenCSR(t *testing.T) {
+	g := testGraph(9, 300, 6, 2)
+	r := rng.New(10)
+	base := NewKHop([]int{3, 2}, FisherYates).Sample(g, seeds(4, 300, r), r).Clone()
+	if err := validate(base, g); err != nil {
+		t.Fatalf("baseline sample invalid: %v", err)
+	}
+	n := len(base.Input)
+	targets := base.Layers[0].NumDst + base.Layers[1].NumDst
+	if base.AdjStart[1] == 0 || base.Layers[0].NumVertices >= n || targets >= n {
+		t.Fatal("baseline too small to corrupt")
+	}
+	cases := map[string]func(s *Sample){
+		"row starts decrease": func(s *Sample) { s.AdjStart[1] = s.AdjStart[targets] },
+		"CSR short a row":     func(s *Sample) { s.AdjStart = s.AdjStart[:n] },
+		"seed neighbor from hop 2": func(s *Sample) {
+			s.AdjNbr[0] = int32(n - 1) // first known after hop 1, so past the seeds' bound
+		},
+		"leaf with a neighbor": func(s *Sample) {
+			for v := targets; v < n; v++ {
+				s.AdjStart[v] = int32(len(s.AdjNbr) - 1)
+			}
+		},
+		"layer knows fewer":    func(s *Sample) { s.Layers[1].NumVertices = s.Layers[0].NumVertices - 1 },
+		"layers short":         func(s *Sample) { s.Layers[1].NumVertices = n - 1 },
+		"targets past known":   func(s *Sample) { s.Layers[0].NumDst = s.Layers[0].NumVertices + 1 },
+		"vertex outside graph": func(s *Sample) { s.Input[n-1] = int32(g.NumVertices()) },
+	}
+	for name, corrupt := range cases {
+		s := base.Clone()
+		corrupt(s)
+		if err := validate(s, g); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // BenchmarkSample covers every algorithm on a warm arena; -benchmem
 // shows the zero-allocation steady state.
 func BenchmarkSample(b *testing.B) {
