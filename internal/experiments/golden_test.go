@@ -66,6 +66,7 @@ func skipOffAMD64(t *testing.T) {
 // (whose body is that command's table), first rewriting the file when
 // write is set.
 func checkGolden(t *testing.T, id string, o Options, write bool) {
+	t.Helper()
 	fn, ok := Lookup(id)
 	if !ok {
 		t.Fatalf("unknown experiment %s", id)
