@@ -18,7 +18,7 @@ func modelPair(kind workload.ModelKind, layers, dim, hidden, classes int) (*Mode
 
 // TestNewCompactIntoMatchesNewCompact checks that a reused Compact is
 // field-for-field identical to a fresh one across samples of different
-// shapes, including shrinking ones.
+// shapes, including shrinking ones, and views the current sample's CSR.
 func TestNewCompactIntoMatchesNewCompact(t *testing.T) {
 	g := testGraph(21, 200, 6)
 	seedSets := [][]int32{{1, 2, 3, 4, 5, 6}, {7}, {9, 11, 13}, {1, 2, 3, 4, 5, 6, 8, 10}}
@@ -31,6 +31,9 @@ func TestNewCompactIntoMatchesNewCompact(t *testing.T) {
 		}
 		if err := NewCompactInto(&reused, s); err != nil {
 			t.Fatal(err)
+		}
+		if &reused.AdjStart[0] != &s.AdjStart[0] || len(reused.AdjNbr) != len(s.AdjNbr) {
+			t.Fatalf("seeds %v: reused compact does not view the current sample's CSR", seeds)
 		}
 		if reused.NumVertices != fresh.NumVertices || reused.NumSeeds != fresh.NumSeeds ||
 			reused.NumLevels != fresh.NumLevels {
