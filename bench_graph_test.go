@@ -21,6 +21,7 @@ package gnnlab
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"gnnlab/internal/cache"
@@ -170,7 +171,7 @@ func BenchmarkPackedDecode(b *testing.B) {
 
 	// Raw decode throughput: stream every row through AdjInto into one
 	// reused buffer — the sampling arenas' access pattern.
-	buf := make([]int32, p.MaxDegree())
+	buf := make([]int32, slices.Max(graph.OutDegrees(p)))
 	decS, _, _ := measureCalls(10, func() {
 		for v := int32(0); int(v) < n; v++ {
 			buf = p.AdjInto(v, buf)

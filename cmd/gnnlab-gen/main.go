@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"gnnlab"
+	"gnnlab/internal/graph"
 )
 
 func main() {
@@ -66,8 +67,8 @@ func writeGraph(w *os.File, d *gnnlab.Dataset) error {
 }
 
 func printDegreeStats(d *gnnlab.Dataset) {
-	out := d.Graph.OutDegrees()
-	in := d.Graph.InDegrees()
+	out := graph.OutDegrees(d.Graph)
+	in := graph.InDegrees(d.Graph)
 	for _, s := range []struct {
 		name string
 		deg  []int64

@@ -2,6 +2,7 @@ package gnnlab
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -211,6 +212,44 @@ func TestTrainFacade(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Errorf("training did not converge: final accuracy %.3f", res.FinalAccuracy)
+	}
+}
+
+// TestMalformedFaultPlansRejected: both entry points that take a fault
+// plan reject a malformed one with an error instead of running it.
+func TestMalformedFaultPlansRejected(t *testing.T) {
+	simData, err := LoadDatasetScaled(DatasetPR, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainData, err := LoadDatasetScaled(DatasetConv, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkload(ModelGCN)
+	w.BatchSize /= testScale
+	for _, tc := range []struct {
+		name  string
+		event FaultEvent
+	}{
+		{"unknown kind", FaultEvent{Kind: FaultKind(42)}},
+		{"negative trainer", FaultEvent{Kind: FaultTrainerCrash, Trainer: -1, At: 0.5}},
+		{"NaN time", FaultEvent{Kind: FaultTrainerCrash, At: math.NaN()}},
+		{"negative epoch", FaultEvent{Kind: FaultTrainerCrash, Epoch: -1, At: 0.5}},
+		{"negative slowdown factor", FaultEvent{Kind: FaultSlowdown, At: 0.1, End: 0.2, Factor: -1}},
+		{"NaN slowdown factor", FaultEvent{Kind: FaultSlowdown, At: 0.1, End: 0.2, Factor: math.NaN()}},
+		{"zero PCIe factor", FaultEvent{Kind: FaultPCIeDegrade, At: 0.1, End: 0.2, Factor: 0}},
+		{"stall ends before it starts", FaultEvent{Kind: FaultQueueStall, At: 0.2, End: 0.1}},
+	} {
+		plan := &FaultPlan{Events: []FaultEvent{tc.event}}
+		cfg := scaled(NewGNNLab(w, 4))
+		cfg.Faults = plan
+		if rep, err := Simulate(simData, cfg); err == nil {
+			t.Errorf("%s: Simulate accepted the plan (epoch time %v)", tc.name, rep.EpochTime)
+		}
+		if _, err := Train(trainData, TrainOptions{Model: ModelGCN, MaxEpochs: 1, EvalSize: 50, Faults: plan}); err == nil {
+			t.Errorf("%s: Train accepted the plan", tc.name)
+		}
 	}
 }
 

@@ -94,16 +94,16 @@ func TestTableLoadAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.NumSlots() != 3 || tab.Ratio() != 0.6 || tab.Bytes() != 3*128 {
-		t.Errorf("table shape: slots=%d ratio=%v bytes=%d", tab.NumSlots(), tab.Ratio(), tab.Bytes())
+	if tab.NumSlots() != 3 || tab.Ratio() != 0.6 || tab.VertexFeatureBytes() != 128 {
+		t.Errorf("table shape: slots=%d ratio=%v row bytes=%d", tab.NumSlots(), tab.Ratio(), tab.VertexFeatureBytes())
 	}
 	for _, v := range []int32{3, 1, 4} {
-		if !tab.IsCached(v) {
+		if _, ok := tab.Slot(v); !ok {
 			t.Errorf("vertex %d should be cached", v)
 		}
 	}
 	for _, v := range []int32{0, 2} {
-		if tab.IsCached(v) {
+		if _, ok := tab.Slot(v); ok {
 			t.Errorf("vertex %d should not be cached", v)
 		}
 	}
@@ -137,21 +137,8 @@ func TestTableExtractAccounting(t *testing.T) {
 	if st.HitRate() != 0.5 {
 		t.Errorf("hit rate %v", st.HitRate())
 	}
-	tab.ResetStats()
-	if tab.Stats() != (Stats{}) {
-		t.Error("ResetStats did not clear")
-	}
 	if (Stats{}).HitRate() != 0 {
 		t.Error("empty hit rate should be 0")
-	}
-}
-
-func TestTableMark(t *testing.T) {
-	tab, _ := Load([]int32{2}, 1, 4, 8)
-	mask := make([]bool, 3)
-	tab.Mark([]int32{0, 2, 3}, mask)
-	if mask[0] || !mask[1] || mask[2] {
-		t.Errorf("mask = %v", mask)
 	}
 }
 

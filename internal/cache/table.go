@@ -72,29 +72,14 @@ func (t *Table) Cached() []int32 { return t.cached }
 // Ratio returns the cache ratio α.
 func (t *Table) Ratio() float64 { return RatioFor(len(t.cached), t.numVertices) }
 
-// Bytes returns the GPU memory the cached features occupy.
-func (t *Table) Bytes() int64 { return int64(len(t.cached)) * t.vertexFeatureBytes }
-
 // VertexFeatureBytes returns the per-vertex feature size the table was
 // built with.
 func (t *Table) VertexFeatureBytes() int64 { return t.vertexFeatureBytes }
-
-// IsCached reports whether v's feature is in the cache.
-func (t *Table) IsCached(v int32) bool { return t.slot[v] >= 0 }
 
 // Slot returns v's cache slot and whether it is cached.
 func (t *Table) Slot(v int32) (int32, bool) {
 	s := t.slot[v]
 	return s, s >= 0
-}
-
-// Mark fills mask[i] = IsCached(input[i]), the Sample-stage marking step
-// ("M" in Table 5) that lets the Trainer split its gather between GPU cache
-// and host memory without extra lookups.
-func (t *Table) Mark(input []int32, mask []bool) {
-	for i, v := range input {
-		mask[i] = t.slot[v] >= 0
-	}
 }
 
 // Probe counts cache hits and misses over a mini-batch's unique input
@@ -145,11 +130,4 @@ func (t *Table) Stats() Stats {
 		Misses:    t.misses.Load(),
 		MissBytes: t.missBytes.Load(),
 	}
-}
-
-// ResetStats zeroes the counters (e.g. between warm-up and measurement).
-func (t *Table) ResetStats() {
-	t.hits.Store(0)
-	t.misses.Store(0)
-	t.missBytes.Store(0)
 }

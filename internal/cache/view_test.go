@@ -87,7 +87,7 @@ func TestPreSCSnapshotMatchesRebuild(t *testing.T) {
 func TestFootprintSnapshotMatchesRebuild(t *testing.T) {
 	snap, rebuilt := deltaRebuildPair(t, 5, 500, 50, 9000)
 	ts := trainSet(rebuilt.NumVertices(), 60, 6)
-	alg := sampling.NewWeightedKHopMethod([]int{5, 3}, sampling.WeightedCDF)
+	alg := sampling.NewWeightedKHop([]int{5, 3})
 	ref := CollectFootprintN(rebuilt, alg, ts, 16, 2, 99, 1)
 	for _, workers := range []int{1, 2, 4} {
 		got := CollectFootprintN(snap, alg, ts, 16, 2, 99, workers)

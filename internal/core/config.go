@@ -176,6 +176,9 @@ func (c Config) Validate() error {
 	if c.CacheRatioOverride > 1 {
 		return fmt.Errorf("system: %s: CacheRatioOverride %v > 1", c.Name, c.CacheRatioOverride)
 	}
+	if err := c.Faults.Validate(); err != nil {
+		return fmt.Errorf("system: %s: %w", c.Name, err)
+	}
 	return nil
 }
 

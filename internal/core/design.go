@@ -74,9 +74,6 @@ type Design interface {
 	// PlanMemory performs the design-specific GPU memory accounting and
 	// returns the cache budget, or a plan carrying an OOM error.
 	PlanMemory(pc planContext) memPlan
-	// Preflight may reject a successfully planned configuration before
-	// any sampling happens; it returns an OOM reason, or "" to proceed.
-	Preflight(cfg Config, plan memPlan) string
 	// Plan runs once per replay, after measurement: probe averages, GPU
 	// allocation, any per-run state CostEpoch needs. A non-empty
 	// oomReason aborts the replay with an OOM report.
@@ -223,13 +220,6 @@ func (gnnlabDesign) PlanMemory(pc planContext) memPlan {
 	return plan
 }
 
-func (gnnlabDesign) Preflight(cfg Config, plan memPlan) string {
-	if cfg.NumGPUs == 1 && plan.standbySlots < 0 {
-		return "single GPU cannot hold topology and training workspace together"
-	}
-	return ""
-}
-
 func (gnnlabDesign) Plan(rn *runner, rep *Report, plan memPlan, epochs [][]batchWork, haveStandby bool) (any, string) {
 	cfg := rn.cfg
 	st := &gnnlabState{}
@@ -360,8 +350,6 @@ func (timeSharingDesign) PlanMemory(pc planContext) memPlan {
 	return plan
 }
 
-func (timeSharingDesign) Preflight(Config, memPlan) string { return "" }
-
 func (timeSharingDesign) Plan(rn *runner, rep *Report, plan memPlan, epochs [][]batchWork, haveStandby bool) (any, string) {
 	rep.Alloc = sched.Allocation{Samplers: 0, Trainers: rn.cfg.NumGPUs}
 	return nil, ""
@@ -408,8 +396,6 @@ func (cpuSamplingDesign) PlanMemory(pc planContext) memPlan {
 	plan.cacheSlots = 0 // PyG has no feature cache
 	return plan
 }
-
-func (cpuSamplingDesign) Preflight(Config, memPlan) string { return "" }
 
 func (cpuSamplingDesign) Plan(rn *runner, rep *Report, plan memPlan, epochs [][]batchWork, haveStandby bool) (any, string) {
 	rep.Alloc = sched.Allocation{Samplers: 0, Trainers: rn.cfg.NumGPUs}
@@ -465,8 +451,6 @@ func (batchModeDesign) PlanMemory(pc planContext) memPlan {
 	plan.cacheSlots = pc.slots(trainFree)
 	return plan
 }
-
-func (batchModeDesign) Preflight(Config, memPlan) string { return "" }
 
 func (batchModeDesign) Plan(rn *runner, rep *Report, plan memPlan, epochs [][]batchWork, haveStandby bool) (any, string) {
 	cfg := rn.cfg

@@ -157,7 +157,7 @@ func Run(d *gen.Dataset, cfg Config) (*Report, error) {
 	rn := newRunner(d, cfg)
 	rep := rn.newReport(d)
 	plan := planMemory(cfg, d, rn.vfb)
-	if oomPreflight(rep, design, cfg, plan) {
+	if oomPreflight(rep, cfg, plan) {
 		return rep, nil
 	}
 	return rn.replay(design, rep, plan, measureFor(d, cfg))
@@ -197,32 +197,36 @@ func Replay(m *measure.Measurement, cfg Config) (*Report, error) {
 	rn := newRunner(m.Dataset, cfg)
 	rep := rn.newReport(m.Dataset)
 	plan := planMemory(cfg, m.Dataset, rn.vfb)
-	if oomPreflight(rep, design, cfg, plan) {
+	if oomPreflight(rep, cfg, plan) {
 		return rep, nil
 	}
 	return rn.replay(design, rep, plan, m)
 }
 
-// oomPreflight fills rep with any pre-measurement OOM outcome (memory
-// plan failure or design preflight) and reports whether the run is over.
-func oomPreflight(rep *Report, design Design, cfg Config, plan memPlan) bool {
-	if plan.err != nil {
-		rep.OOM = true
+// oomPreflight fills rep with any pre-measurement OOM outcome and reports
+// whether the run is over: a memory plan failure, or a single-GPU GNNLab
+// run, whose one GPU switches between the roles and so must hold the
+// topology and the training workspace together (no standby capacity).
+// The second rule belongs to the run, not to the plan: LedgerFor and
+// Preprocess still report such a configuration's per-role memory.
+func oomPreflight(rep *Report, cfg Config, plan memPlan) bool {
+	switch {
+	case plan.err != nil:
 		rep.OOMReason = plan.err.Error()
-	} else if reason := design.Preflight(cfg, plan); reason != "" {
-		rep.OOM = true
-		rep.OOMReason = reason
+	case cfg.Design == DesignGNNLab && cfg.NumGPUs == 1 && plan.standbySlots < 0:
+		rep.OOMReason = "single GPU cannot hold topology and training workspace together"
+	default:
+		return false
 	}
-	if rep.OOM {
-		cfg.Obs.Registry().Counter("core.oom").Add(1)
-		if l := cfg.Obs.EventLog(); l.Enabled(obs.LevelError) {
-			l.Event(obs.LevelError, "core.oom",
-				obs.Attr{Key: "system", Value: rep.System},
-				obs.Attr{Key: "dataset", Value: rep.Dataset},
-				obs.Attr{Key: "reason", Value: rep.OOMReason})
-		}
+	rep.OOM = true
+	cfg.Obs.Registry().Counter("core.oom").Add(1)
+	if l := cfg.Obs.EventLog(); l.Enabled(obs.LevelError) {
+		l.Event(obs.LevelError, "core.oom",
+			obs.Attr{Key: "system", Value: rep.System},
+			obs.Attr{Key: "dataset", Value: rep.Dataset},
+			obs.Attr{Key: "reason", Value: rep.OOMReason})
 	}
-	return rep.OOM
+	return true
 }
 
 // effectiveAlgorithm returns the sampling algorithm a configuration
@@ -531,6 +535,3 @@ func (rn runner) finishAverages(rep *Report, makespans float64, tot stageTotals)
 	rep.ExtractTot = tot.e / n
 	rep.TrainTot = tot.t / n
 }
-
-// IsOOM reports whether err stems from GPU memory exhaustion.
-func IsOOM(err error) bool { return errors.Is(err, device.ErrOutOfMemory) }

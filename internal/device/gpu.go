@@ -24,7 +24,7 @@ var ErrOutOfMemory = errors.New("device: out of GPU memory")
 
 // ErrInjected marks an allocation failure forced by a fault plan rather
 // than the ledger arithmetic. It wraps ErrOutOfMemory so every OOM check
-// (core.IsOOM, errors.Is) treats injected failures like real exhaustion.
+// (errors.Is) treats injected failures like real exhaustion.
 var ErrInjected = fmt.Errorf("device: injected allocation fault: %w", ErrOutOfMemory)
 
 // AllocFault decides whether an allocation request should fail
@@ -50,19 +50,6 @@ func NewGPU(id int, capacity int64) *GPU {
 		panic("device: NewGPU with non-positive capacity")
 	}
 	return &GPU{id: id, capacity: capacity, allocs: map[string]int64{}}
-}
-
-// ID returns the device index.
-func (g *GPU) ID() int { return g.id }
-
-// Capacity returns total memory in bytes.
-func (g *GPU) Capacity() int64 { return g.capacity }
-
-// Used returns currently allocated bytes.
-func (g *GPU) Used() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.used
 }
 
 // Available returns unallocated bytes.
@@ -103,23 +90,6 @@ func (g *GPU) Alloc(label string, bytes int64) error {
 	return nil
 }
 
-// Free releases the entire allocation under label. Freeing an unknown
-// label is a no-op.
-func (g *GPU) Free(label string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.used -= g.allocs[label]
-	delete(g.allocs, label)
-}
-
-// Reset releases every allocation.
-func (g *GPU) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.allocs = map[string]int64{}
-	g.used = 0
-}
-
 // Allocation describes one ledger entry.
 type Allocation struct {
 	Label string
@@ -136,35 +106,4 @@ func (g *GPU) Ledger() []Allocation {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
-}
-
-// Cluster is the single-machine multi-GPU setup: N identical GPUs plus the
-// host CPU description.
-type Cluster struct {
-	GPUs []*GPU
-	// CPUSamplerWorkers is how many parallel CPU sampling workers the
-	// host sustains (the PyG baseline's sampler pool).
-	CPUSamplerWorkers int
-}
-
-// NewCluster builds n GPUs of capacityBytes each.
-func NewCluster(n int, capacityBytes int64, cpuWorkers int) *Cluster {
-	if n <= 0 {
-		panic("device: NewCluster with no GPUs")
-	}
-	c := &Cluster{CPUSamplerWorkers: cpuWorkers}
-	for i := 0; i < n; i++ {
-		c.GPUs = append(c.GPUs, NewGPU(i, capacityBytes))
-	}
-	return c
-}
-
-// NumGPUs returns the GPU count.
-func (c *Cluster) NumGPUs() int { return len(c.GPUs) }
-
-// Reset clears every GPU's ledger.
-func (c *Cluster) Reset() {
-	for _, g := range c.GPUs {
-		g.Reset()
-	}
 }

@@ -246,19 +246,6 @@ func (p *Plan) AllocFault() device.AllocFault {
 	}
 }
 
-// InstallAllocFaults installs the plan's allocation-fault hook on every
-// GPU of the cluster (removing hooks when the plan has no alloc-fail
-// events). Nil-safe on both sides.
-func (p *Plan) InstallAllocFaults(c *device.Cluster) {
-	if c == nil {
-		return
-	}
-	hook := p.AllocFault()
-	for _, g := range c.GPUs {
-		g.InjectAllocFault(hook)
-	}
-}
-
 // GenOptions sizes a generated plan.
 type GenOptions struct {
 	// Epochs is how many epochs events spread over (default 1).

@@ -123,19 +123,17 @@ func TestInjectedWithin(t *testing.T) {
 
 func TestAllocFaultHook(t *testing.T) {
 	p := &Plan{Events: []Event{{Kind: KindAllocFail, Label: "feature-cache"}}}
-	c := device.NewCluster(2, 1000, 0)
-	p.InstallAllocFaults(c)
-	for _, g := range c.GPUs {
-		if err := g.Alloc("topology", 10); err != nil {
-			t.Fatalf("unrelated label vetoed: %v", err)
-		}
-		if err := g.Alloc("feature-cache", 10); !errors.Is(err, device.ErrInjected) {
-			t.Fatalf("want ErrInjected, got %v", err)
-		}
+	g := device.NewGPU(0, 1000)
+	g.InjectAllocFault(p.AllocFault())
+	if err := g.Alloc("topology", 10); err != nil {
+		t.Fatalf("unrelated label vetoed: %v", err)
 	}
-	// A plan without alloc-fail events removes the hooks.
-	(&Plan{}).InstallAllocFaults(c)
-	if err := c.GPUs[0].Alloc("feature-cache", 10); err != nil {
+	if err := g.Alloc("feature-cache", 10); !errors.Is(err, device.ErrInjected) {
+		t.Fatalf("want ErrInjected, got %v", err)
+	}
+	// A plan without alloc-fail events removes the hook.
+	g.InjectAllocFault((&Plan{}).AllocFault())
+	if err := g.Alloc("feature-cache", 10); err != nil {
 		t.Fatalf("hook not removed: %v", err)
 	}
 	if (&Plan{}).AllocFault() != nil || (*Plan)(nil).AllocFault() != nil {
@@ -169,5 +167,4 @@ func TestNilPlanIsEmpty(t *testing.T) {
 	if !p.Empty() || p.SimFaults(0) != nil || p.SimFaultsPersistent(3) != nil || p.InjectedWithin(9) != 0 {
 		t.Fatal("nil plan must be inert")
 	}
-	p.InstallAllocFaults(nil) // must not panic
 }

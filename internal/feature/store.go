@@ -48,9 +48,6 @@ func NewStore(host []float32, dim int) (*Store, error) {
 // NumVertices returns the number of feature rows.
 func (s *Store) NumVertices() int { return len(s.host) / s.dim }
 
-// Dim returns the feature width.
-func (s *Store) Dim() int { return s.dim }
-
 // EnableCache materializes the cached tier for the vertices the table
 // selected — the live analogue of loading the feature cache into GPU
 // memory (Table 6, P2). The table must match this store's vertex count.
@@ -79,9 +76,6 @@ func (s *Store) EnableCache(table *cache.Table) error {
 	s.cached = cached
 	return nil
 }
-
-// CacheEnabled reports whether a cached tier is active.
-func (s *Store) CacheEnabled() bool { return s.table != nil }
 
 func (s *Store) hostRow(v int32) []float32 {
 	return s.host[int(v)*s.dim : (int(v)+1)*s.dim]

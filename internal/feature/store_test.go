@@ -41,8 +41,8 @@ func TestStoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumVertices() != 5 || s.Dim() != 4 {
-		t.Errorf("store shape %d×%d", s.NumVertices(), s.Dim())
+	if s.NumVertices() != 5 || s.dim != 4 {
+		t.Errorf("store shape %d×%d", s.NumVertices(), s.dim)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestGatherSplitTiers(t *testing.T) {
 	if err := s.EnableCache(table); err != nil {
 		t.Fatal(err)
 	}
-	if !s.CacheEnabled() {
+	if s.table == nil {
 		t.Fatal("cache not enabled")
 	}
 	m, hits, misses := gather(s, sampleOf(3, 5, 7, 1))

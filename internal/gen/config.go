@@ -146,13 +146,3 @@ func (d *Dataset) VertexFeatureBytes() int64 { return int64(d.FeatureDim) * 4 }
 
 // TopologyBytes returns Vol_G.
 func (d *Dataset) TopologyBytes() int64 { return d.Graph.TopologyBytes() }
-
-// Feature returns the feature row of v. It panics when features were not
-// materialized.
-func (d *Dataset) Feature(v int32) []float32 {
-	if d.Features == nil {
-		panic("gen: features not materialized for dataset " + d.Name)
-	}
-	off := int(v) * d.FeatureDim
-	return d.Features[off : off+d.FeatureDim]
-}

@@ -125,18 +125,6 @@ func TestLabelsAndFeatures(t *testing.T) {
 	if got := len(d.Features); got != 2000*16 {
 		t.Fatalf("features length %d, want %d", got, 2000*16)
 	}
-	row := d.Feature(5)
-	if len(row) != 16 {
-		t.Fatalf("feature row length %d", len(row))
-	}
-	// Non-materialized datasets must panic on Feature access.
-	plain, _ := Generate(tiny(KindSocial))
-	defer func() {
-		if recover() == nil {
-			t.Error("Feature() did not panic without materialized features")
-		}
-	}()
-	plain.Feature(0)
 }
 
 func TestCommunityEdgesMostlyIntra(t *testing.T) {
@@ -166,12 +154,12 @@ func TestDegreeShapes(t *testing.T) {
 	web, _ := Generate(tiny(KindWeb))
 
 	// Social: in-degree extremely skewed and correlated with out-degree.
-	inMax := maxOf(social.Graph.InDegrees())
+	inMax := maxOf(graph.InDegrees(social.Graph))
 	if inMax < 400 {
 		t.Errorf("social in-degree max %d, want heavy skew", inMax)
 	}
 	// Citation: out-degree narrow (lognormal), far below social hub scale.
-	outMax := maxOf(citation.Graph.OutDegrees())
+	outMax := maxOf(graph.OutDegrees(citation.Graph))
 	avg := float64(citation.Graph.NumEdges()) / 2000
 	if float64(outMax) > 16*avg {
 		t.Errorf("citation out-degree max %d too skewed (avg %.1f)", outMax, avg)
@@ -188,8 +176,8 @@ func TestDegreeShapes(t *testing.T) {
 func degreeRankOverlap(g graph.View) float64 {
 	n := g.NumVertices()
 	k := n / 20
-	topIn := topK(g.InDegrees(), k)
-	topOut := topK(g.OutDegrees(), k)
+	topIn := topK(graph.InDegrees(g), k)
+	topOut := topK(graph.OutDegrees(g), k)
 	hits := 0
 	for v := range topIn {
 		if _, ok := topOut[v]; ok {
@@ -243,7 +231,7 @@ func TestPresets(t *testing.T) {
 	if len(names) != 4 {
 		t.Fatalf("PresetNames = %v", names)
 	}
-	for _, name := range AllPresetNames() {
+	for name := range presetConfigs() {
 		cfg, err := PresetConfig(name)
 		if err != nil {
 			t.Fatal(err)

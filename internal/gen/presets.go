@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -71,17 +70,6 @@ func PresetConfig(name string) (Config, error) {
 // PresetNames returns the evaluation dataset names in paper order
 // (PR, TW, PA, UK); the convergence preset is excluded.
 func PresetNames() []string { return []string{PresetPR, PresetTW, PresetPA, PresetUK} }
-
-// AllPresetNames returns every preset, sorted.
-func AllPresetNames() []string {
-	m := presetConfigs()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // ScaleDown returns a copy of cfg shrunk by factor (vertices and edges
 // divided, everything else kept). Used by tests and quick benchmarks that

@@ -30,9 +30,6 @@ func NewBuilder(n int, weighted bool) *Builder {
 	return &Builder{numVertices: n, weighted: weighted}
 }
 
-// NumVertices returns the vertex count the builder was created with.
-func (b *Builder) NumVertices() int { return b.numVertices }
-
 // NumEdges returns the number of edges added so far.
 func (b *Builder) NumEdges() int { return len(b.edges) }
 
@@ -97,9 +94,7 @@ func (b *Builder) Build(dedup bool) (*CSR, error) {
 	for v := 0; v < n; v++ {
 		rowPtr[v+1] += rowPtr[v]
 	}
-	g := &CSR{RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}
-	g.memoizeDegreeStats()
-	return g, nil
+	return &CSR{RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}, nil
 }
 
 func dedupEdges(edges []Edge) []Edge {

@@ -25,13 +25,6 @@ type CSR struct {
 	RowPtr  []int64   // len NumVertices+1, monotonically non-decreasing
 	ColIdx  []int32   // len NumEdges
 	Weights []float32 // nil, or len NumEdges
-
-	// maxDeg memoizes MaxDegree: 0 means "unknown" (struct-literal CSRs
-	// never pay for what they don't use), so Build/ReadBinaryFrom/Compact
-	// set it once at construction and MaxDegree becomes O(1) for every
-	// graph on the normal path. An all-isolated-vertices graph stays at 0
-	// and recomputes, which is the correct answer anyway.
-	maxDeg int64
 }
 
 var _ View = (*CSR)(nil)
@@ -112,119 +105,4 @@ func (g *CSR) Validate() error {
 		}
 	}
 	return nil
-}
-
-// OutDegrees returns the out-degree of every vertex.
-func (g *CSR) OutDegrees() []int64 {
-	n := g.NumVertices()
-	d := make([]int64, n)
-	for v := 0; v < n; v++ {
-		d[v] = g.RowPtr[v+1] - g.RowPtr[v]
-	}
-	return d
-}
-
-// InDegrees returns the in-degree of every vertex.
-func (g *CSR) InDegrees() []int64 {
-	d := make([]int64, g.NumVertices())
-	for _, dst := range g.ColIdx {
-		d[dst]++
-	}
-	return d
-}
-
-// MaxDegree returns the largest out-degree in the graph — O(1) when the
-// graph came from Builder.Build, ReadBinary or Delta.Compact (the value
-// is memoized at construction), O(|V|) for hand-assembled struct
-// literals. It never writes the memo itself: a CSR is shared by
-// concurrent samplers, so lazily storing here would race.
-func (g *CSR) MaxDegree() int64 {
-	if g.maxDeg > 0 {
-		return g.maxDeg
-	}
-	return g.computeMaxDegree()
-}
-
-func (g *CSR) computeMaxDegree() int64 {
-	var m int64
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Degree(int32(v)); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// memoizeDegreeStats records the degree stats that are O(|V|) to scan,
-// called once by every construction path before the graph is published.
-func (g *CSR) memoizeDegreeStats() {
-	g.maxDeg = g.computeMaxDegree()
-}
-
-// DegreeRank returns vertex IDs sorted by descending out-degree, ties broken
-// by ascending ID. This is the ordering the degree-based caching policy uses.
-// It is DegreeRankTop with k = NumVertices; callers that only consult a
-// prefix (load_cache reads `slots` entries) should call DegreeRankTop.
-func (g *CSR) DegreeRank() []int32 {
-	return g.DegreeRankTop(g.NumVertices())
-}
-
-// DegreeRankTop returns the k highest-out-degree vertex IDs in descending
-// degree order, ties broken by ascending ID — the same prefix
-// DegreeRank()[:k] would give, in O(|V|) expected time via SelectTop
-// instead of a full sort. k is clamped to the vertex count.
-func (g *CSR) DegreeRankTop(k int) []int32 {
-	n := g.NumVertices()
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	if k > n {
-		k = n
-	}
-	SelectTop(ids, k, func(a, b int32) bool {
-		da, db := g.Degree(a), g.Degree(b)
-		if da != db {
-			return da > db
-		}
-		return a < b
-	})
-	if k == n {
-		return ids
-	}
-	return ids[:k:k]
-}
-
-// Reverse returns the transpose graph (every edge u->v becomes v->u).
-// Weights, if present, follow their edges.
-func (g *CSR) Reverse() *CSR {
-	n := g.NumVertices()
-	rowPtr := make([]int64, n+1)
-	for _, dst := range g.ColIdx {
-		rowPtr[dst+1]++
-	}
-	for v := 0; v < n; v++ {
-		rowPtr[v+1] += rowPtr[v]
-	}
-	colIdx := make([]int32, len(g.ColIdx))
-	var weights []float32
-	if g.Weights != nil {
-		weights = make([]float32, len(g.Weights))
-	}
-	next := make([]int64, n)
-	copy(next, rowPtr[:n])
-	for src := 0; src < n; src++ {
-		base := g.RowPtr[src]
-		for i, dst := range g.Adj(int32(src)) {
-			p := next[dst]
-			next[dst]++
-			colIdx[p] = int32(src)
-			if weights != nil {
-				weights[p] = g.Weights[base+int64(i)]
-			}
-		}
-	}
-	rg := &CSR{RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}
-	rg.memoizeDegreeStats()
-	return rg
 }

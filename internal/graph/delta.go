@@ -54,9 +54,6 @@ func NewDelta(base *CSR, dedup bool) *Delta {
 	}
 }
 
-// NumVertices returns the current vertex count including additions.
-func (d *Delta) NumVertices() int { return d.n }
-
 // NumEdges returns the current edge count including additions.
 func (d *Delta) NumEdges() int64 { return d.base.NumEdges() + d.added }
 
@@ -194,9 +191,7 @@ func (d *Delta) Compact() *CSR {
 		}
 		rowPtr[v+1] = int64(len(colIdx))
 	}
-	g := &CSR{RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}
-	g.memoizeDegreeStats()
-	return g
+	return &CSR{RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}
 }
 
 // Snapshot is the immutable delta-overlay View a Delta publishes. Reads of
@@ -287,37 +282,6 @@ func (s *Snapshot) TopologyBytes() int64 {
 // TopologyBytesUnweighted returns the topology size excluding edge weights.
 func (s *Snapshot) TopologyBytesUnweighted() int64 {
 	return int64(s.n+1)*8 + s.edges*4
-}
-
-// OutDegrees returns the out-degree of every vertex.
-func (s *Snapshot) OutDegrees() []int64 {
-	d := make([]int64, s.n)
-	for v := 0; v < s.n; v++ {
-		d[v] = s.Degree(int32(v))
-	}
-	return d
-}
-
-// InDegrees returns the in-degree of every vertex.
-func (s *Snapshot) InDegrees() []int64 {
-	d := make([]int64, s.n)
-	for v := 0; v < s.n; v++ {
-		for _, dst := range s.Adj(int32(v)) {
-			d[dst]++
-		}
-	}
-	return d
-}
-
-// MaxDegree returns the largest out-degree.
-func (s *Snapshot) MaxDegree() int64 {
-	var m int64
-	for v := 0; v < s.n; v++ {
-		if d := s.Degree(int32(v)); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // rowIndex is a fixed-size open-addressed int32->int32 map (linear probing,

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"gnnlab/internal/rng"
@@ -112,19 +113,16 @@ func TestSnapshotMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotDegreeStats checks the derived degree-stat helpers agree with
-// the rebuilt CSR's.
+// TestSnapshotDegreeStats checks the degree stats and topology sizes of a
+// snapshot agree with the rebuilt CSR's.
 func TestSnapshotDegreeStats(t *testing.T) {
 	stream := randomStream(11, 150, 2500, true)
 	snap, want := buildVia(t, 150, stream, 1500, true, false)
-	if !reflect.DeepEqual(snap.OutDegrees(), want.OutDegrees()) {
+	if !reflect.DeepEqual(OutDegrees(snap), OutDegrees(want)) {
 		t.Error("OutDegrees differ")
 	}
-	if !reflect.DeepEqual(snap.InDegrees(), want.InDegrees()) {
+	if !reflect.DeepEqual(InDegrees(snap), InDegrees(want)) {
 		t.Error("InDegrees differ")
-	}
-	if snap.MaxDegree() != want.MaxDegree() {
-		t.Errorf("MaxDegree = %d, want %d", snap.MaxDegree(), want.MaxDegree())
 	}
 	if snap.TopologyBytes() != want.TopologyBytes() {
 		t.Errorf("TopologyBytes = %d, want %d", snap.TopologyBytes(), want.TopologyBytes())
@@ -247,24 +245,38 @@ func TestDeltaAddEdgeValidatesEagerly(t *testing.T) {
 	d.AddEdge(0, v, 0)
 }
 
-// TestDegreeRankTopMatchesFullSort is the satellite differential: the
-// introselect prefix must equal the full sort's prefix exactly.
+// TestDegreeRankTopMatchesFullSort ranks a random graph's vertices by
+// descending out-degree, ties by ascending ID, with SelectTop: the
+// introselect k-prefix must equal the full sort's prefix exactly.
 func TestDegreeRankTopMatchesFullSort(t *testing.T) {
-	stream := randomStream(31, 500, 6000, false)
-	b := NewBuilder(500, false)
+	const n = 500
+	stream := randomStream(31, n, 6000, false)
+	b := NewBuilder(n, false)
 	for _, e := range stream {
 		b.AddEdge(e.Src, e.Dst, e.Weight)
 	}
 	g, _ := b.Build(false)
-	full := g.DegreeRank()
-	for _, k := range []int{0, 1, 7, 32, 33, 250, 499, 500, 600} {
-		got := g.DegreeRankTop(k)
-		want := full
-		if k < len(full) {
-			want = full[:k]
+	less := func(a, b int32) bool {
+		if da, db := g.Degree(a), g.Degree(b); da != db {
+			return da > db
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("DegreeRankTop(%d) differs from DegreeRank prefix", k)
+		return a < b
+	}
+	ids := func() []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(i)
+		}
+		return out
+	}
+	full := ids()
+	sort.Slice(full, func(i, j int) bool { return less(full[i], full[j]) })
+	for _, k := range []int{0, 1, 7, 32, 33, 250, 499, 500, 600} {
+		got := ids()
+		SelectTop(got, k, less)
+		m := min(k, n)
+		if !reflect.DeepEqual(got[:m], full[:m]) {
+			t.Errorf("SelectTop(k=%d) differs from the full sort's prefix", k)
 		}
 	}
 }

@@ -129,30 +129,14 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestDegreesSumToEdges(t *testing.T) {
 	g := diamond(t)
 	var outSum, inSum int64
-	for _, d := range g.OutDegrees() {
+	for _, d := range OutDegrees(g) {
 		outSum += d
 	}
-	for _, d := range g.InDegrees() {
+	for _, d := range InDegrees(g) {
 		inSum += d
 	}
 	if outSum != g.NumEdges() || inSum != g.NumEdges() {
 		t.Errorf("degree sums out=%d in=%d, want %d", outSum, inSum, g.NumEdges())
-	}
-}
-
-func TestMaxDegreeAndRank(t *testing.T) {
-	g := diamond(t)
-	if got := g.MaxDegree(); got != 2 {
-		t.Errorf("MaxDegree = %d, want 2", got)
-	}
-	rank := g.DegreeRank()
-	if rank[0] != 0 { // vertex 0 has the unique max out-degree
-		t.Errorf("DegreeRank[0] = %d, want 0", rank[0])
-	}
-	for i := 1; i < len(rank); i++ {
-		if g.Degree(rank[i-1]) < g.Degree(rank[i]) {
-			t.Errorf("DegreeRank not descending at %d", i)
-		}
 	}
 }
 
@@ -168,62 +152,6 @@ func randomGraph(seed uint64, n, e int, weighted bool) *CSR {
 		panic(err)
 	}
 	return g
-}
-
-func TestReverseTwiceIsIdentity(t *testing.T) {
-	if err := quick.Check(func(seed uint64, nRaw, eRaw uint8) bool {
-		n := int(nRaw%40) + 2
-		e := int(eRaw) + 1
-		g := randomGraph(seed, n, e, true)
-		rr := g.Reverse().Reverse()
-		if len(rr.ColIdx) != len(g.ColIdx) {
-			return false
-		}
-		for v := 0; v < n; v++ {
-			if g.RowPtr[v] != rr.RowPtr[v] {
-				return false
-			}
-		}
-		// Same sorted adjacency per vertex (Reverse preserves edges).
-		for v := int32(0); int(v) < n; v++ {
-			a, b := g.Adj(v), rr.Adj(v)
-			if len(a) != len(b) {
-				return false
-			}
-			counts := map[int32]int{}
-			for _, x := range a {
-				counts[x]++
-			}
-			for _, x := range b {
-				counts[x]--
-			}
-			for _, c := range counts {
-				if c != 0 {
-					return false
-				}
-			}
-		}
-		return rr.Validate() == nil
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReversePreservesWeights(t *testing.T) {
-	g := diamond(t)
-	rev := g.Reverse()
-	// Edge 3->0 (w 5) becomes 0->3 in the reverse.
-	adj := rev.Adj(0)
-	w := rev.AdjWeights(0)
-	found := false
-	for i, dst := range adj {
-		if dst == 3 && w[i] == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("reverse lost edge 3->0 w=5: adj=%v w=%v", adj, w)
-	}
 }
 
 func TestTopologyBytes(t *testing.T) {

@@ -89,7 +89,6 @@ func ReadBinaryFrom(br io.Reader) (*CSR, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	g.memoizeDegreeStats()
 	return g, nil
 }
 

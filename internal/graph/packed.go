@@ -159,12 +159,8 @@ func Pack(g View, workers int) *Packed {
 
 	if g.Weighted() {
 		p.weights = make([]float32, 0, e)
-		if csr, ok := g.(*CSR); ok {
-			p.weights = append(p.weights, csr.Weights...)
-		} else {
-			for v := 0; v < n; v++ {
-				p.weights = append(p.weights, g.AdjWeights(int32(v))...)
-			}
+		for v := 0; v < n; v++ {
+			p.weights = append(p.weights, g.AdjWeights(int32(v))...)
 		}
 	}
 	return p
@@ -178,10 +174,6 @@ func (p *Packed) NumEdges() int64 { return p.e }
 
 // Weighted reports whether the graph carries edge weights.
 func (p *Packed) Weighted() bool { return p.weights != nil }
-
-// MaxDegree returns the largest out-degree, memoized at Pack /
-// PackedFromBytes time — O(1), unlike the CSR's O(|V|) scan.
-func (p *Packed) MaxDegree() int64 { return p.maxDeg }
 
 // TopologyBytes returns the true compressed topology size (directory +
 // sub-offset streams + neighbor blob + weights) — the Vol_G a Sampler
@@ -311,37 +303,12 @@ func (p *Packed) AdjWeights(v VertexID) []float32 {
 	return p.weights[lo:hi]
 }
 
-// OutDegrees returns the out-degree of every vertex.
-func (p *Packed) OutDegrees() []int64 {
-	d := make([]int64, p.n)
-	for v := 0; v < p.n; v++ {
-		d[v] = p.Degree(int32(v))
-	}
-	return d
-}
-
-// InDegrees returns the in-degree of every vertex (one full decode pass).
-func (p *Packed) InDegrees() []int64 {
-	d := make([]int64, p.n)
-	buf := make([]int32, 0, p.maxDeg)
-	for v := 0; v < p.n; v++ {
-		buf = p.AdjInto(int32(v), buf)
-		for _, dst := range buf {
-			if dst >= 0 && int(dst) < p.n {
-				d[dst]++
-			}
-		}
-	}
-	return d
-}
-
 // Unpack decompresses p back into a CSR — the inverse of Pack, used by
 // tests and by callers that need mutable or aliasing adjacency.
 func (p *Packed) Unpack() *CSR {
 	g := &CSR{
 		RowPtr: make([]int64, p.n+1),
 		ColIdx: make([]int32, 0, p.e),
-		maxDeg: p.maxDeg,
 	}
 	buf := make([]int32, 0, p.maxDeg)
 	for v := 0; v < p.n; v++ {

@@ -60,9 +60,6 @@ func TestPackedMatchesCSR(t *testing.T) {
 		if p.Weighted() != g.Weighted() {
 			t.Fatalf("weighted=%v: Weighted() = %v", weighted, p.Weighted())
 		}
-		if p.MaxDegree() != g.MaxDegree() {
-			t.Fatalf("weighted=%v: MaxDegree %d != %d", weighted, p.MaxDegree(), g.MaxDegree())
-		}
 		buf := make([]int32, 0, 8) // deliberately small: AdjInto must grow it
 		for v := 0; v < g.NumVertices(); v++ {
 			if dp, dg := p.Degree(int32(v)), g.Degree(int32(v)); dp != dg {
@@ -85,10 +82,10 @@ func TestPackedMatchesCSR(t *testing.T) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(p.OutDegrees(), g.OutDegrees()) {
+		if !reflect.DeepEqual(OutDegrees(p), OutDegrees(g)) {
 			t.Fatalf("weighted=%v: OutDegrees mismatch", weighted)
 		}
-		if !reflect.DeepEqual(p.InDegrees(), g.InDegrees()) {
+		if !reflect.DeepEqual(InDegrees(p), InDegrees(g)) {
 			t.Fatalf("weighted=%v: InDegrees mismatch", weighted)
 		}
 		u := p.Unpack()
@@ -264,27 +261,4 @@ func FuzzPackedFromBytes(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestCSRMaxDegreeMemoized(t *testing.T) {
-	g := packedTestGraph(t, 800, false, 21)
-	if g.maxDeg == 0 {
-		t.Fatal("Build did not memoize max degree")
-	}
-	if g.maxDeg != g.computeMaxDegree() {
-		t.Fatalf("memoized %d != computed %d", g.maxDeg, g.computeMaxDegree())
-	}
-	// Struct literals stay correct without the memo.
-	lit := &CSR{RowPtr: g.RowPtr, ColIdx: g.ColIdx}
-	if lit.MaxDegree() != g.MaxDegree() {
-		t.Fatalf("literal MaxDegree %d != %d", lit.MaxDegree(), g.MaxDegree())
-	}
-	rev := g.Reverse()
-	if rev.maxDeg != rev.computeMaxDegree() {
-		t.Fatalf("Reverse memo %d != computed %d", rev.maxDeg, rev.computeMaxDegree())
-	}
-	p := Pack(g, 0)
-	if p.MaxDegree() != g.MaxDegree() {
-		t.Fatalf("packed MaxDegree %d != %d", p.MaxDegree(), g.MaxDegree())
-	}
 }

@@ -31,13 +31,43 @@ type View interface {
 	// Weighted reports whether the graph carries edge weights.
 	Weighted() bool
 
-	// Degree-stat helpers shared by the cache policies, the generators'
-	// shape checks and the CLI stat printers.
+	// TopologyBytes and TopologyBytesUnweighted are the Vol_G a Sampler
+	// loads into GPU memory, with and without edge weights.
 	TopologyBytes() int64
 	TopologyBytesUnweighted() int64
-	OutDegrees() []int64
-	InDegrees() []int64
-	MaxDegree() int64
+}
+
+// OutDegrees returns the out-degree of every vertex of g.
+func OutDegrees(g View) []int64 {
+	d := make([]int64, g.NumVertices())
+	for v := range d {
+		d[v] = g.Degree(int32(v))
+	}
+	return d
+}
+
+// InDegrees returns the in-degree of every vertex of g: one pass over every
+// row, decoded into one reused buffer when g is a NeighborDecoder.
+// Neighbors outside the vertex range (a packed buffer read without
+// Validate) are skipped.
+func InDegrees(g View) []int64 {
+	n := g.NumVertices()
+	d := make([]int64, n)
+	dec, _ := g.(NeighborDecoder)
+	var buf []int32
+	for v := 0; v < n; v++ {
+		if dec != nil {
+			buf = dec.AdjInto(int32(v), buf)
+		} else {
+			buf = g.Adj(int32(v))
+		}
+		for _, dst := range buf {
+			if dst >= 0 && int(dst) < n {
+				d[dst]++
+			}
+		}
+	}
+	return d
 }
 
 // NeighborDecoder is the optional decode fast path a compressed View
@@ -59,8 +89,8 @@ type NeighborDecoder interface {
 
 // SelectTop partially sorts ids so that ids[:k] holds the least k elements
 // under less, in sorted order — the O(|V|) expected-time introselect the
-// cache layer's RankTop and CSR.DegreeRankTop share. less must be a strict
-// total order (callers break ties by ascending vertex ID), which makes the
+// cache layer's RankTop uses. less must be a strict total order (callers
+// break ties by ascending vertex ID), which makes the
 // k-prefix — and its sorted order — the unique top-k regardless of
 // partition pivots: results are bit-identical to sorting everything and
 // truncating. A depth cutoff bounds the adversarial case at O(|V| log |V|);

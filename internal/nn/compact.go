@@ -23,11 +23,10 @@ import (
 // always a prefix of the local ID space.
 type Compact struct {
 	NumVertices int
-	NumSeeds    int
 	NumLevels   int // == number of GNN layers L
 
 	// Needed[l] is how many local vertices need activations at level l:
-	// Needed[0] = NumVertices (raw features), Needed[L] = NumSeeds.
+	// Needed[0] = NumVertices (raw features), Needed[L] = the seed count.
 	Needed []int
 
 	// AdjStart/AdjNbr alias the sample's CSR of each local vertex's
@@ -51,7 +50,6 @@ func NewCompactInto(c *Compact, s *sampling.Sample) error {
 	}
 	l := len(s.Layers)
 	c.NumVertices = len(s.Input)
-	c.NumSeeds = len(s.Seeds)
 	c.NumLevels = l
 	c.Needed = growInts(c.Needed, l+1)
 	c.Needed[0] = len(s.Input)

@@ -45,14 +45,9 @@ type gatHead struct {
 
 const leakySlope = 0.2
 
-// NewGAT creates a single-head GAT layer with Glorot-initialized
-// parameters.
-func NewGAT(inDim, outDim int, relu bool, r *rng.Rand) *GAT {
-	return NewGATMultiHead(inDim, outDim, 1, relu, r)
-}
-
-// NewGATMultiHead creates a GAT layer whose output concatenates numHeads
-// attention heads of OutDim/numHeads lanes each.
+// NewGATMultiHead creates a GAT layer with Glorot-initialized parameters
+// whose output concatenates numHeads attention heads of OutDim/numHeads
+// lanes each.
 func NewGATMultiHead(inDim, outDim, numHeads int, relu bool, r *rng.Rand) *GAT {
 	if numHeads <= 0 || outDim%numHeads != 0 {
 		panic(fmt.Sprintf("nn: GAT outDim %d not divisible by %d heads", outDim, numHeads))

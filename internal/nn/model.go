@@ -155,11 +155,10 @@ func (m *Model) PredictWS(ws *Workspace, g *Compact, feats *tensor.Matrix, label
 	return correct, nil
 }
 
-// ClassifyWS runs forward inside ws and returns the per-seed argmax
-// class for each of the g.NumSeeds seed vertices, appended into dst
-// (grown as needed, reused across calls) — the inference path of the
-// serving layer, where no labels exist and the caller wants the
-// predictions themselves rather than an accuracy count.
+// ClassifyWS runs forward inside ws and returns the argmax class of each
+// seed vertex, appended into dst (grown as needed, reused across calls) —
+// the inference path of the serving layer, where no labels exist and the
+// caller wants the predictions themselves rather than an accuracy count.
 func (m *Model) ClassifyWS(ws *Workspace, g *Compact, feats *tensor.Matrix, dst []int32) ([]int32, error) {
 	ws.reset()
 	logits, _, err := m.ForwardWS(ws, g, feats)

@@ -53,8 +53,8 @@ func TestCompactStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumVertices != len(s.Input) || c.NumSeeds != 2 || c.NumLevels != 2 {
-		t.Errorf("compact shape: %d vertices %d seeds %d levels", c.NumVertices, c.NumSeeds, c.NumLevels)
+	if c.NumVertices != len(s.Input) || c.NumLevels != 2 {
+		t.Errorf("compact shape: %d vertices %d levels", c.NumVertices, c.NumLevels)
 	}
 	if c.Needed[0] != c.NumVertices || c.Needed[1] != s.Layers[0].NumVertices || c.Needed[2] != 2 {
 		t.Errorf("Needed = %v", c.Needed)
@@ -338,7 +338,7 @@ func TestGATAttentionSumsToOne(t *testing.T) {
 	g := testGraph(14, 60, 4)
 	s := sampleFor(t, g, []int32{1, 2}, []int{3})
 	c, _ := newCompact(s)
-	layer := NewGAT(5, 7, false, rng.New(15))
+	layer := NewGATMultiHead(5, 7, 1, false, rng.New(15))
 	feats := tensor.New(c.NumVertices, 5)
 	for i := range feats.Data {
 		feats.Data[i] = float32(i%7) * 0.1
@@ -402,6 +402,51 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	if err := src.LoadCheckpoint(bytes.NewReader([]byte("garbage..."))); err == nil {
 		t.Error("LoadCheckpoint accepted garbage")
 	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to LoadCheckpoint. A rejected
+// checkpoint must leave every parameter bit unchanged, and an accepted one
+// must re-save to exactly the bytes the load consumed.
+func FuzzLoadCheckpoint(f *testing.F) {
+	// Seeds come from a model with other values, so a partial load shows.
+	var valid bytes.Buffer
+	if err := NewModel(workload.GCN, 2, 3, 4, 2, 2).SaveCheckpoint(&valid); err != nil {
+		f.Fatal(err)
+	}
+	raw := valid.Bytes()
+	f.Add(raw)
+	f.Add(raw[:len(raw)-1])     // short read in the last parameter
+	f.Add(raw[:len(raw)/2])     // short read mid-way
+	f.Add(append(raw[:8:8], 9)) // truncated first header
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := NewModel(workload.GCN, 2, 3, 4, 2, 1)
+		var before []uint32
+		for _, p := range m.Params() {
+			for _, v := range p.Value.Data {
+				before = append(before, math.Float32bits(v))
+			}
+		}
+		if err := m.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+			i := 0
+			for pi, p := range m.Params() {
+				for j, v := range p.Value.Data {
+					if math.Float32bits(v) != before[i] {
+						t.Fatalf("rejected checkpoint (%v) changed param %d value %d", err, pi, j)
+					}
+					i++
+				}
+			}
+			return
+		}
+		var resaved bytes.Buffer
+		if err := m.SaveCheckpoint(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, resaved.Bytes()) {
+			t.Fatalf("accepted checkpoint does not re-save to the %d bytes it read", resaved.Len())
+		}
+	})
 }
 
 func TestCopyAndAccumulate(t *testing.T) {

@@ -68,7 +68,10 @@ func (m *Model) SaveCheckpoint(w io.Writer) error {
 }
 
 // LoadCheckpoint restores parameter values written by SaveCheckpoint into
-// a model of the identical architecture.
+// a model of the identical architecture. The load is all-or-nothing: every
+// value is read into a staging buffer sized by the model (never by the
+// checkpoint's headers) and copied in only once the whole checkpoint has
+// been read, so a rejected checkpoint leaves the model unchanged.
 func (m *Model) LoadCheckpoint(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magic, count uint32
@@ -85,6 +88,12 @@ func (m *Model) LoadCheckpoint(r io.Reader) error {
 	if int(count) != len(params) {
 		return fmt.Errorf("nn: checkpoint has %d parameters, model has %d", count, len(params))
 	}
+	total := 0
+	for _, p := range params {
+		total += len(p.Value.Data)
+	}
+	staged := make([]float32, total)
+	off := 0
 	for i, p := range params {
 		var rows, cols uint32
 		if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
@@ -97,9 +106,15 @@ func (m *Model) LoadCheckpoint(r io.Reader) error {
 			return fmt.Errorf("nn: param %d shape %dx%d, model has %dx%d",
 				i, rows, cols, p.Value.Rows, p.Value.Cols)
 		}
-		if err := binary.Read(br, binary.LittleEndian, p.Value.Data); err != nil {
+		n := len(p.Value.Data)
+		if err := binary.Read(br, binary.LittleEndian, staged[off:off+n]); err != nil {
 			return fmt.Errorf("nn: read param %d data: %w", i, err)
 		}
+		off += n
+	}
+	off = 0
+	for _, p := range params {
+		off += copy(p.Value.Data, staged[off:])
 	}
 	return nil
 }

@@ -35,8 +35,7 @@ func TestNewCompactIntoMatchesNewCompact(t *testing.T) {
 		if &reused.AdjStart[0] != &s.AdjStart[0] || len(reused.AdjNbr) != len(s.AdjNbr) {
 			t.Fatalf("seeds %v: reused compact does not view the current sample's CSR", seeds)
 		}
-		if reused.NumVertices != fresh.NumVertices || reused.NumSeeds != fresh.NumSeeds ||
-			reused.NumLevels != fresh.NumLevels {
+		if reused.NumVertices != fresh.NumVertices || reused.NumLevels != fresh.NumLevels {
 			t.Fatalf("seeds %v: header differs: %+v vs fresh", seeds, reused)
 		}
 		for i, n := range fresh.Needed {

@@ -40,7 +40,6 @@ type Attr struct {
 // chrome://tracing load).
 type event struct {
 	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
 	Ts   float64        `json:"ts"`
 	Dur  float64        `json:"dur,omitempty"`
@@ -89,10 +88,6 @@ func (r *Recorder) Registry() *Registry {
 	}
 	return r.metrics
 }
-
-// Enabled reports whether the recorder is live. Instrumented code uses
-// it to skip attribute construction that would otherwise allocate.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Lane is the (process, thread) identity spans are recorded under. The
 // zero Lane (from a nil Recorder) is disabled.
@@ -208,19 +203,6 @@ func (l Lane) InstantAt(name string, atSec float64, attrs ...Attr) {
 	l.r.add(event{
 		Name: name, Ph: "i", S: "t",
 		Ts:  atSec * 1e6,
-		Pid: l.pid, Tid: l.tid,
-		Args: argsMap(attrs),
-	})
-}
-
-// Instant records a zero-duration thread-scoped marker.
-func (l Lane) Instant(name string, attrs ...Attr) {
-	if l.r == nil {
-		return
-	}
-	l.r.add(event{
-		Name: name, Ph: "i", S: "t",
-		Ts:  micros(time.Since(l.r.start)),
 		Pid: l.pid, Tid: l.tid,
 		Args: argsMap(attrs),
 	})

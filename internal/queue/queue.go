@@ -149,26 +149,13 @@ func (q *Queue[T]) Close() {
 	q.notFull.Broadcast()
 }
 
-// Reopen clears the closed flag so the queue can serve another epoch or
-// serving window, and resets MaxDepth to the current depth so Stats()
-// reports the high-water mark of the new window rather than conflating
-// it with previous ones. Enqueued/Dequeued/Dropped keep accumulating
-// across windows; use ResetStats for a fully fresh snapshot.
-func (q *Queue[T]) Reopen() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = false
-	q.maxDepth = q.count
-}
-
 // Stats is a snapshot of queue instrumentation.
 type Stats struct {
 	Enqueued, Dequeued int64
 	// Dropped counts items refused because the queue was closed —
 	// producer-side losses that a bare false return would hide.
 	Dropped int64
-	// MaxDepth is the high-water mark since construction, the last
-	// Reopen, or the last ResetStats, whichever is most recent.
+	// MaxDepth is the high-water mark since construction.
 	MaxDepth int
 }
 
@@ -177,16 +164,4 @@ func (q *Queue[T]) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return Stats{Enqueued: q.enqueued, Dequeued: q.dequeued, Dropped: q.dropped, MaxDepth: q.maxDepth}
-}
-
-// ResetStats zeroes the counters and rebases MaxDepth to the current
-// depth, starting a fresh instrumentation window without disturbing
-// queued items or the closed flag.
-func (q *Queue[T]) ResetStats() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.enqueued = 0
-	q.dequeued = 0
-	q.dropped = 0
-	q.maxDepth = q.count
 }

@@ -56,15 +56,6 @@ func TestCloseDrainsThenStops(t *testing.T) {
 	}
 }
 
-func TestReopen(t *testing.T) {
-	q := New[int](2)
-	q.Close()
-	q.Reopen()
-	if !q.Enqueue(1) {
-		t.Error("enqueue after reopen refused")
-	}
-}
-
 func TestTryDequeue(t *testing.T) {
 	q := New[int](2)
 	if _, ok, done := q.TryDequeue(); ok || done {
@@ -218,7 +209,12 @@ func TestLenTracksDepth(t *testing.T) {
 // must already report done=true, so a polling consumer stops without an
 // extra empty round.
 func TestTryDequeueReportsDoneOnLastItem(t *testing.T) {
+	// While open, handing out the last item must NOT claim done.
 	q := New[int](4)
+	q.Enqueue(3)
+	if v, ok, done := q.TryDequeue(); !ok || v != 3 || done {
+		t.Errorf("last item of open queue: v=%d ok=%v done=%v, want 3,true,false", v, ok, done)
+	}
 	q.Enqueue(1)
 	q.Enqueue(2)
 	q.Close()
@@ -227,41 +223,6 @@ func TestTryDequeueReportsDoneOnLastItem(t *testing.T) {
 	}
 	if v, ok, done := q.TryDequeue(); !ok || v != 2 || !done {
 		t.Errorf("last item of closed queue: v=%d ok=%v done=%v, want 2,true,true", v, ok, done)
-	}
-	// While open, handing out the last item must NOT claim done.
-	q.Reopen()
-	q.Enqueue(3)
-	if v, ok, done := q.TryDequeue(); !ok || v != 3 || done {
-		t.Errorf("last item of open queue: v=%d ok=%v done=%v, want 3,true,false", v, ok, done)
-	}
-}
-
-// TestReopenResetsMaxDepth pins the per-window MaxDepth semantics: a
-// serving window that never goes deeper than 1 must not inherit the
-// previous window's high-water mark.
-func TestReopenResetsMaxDepth(t *testing.T) {
-	q := New[int](8)
-	for i := 0; i < 5; i++ {
-		q.Enqueue(i)
-	}
-	for i := 0; i < 5; i++ {
-		q.Dequeue()
-	}
-	if st := q.Stats(); st.MaxDepth != 5 {
-		t.Fatalf("first window MaxDepth = %d, want 5", st.MaxDepth)
-	}
-	q.Close()
-	q.Reopen()
-	q.Enqueue(9)
-	if st := q.Stats(); st.MaxDepth != 1 {
-		t.Errorf("after Reopen MaxDepth = %d, want 1 (window must not conflate)", st.MaxDepth)
-	}
-	// Reopen with residual items rebases to the residual depth, not zero.
-	q.Enqueue(10)
-	q.Close()
-	q.Reopen()
-	if st := q.Stats(); st.MaxDepth != 2 {
-		t.Errorf("Reopen with 2 residual items: MaxDepth = %d, want 2", st.MaxDepth)
 	}
 }
 
@@ -301,30 +262,13 @@ func TestTryEnqueueBackpressureVsClosed(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	q := New[int](4)
-	q.Enqueue(1)
-	q.Enqueue(2)
-	q.Dequeue()
-	q.Close()
-	q.Enqueue(9) // dropped
-	q.ResetStats()
-	st := q.Stats()
-	if st.Enqueued != 0 || st.Dequeued != 0 || st.Dropped != 0 {
-		t.Errorf("counters not zeroed: %+v", st)
-	}
-	if st.MaxDepth != 1 {
-		t.Errorf("MaxDepth = %d, want rebase to current depth 1", st.MaxDepth)
-	}
-}
-
-// TestCloseReopenStress hammers Close/Reopen cycles against concurrent
-// producers and consumers — producers parked in notFull.Wait must survive
-// a Close+Reopen underneath them, every accepted item must be delivered
-// exactly once, and accepted+dropped must account for every attempt.
-// Run with -race to check the lifecycle transitions.
-func TestCloseReopenStress(t *testing.T) {
-	const producers, consumers, perProducer, cycles = 4, 3, 500, 20
+// TestCloseStress closes the queue under concurrent producers and
+// consumers — producers parked in notFull.Wait must wake into the refusal
+// path, every accepted item must be delivered exactly once, and
+// accepted+dropped must account for every attempt. Run with -race to
+// check the close transition.
+func TestCloseStress(t *testing.T) {
+	const producers, consumers, perProducer = 4, 3, 500
 	q := New[int](4)
 
 	var accepted, dropped atomic.Int64
@@ -343,54 +287,30 @@ func TestCloseReopenStress(t *testing.T) {
 		}(p)
 	}
 
-	// Lifecycle churn: repeatedly close (waking parked producers into the
-	// refusal path) and reopen (letting later enqueues through again).
-	lifecycle := make(chan struct{})
-	go func() {
-		defer close(lifecycle)
-		for c := 0; c < cycles; c++ {
-			time.Sleep(time.Millisecond)
-			q.Close()
-			time.Sleep(time.Millisecond)
-			q.Reopen()
-		}
-	}()
-
 	var mu sync.Mutex
 	seen := make(map[int]int)
 	var cg sync.WaitGroup
-	stop := make(chan struct{})
 	for c := 0; c < consumers; c++ {
 		cg.Add(1)
 		go func() {
 			defer cg.Done()
 			for {
-				// done is ignored here on purpose: a Reopen may admit
-				// more work after closed-and-drained, so consumers poll
-				// until the test signals stop.
-				v, ok, _ := q.TryDequeue()
-				if ok {
-					mu.Lock()
-					seen[v]++
-					mu.Unlock()
-					continue
+				v, ok := q.Dequeue()
+				if !ok {
+					return // closed and drained
 				}
-				select {
-				case <-stop:
-					if q.Len() == 0 {
-						return
-					}
-				default:
-				}
-				time.Sleep(50 * time.Microsecond)
+				mu.Lock()
+				seen[v]++
+				mu.Unlock()
 			}
 		}()
 	}
 
+	// Close mid-stream, waking producers parked on a full queue into the
+	// refusal path while consumers drain the residue.
+	time.Sleep(time.Millisecond)
+	q.Close()
 	pg.Wait()
-	<-lifecycle
-	q.Reopen() // final window: let consumers drain the residue
-	close(stop)
 	cg.Wait()
 
 	if got := accepted.Load() + dropped.Load(); got != producers*perProducer {

@@ -82,9 +82,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns 32 uniformly random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -85,7 +85,7 @@ func Fingerprint(alg Algorithm) string {
 	case *KHop:
 		return fmt.Sprintf("khop%v/%s", a.Fanouts, a.Method)
 	case *WeightedKHop:
-		return fmt.Sprintf("weighted-khop%v/%d", a.Fanouts, a.Method)
+		return fmt.Sprintf("weighted-khop%v", a.Fanouts)
 	case *RandomWalk:
 		return fmt.Sprintf("random-walk(%d,%d,%d,%d)", a.Layers, a.NumPaths, a.WalkLength, a.NumNeighbors)
 	case *ClusterGCN:

@@ -54,11 +54,6 @@ type Sample struct {
 
 	Layers []Layer
 
-	// CachedMask marks, per local vertex, whether its feature resides in
-	// the trainer-side GPU cache. GNNLab marks this during the Sample
-	// stage (§5.2, "M" in Table 5); it is nil until marked.
-	CachedMask []bool
-
 	// Work accounting, consumed by the device cost model.
 	SampledEdges int64 // neighbor draws performed
 	ScannedEdges int64 // adjacency entries touched (reservoir ∝ degree)
@@ -69,21 +64,16 @@ type Sample struct {
 // Sampler and Trainer: what Clone's copy into the global queue costs ("C"
 // in Table 5) and what the simulator charges for queueing and PCIe. It
 // models the paper's COO encoding, not this struct's layout: 4 B per input
-// and per seed, 8 B (source and target) per sampled edge, plus a byte per
-// CachedMask entry.
+// and per seed, 8 B (source and target) per sampled edge.
 func (s *Sample) Bytes() int64 {
-	b := int64(len(s.Input)+len(s.Seeds))*4 + int64(len(s.AdjNbr))*8
-	if s.CachedMask != nil {
-		b += int64(len(s.CachedMask))
-	}
-	return b
+	return int64(len(s.Input)+len(s.Seeds))*4 + int64(len(s.AdjNbr))*8
 }
 
-// Clone returns a deep copy of s — every slice, the CachedMask and the
-// work counters — that owns its memory: the copy a Sampler makes into
-// the global queue (§5.2). A built-in algorithm's sample is valid only
-// until that instance's next Sample call, so a caller that keeps one
-// past it keeps a Clone. The int32 slices share one exactly-sized
+// Clone returns a deep copy of s — every slice and the work counters —
+// that owns its memory: the copy a Sampler makes into the global queue
+// (§5.2). A built-in algorithm's sample is valid only until that
+// instance's next Sample call, so a caller that keeps one past it keeps a
+// Clone. The int32 slices share one exactly-sized
 // backing array, capped so that appending to one cannot overwrite
 // another.
 func (s *Sample) Clone() *Sample {
@@ -100,7 +90,6 @@ func (s *Sample) Clone() *Sample {
 	c.Seeds, c.Input = take(s.Seeds), take(s.Input)
 	c.AdjStart, c.AdjNbr = take(s.AdjStart), take(s.AdjNbr)
 	c.Layers = slices.Clone(s.Layers)
-	c.CachedMask = slices.Clone(s.CachedMask)
 	return &c
 }
 
@@ -117,7 +106,6 @@ type Validator struct {
 // Check reports the first invariant s violates as a sample of a graph
 // with numVertices vertices:
 //   - Input holds distinct vertices of the graph and starts with Seeds;
-//   - CachedMask, if set, covers Input;
 //   - the CSR has one row per input, and its row starts never decrease;
 //   - each layer knows at least the vertices the one before it knew, its
 //     targets are known after it, and the last layer knows every input;
@@ -146,9 +134,6 @@ func (v *Validator) Check(s *Sample, numVertices int) error {
 		if v.ids.add(global) != int32(local) {
 			return fmt.Errorf("sampling: duplicate global vertex %d at local %d", global, local)
 		}
-	}
-	if s.CachedMask != nil && len(s.CachedMask) != n {
-		return fmt.Errorf("sampling: CachedMask covers %d vertices, input has %d", len(s.CachedMask), n)
 	}
 	if len(s.AdjStart) != n+1 || s.AdjStart[0] != 0 || int(s.AdjStart[n]) != len(s.AdjNbr) {
 		return fmt.Errorf("sampling: CSR has %d row starts for %d inputs and %d edges", len(s.AdjStart), n, len(s.AdjNbr))

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -382,11 +383,6 @@ func TestSampleBytesPositive(t *testing.T) {
 	if s.Bytes() <= 0 {
 		t.Errorf("Bytes() = %d", s.Bytes())
 	}
-	withMask := *s
-	withMask.CachedMask = make([]bool, len(s.Input))
-	if withMask.Bytes() <= s.Bytes() {
-		t.Error("mask did not increase byte estimate")
-	}
 }
 
 func TestWorkloadFactories(t *testing.T) {
@@ -424,105 +420,39 @@ func BenchmarkWeightedSample(b *testing.B) {
 	}
 }
 
-func TestAliasTableDistribution(t *testing.T) {
-	weights := []float32{1, 3, 0, 6}
-	tab := NewAliasTable(weights)
-	if tab.Len() != 4 {
-		t.Fatalf("Len = %d", tab.Len())
-	}
-	r := rng.New(44)
-	counts := make([]int, 4)
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		counts[tab.Draw(r)]++
-	}
-	if counts[2] != 0 {
-		t.Errorf("zero-weight outcome drawn %d times", counts[2])
-	}
-	total := float64(draws)
-	for i, w := range []float64{0.1, 0.3, 0, 0.6} {
-		got := float64(counts[i]) / total
-		if w == 0 {
-			continue
-		}
-		if got < w*0.95 || got > w*1.05 {
-			t.Errorf("outcome %d frequency %.4f, want ~%.1f", i, got, w)
-		}
-	}
-}
-
-func TestAliasTablePanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty":    func() { NewAliasTable(nil) },
-		"negative": func() { NewAliasTable([]float32{1, -1}) },
-		"all-zero": func() { NewAliasTable([]float32{0, 0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s weights accepted", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// TestWeightedMethodsSameDistribution: CDF and alias draws must agree in
-// distribution over a skewed adjacency list.
-func TestWeightedMethodsSameDistribution(t *testing.T) {
-	b := graph.NewBuilder(6, true)
-	for i, w := range []float32{8, 4, 2, 1, 1} {
+// TestWeightedDrawFrequenciesMatchWeights: over a hand-built weighted row,
+// each neighbor's share of the draws must match its exact share of the
+// row's weight (within four standard deviations of the binomial count),
+// and a zero-weight edge is never drawn.
+func TestWeightedDrawFrequenciesMatchWeights(t *testing.T) {
+	weights := []float32{8, 4, 0, 2, 1, 1}
+	b := graph.NewBuilder(len(weights)+1, true)
+	var total float64
+	for i, w := range weights {
 		b.AddEdge(0, int32(i+1), w)
+		total += float64(w)
 	}
 	g, err := b.Build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const trials = 30000
-	count := func(m WeightedDrawMethod) []int {
-		alg := NewWeightedKHopMethod([]int{2}, m)
-		r := rng.New(45)
-		c := make([]int, 6)
-		for i := 0; i < trials; i++ {
-			s := alg.Sample(g, []int32{0}, r)
-			for _, src := range layerEdges(s, 0) {
-				c[s.Input[src]]++
-			}
-		}
-		return c
-	}
-	cdf, alias := count(WeightedCDF), count(WeightedAlias)
-	for v := 1; v <= 5; v++ {
-		a, b := float64(cdf[v]), float64(alias[v])
-		if a == 0 || b == 0 {
-			t.Fatalf("vertex %d never drawn: cdf %v alias %v", v, cdf, alias)
-		}
-		if b < a*0.9 || b > a*1.1 {
-			t.Errorf("vertex %d: cdf %v vs alias %v diverge", v, cdf[v], alias[v])
+	const trials, fanout = 30000, 2
+	alg := NewWeightedKHop([]int{fanout})
+	r := rng.New(45)
+	counts := make([]int, len(weights)+1)
+	for i := 0; i < trials; i++ {
+		s := alg.Sample(g, []int32{0}, r)
+		for _, nbr := range layerEdges(s, 0) {
+			counts[s.Input[nbr]]++
 		}
 	}
-}
-
-func TestWeightedAliasSampleValid(t *testing.T) {
-	g := testGraph(46, 300, 8, 1)
-	alg := NewWeightedKHopMethod([]int{4, 3}, WeightedAlias)
-	r := rng.New(47)
-	for trial := 0; trial < 10; trial++ {
-		s := alg.Sample(g, seeds(10, 300, r), r)
-		if err := validate(s, g); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+	const draws = trials * fanout
+	for i, w := range weights {
+		got := counts[i+1]
+		p := float64(w) / total
+		want := draws * p
+		if dev := math.Abs(float64(got) - want); dev > 4*math.Sqrt(draws*p*(1-p)) || (w == 0 && got != 0) {
+			t.Errorf("neighbor %d (weight %v): %d of %d draws, want %.0f", i+1, w, got, draws, want)
 		}
-	}
-}
-
-func BenchmarkWeightedSampleAlias(b *testing.B) {
-	g := testGraph(22, 100000, 15, 2)
-	alg := NewWeightedKHopMethod([]int{15, 10, 5}, WeightedAlias)
-	r := rng.New(23)
-	sd := seeds(80, 100000, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = alg.Sample(g, sd, r)
 	}
 }

@@ -22,8 +22,7 @@ func scratchAlgorithms() []struct {
 	}{
 		{"khop-fisher-yates", func() Algorithm { return NewKHop([]int{5, 3}, FisherYates) }},
 		{"khop-reservoir", func() Algorithm { return NewKHop([]int{5, 3}, Reservoir) }},
-		{"weighted-cdf", func() Algorithm { return NewWeightedKHopMethod([]int{5, 3}, WeightedCDF) }},
-		{"weighted-alias", func() Algorithm { return NewWeightedKHopMethod([]int{5, 3}, WeightedAlias) }},
+		{"weighted-cdf", func() Algorithm { return NewWeightedKHop([]int{5, 3}) }},
 		{"random-walk", func() Algorithm { return NewRandomWalk(2, 4, 3, 5) }},
 		{"cluster-gcn", func() Algorithm { return NewClusterGCN(24, 11) }},
 		{"saint-node", func() Algorithm { return NewSAINTNode(60) }},
@@ -83,10 +82,6 @@ func TestSampleClone(t *testing.T) {
 			alg := ClonePooled(tc.mk())
 			r := rng.New(21)
 			src := alg.Sample(g, seeds(8, 400, r), r)
-			src.CachedMask = make([]bool, len(src.Input))
-			for i := range src.CachedMask {
-				src.CachedMask[i] = i%3 == 0
-			}
 			want := gobBytes(t, src)
 			c := src.Clone()
 			if !bytes.Equal(gobBytes(t, c), want) {
@@ -100,9 +95,6 @@ func TestSampleClone(t *testing.T) {
 			}
 			for i := range scribble.Layers {
 				scribble.Layers[i] = Layer{}
-			}
-			for i := range scribble.CachedMask {
-				scribble.CachedMask[i] = !scribble.CachedMask[i]
 			}
 			if !bytes.Equal(gobBytes(t, src), want) {
 				t.Fatal("writing to a clone changed its source")
@@ -227,29 +219,6 @@ func TestExpectedVerticesOverflow(t *testing.T) {
 		if got < 0 || got > maxExpectedVertices {
 			t.Errorf("expectedVertices(%d, %v) = %d out of [0, cap]", c.seeds, c.fanouts, got)
 		}
-	}
-}
-
-// TestValidateCachedMaskLength: Validate must reject a mask that does not
-// cover the input set exactly.
-func TestValidateCachedMaskLength(t *testing.T) {
-	g := testGraph(5, 200, 6, 1)
-	r := rng.New(6)
-	s := NewKHop([]int{3}, FisherYates).Sample(g, seeds(5, 200, r), r)
-	if err := validate(s, g); err != nil {
-		t.Fatalf("baseline sample invalid: %v", err)
-	}
-	s.CachedMask = make([]bool, len(s.Input))
-	if err := validate(s, g); err != nil {
-		t.Errorf("full-length mask rejected: %v", err)
-	}
-	s.CachedMask = make([]bool, len(s.Input)+1)
-	if err := validate(s, g); err == nil {
-		t.Error("overlong CachedMask accepted")
-	}
-	s.CachedMask = make([]bool, len(s.Input)-1)
-	if err := validate(s, g); err == nil {
-		t.Error("short CachedMask accepted")
 	}
 }
 

@@ -9,34 +9,21 @@ import (
 	"gnnlab/internal/rng"
 )
 
-// WeightedDrawMethod selects how weighted neighbor draws are implemented.
-// Both produce the same distribution; they trade preprocessing for
-// per-draw cost like real GPU samplers do.
-type WeightedDrawMethod int
-
-const (
-	// WeightedCDF binary-searches per-row cumulative weights:
-	// O(E) floats of preprocessing, O(log d) per draw.
-	WeightedCDF WeightedDrawMethod = iota
-	// WeightedAlias builds per-row alias tables (Walker's method):
-	// 2×O(E) of preprocessing, O(1) per draw.
-	WeightedAlias
-)
-
 // WeightedKHop is k-hop weighted neighborhood sampling (ASGCN [28] style):
 // layer i draws Fanouts[i] neighbors of each frontier vertex with
 // probability proportional to the connecting edge's weight. Draws are with
-// replacement (duplicates collapse in the dedup step).
+// replacement (duplicates collapse in the dedup step). A draw
+// binary-searches the row's cumulative weights: O(E) floats of
+// preprocessing, O(log d) per draw.
 type WeightedKHop struct {
 	Fanouts []int
-	Method  WeightedDrawMethod
 	tables  *weightTables
 
 	// sc is the reusable arena behind Sample; clone per executor.
 	sc *scratch
 }
 
-// weightTables caches the per-graph draw structures so every executor
+// weightTables caches the per-graph draw tables so every executor
 // cloned from the same sampler shares one O(E) precomputation. Each graph
 // View maps to an entry guarded by a sync.Once: the build happens exactly
 // once no matter how many clones race, and after it the lookup is a
@@ -45,10 +32,9 @@ type WeightedKHop struct {
 // of the underlying CSR or Snapshot) is sound. Prefer building eagerly via
 // Prepare before fanning out executors.
 type weightTables struct {
-	cdf   sync.Map // graph.View -> *cdfTable
-	alias sync.Map // graph.View -> *aliasTable
-	// builds counts table constructions across both methods; tests assert
-	// exactly-once builds under concurrent clones.
+	cdf sync.Map // graph.View -> *cdfTable
+	// builds counts table constructions; tests assert exactly-once builds
+	// under concurrent clones.
 	builds atomic.Int64
 }
 
@@ -62,15 +48,6 @@ type cdfTable struct {
 	done   atomic.Bool
 	rowPtr []int64   // len NumVertices+1, edge offsets into cum
 	cum    []float32 // cumulative weights per row
-}
-
-// aliasTable is one graph's per-row alias tables, built once (same
-// done-flag publication scheme as cdfTable).
-type aliasTable struct {
-	once   sync.Once
-	done   atomic.Bool
-	rowPtr []int64 // len NumVertices+1, edge offsets into fa
-	fa     *flatAlias
 }
 
 // edgeOffsets returns per-vertex edge offsets for g: a base CSR's own
@@ -87,22 +64,8 @@ func edgeOffsets(g graph.View) []int64 {
 	return rp
 }
 
-// flatAlias packs one alias table per adjacency row into flat arrays
-// aligned with the graph's CSR offsets; alias entries are row-local.
-type flatAlias struct {
-	prob  []float32
-	alias []int32
-}
-
-// NewWeightedKHop returns a weighted k-hop sampler with the given fanouts
-// using the CDF draw method.
+// NewWeightedKHop returns a weighted k-hop sampler with the given fanouts.
 func NewWeightedKHop(fanouts []int) *WeightedKHop {
-	return NewWeightedKHopMethod(fanouts, WeightedCDF)
-}
-
-// NewWeightedKHopMethod returns a weighted k-hop sampler with an explicit
-// draw method.
-func NewWeightedKHopMethod(fanouts []int, method WeightedDrawMethod) *WeightedKHop {
 	if len(fanouts) == 0 {
 		panic("sampling: NewWeightedKHop with no fanouts")
 	}
@@ -113,14 +76,13 @@ func NewWeightedKHopMethod(fanouts []int, method WeightedDrawMethod) *WeightedKH
 	}
 	return &WeightedKHop{
 		Fanouts: append([]int(nil), fanouts...),
-		Method:  method,
 		tables:  &weightTables{},
 	}
 }
 
 // Clone returns an independent sampler sharing the weight tables.
 func (w *WeightedKHop) Clone() Algorithm {
-	return &WeightedKHop{Fanouts: w.Fanouts, Method: w.Method, tables: w.tables}
+	return &WeightedKHop{Fanouts: w.Fanouts, tables: w.tables}
 }
 
 // scratchArena implements scratchOwner, creating the arena on first use.
@@ -139,16 +101,11 @@ func (w *WeightedKHop) Name() string {
 // NumHops implements Algorithm.
 func (w *WeightedKHop) NumHops() int { return len(w.Fanouts) }
 
-// Prepare implements Preparer: it eagerly builds the draw tables of the
-// configured method for g, so the lazy build never contends once executors
-// fan out. No-op on unweighted graphs (Sample reports that error itself).
+// Prepare implements Preparer: it eagerly builds the cumulative-weight
+// table for g, so the lazy build never contends once executors fan out.
+// No-op on unweighted graphs (Sample reports that error itself).
 func (w *WeightedKHop) Prepare(g graph.View) {
-	if !g.Weighted() {
-		return
-	}
-	if w.Method == WeightedAlias {
-		w.tables.aliases(g)
-	} else {
+	if g.Weighted() {
 		w.tables.cumulative(g)
 	}
 }
@@ -186,59 +143,12 @@ func (t *weightTables) cumulative(g graph.View) *cdfTable {
 	return ct
 }
 
-// aliases returns (building exactly once if needed) per-row alias tables
-// for g (same allocation-free fast path as cumulative).
-func (t *weightTables) aliases(g graph.View) *aliasTable {
-	if e, ok := t.alias.Load(g); ok {
-		at := e.(*aliasTable)
-		if at.done.Load() {
-			return at
-		}
-	}
-	e, _ := t.alias.LoadOrStore(g, &aliasTable{})
-	at := e.(*aliasTable)
-	at.once.Do(func() {
-		t.builds.Add(1)
-		rowPtr := edgeOffsets(g)
-		numEdges := g.NumEdges()
-		fa := &flatAlias{
-			prob:  make([]float32, numEdges),
-			alias: make([]int32, numEdges),
-		}
-		n := g.NumVertices()
-		for v := 0; v < n; v++ {
-			weights := g.AdjWeights(int32(v))
-			if len(weights) == 0 {
-				continue
-			}
-			lo := rowPtr[v]
-			hi := lo + int64(len(weights))
-			row := NewAliasTable(weights)
-			copy(fa.prob[lo:hi], row.prob)
-			copy(fa.alias[lo:hi], row.alias)
-		}
-		at.rowPtr = rowPtr
-		at.fa = fa
-		at.done.Store(true)
-	})
-	return at
-}
-
 // Sample implements Algorithm.
 func (w *WeightedKHop) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample {
 	if !g.Weighted() {
 		panic("sampling: weighted k-hop on unweighted graph")
 	}
-	var rowPtr []int64
-	var cum []float32
-	var fa *flatAlias
-	if w.Method == WeightedAlias {
-		at := w.tables.aliases(g)
-		rowPtr, fa = at.rowPtr, at.fa
-	} else {
-		ct := w.tables.cumulative(g)
-		rowPtr, cum = ct.rowPtr, ct.cum
-	}
+	ct := w.tables.cumulative(g)
 	sc := w.scratchArena()
 	dec, _ := g.(graph.NeighborDecoder)
 	expect := expectedVertices(len(seeds), w.Fanouts)
@@ -256,23 +166,12 @@ func (w *WeightedKHop) Sample(g graph.View, seeds []int32, r *rng.Rand) *Sample 
 				s.ScannedEdges += int64(d)
 				continue
 			}
-			lo := rowPtr[v]
-			hi := lo + int64(d)
+			lo := ct.rowPtr[v]
+			row := ct.cum[lo : lo+int64(d)]
 			picks := sc.pickBuf(fanout)
 			for i := range picks {
-				var idx int
-				if fa != nil {
-					// Alias method: O(1) per draw.
-					idx = drawFlat(fa.prob[lo:hi], fa.alias[lo:hi], r)
-				} else {
-					// CDF binary search: O(log d) per draw. Inlined
-					// (vs sort.Search) to keep the closure out of the
-					// per-draw hot path.
-					row := cum[lo:hi]
-					u := float32(r.Float64()) * row[d-1]
-					idx = searchCDF(row, u)
-				}
-				picks[i] = adj[idx]
+				u := float32(r.Float64()) * row[d-1]
+				picks[i] = adj[searchCDF(row, u)]
 			}
 			sc.row(picks)
 			s.SampledEdges += int64(fanout)

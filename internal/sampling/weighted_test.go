@@ -13,29 +13,27 @@ import (
 // engine relies on.
 func TestWeightTablesBuiltExactlyOnce(t *testing.T) {
 	g := testGraph(11, 400, 8, 4)
-	for _, method := range []WeightedDrawMethod{WeightedCDF, WeightedAlias} {
-		w := NewWeightedKHopMethod([]int{5, 3}, method)
-		const workers = 16
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func(i int) {
-				defer wg.Done()
-				alg := ClonePooled(w)
-				r := rng.New(uint64(i))
-				for iter := 0; iter < 4; iter++ {
-					s := alg.Sample(g, []int32{0, 1, 2, 3}, r)
-					if err := validate(s, g); err != nil {
-						t.Error(err)
-						return
-					}
+	w := NewWeightedKHop([]int{5, 3})
+	const workers = 16
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			alg := ClonePooled(w)
+			r := rng.New(uint64(i))
+			for iter := 0; iter < 4; iter++ {
+				s := alg.Sample(g, []int32{0, 1, 2, 3}, r)
+				if err := validate(s, g); err != nil {
+					t.Error(err)
+					return
 				}
-			}(i)
-		}
-		wg.Wait()
-		if n := w.tables.builds.Load(); n != 1 {
-			t.Errorf("method %v: %d table builds across concurrent clones, want 1", method, n)
-		}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := w.tables.builds.Load(); n != 1 {
+		t.Errorf("%d table builds across concurrent clones, want 1", n)
 	}
 }
 
@@ -43,17 +41,15 @@ func TestWeightTablesBuiltExactlyOnce(t *testing.T) {
 // any Sample call, and that sampling afterwards does not rebuild.
 func TestWeightedPrepareBuildsEagerly(t *testing.T) {
 	g := testGraph(12, 200, 6, 3)
-	for _, method := range []WeightedDrawMethod{WeightedCDF, WeightedAlias} {
-		w := NewWeightedKHopMethod([]int{4}, method)
-		Prepare(w, g)
-		if n := w.tables.builds.Load(); n != 1 {
-			t.Fatalf("method %v: builds after Prepare = %d, want 1", method, n)
-		}
-		clone := ClonePooled(w)
-		_ = clone.Sample(g, []int32{0, 1}, rng.New(1))
-		if n := w.tables.builds.Load(); n != 1 {
-			t.Errorf("method %v: Sample after Prepare rebuilt tables (builds=%d)", method, n)
-		}
+	w := NewWeightedKHop([]int{4})
+	Prepare(w, g)
+	if n := w.tables.builds.Load(); n != 1 {
+		t.Fatalf("builds after Prepare = %d, want 1", n)
+	}
+	clone := ClonePooled(w)
+	_ = clone.Sample(g, []int32{0, 1}, rng.New(1))
+	if n := w.tables.builds.Load(); n != 1 {
+		t.Errorf("Sample after Prepare rebuilt tables (builds=%d)", n)
 	}
 }
 

@@ -123,9 +123,6 @@ type Options struct {
 	// CacheRatio is the fraction of vertices whose features the cache
 	// holds (0 = caching disabled).
 	CacheRatio float64
-	// HotnessDecay is the per-rerank exponential decay of observed
-	// visit counts (0 = 0.9).
-	HotnessDecay float64
 	// RerankEvery is how many batches between cache reranks
 	// (0 = 64; ignored while CacheRatio is 0).
 	RerankEvery int
@@ -137,10 +134,16 @@ type Options struct {
 	// Now is the monotonic clock in seconds (nil = wall clock).
 	// Deterministic tests inject a fake.
 	Now func() float64
-	// EWMAAlpha is the smoothing factor of the batch-service-time
-	// estimate driving projected-wait shedding (0 = 0.2).
-	EWMAAlpha float64
 }
+
+const (
+	// hotnessDecay is the per-rerank exponential decay of observed visit
+	// counts.
+	hotnessDecay = 0.9
+	// ewmaAlpha is the smoothing factor of the batch-service-time
+	// estimate driving projected-wait shedding.
+	ewmaAlpha = 0.2
+)
 
 // Server is the online inference engine. Submit is safe for concurrent
 // callers; Step must run on one dispatcher goroutine at a time, and a
@@ -205,14 +208,8 @@ func New(d *gen.Dataset, opt Options) (*Server, error) {
 	if opt.Deadline <= 0 {
 		opt.Deadline = 0.25
 	}
-	if opt.HotnessDecay <= 0 || opt.HotnessDecay > 1 {
-		opt.HotnessDecay = 0.9
-	}
 	if opt.RerankEvery <= 0 {
 		opt.RerankEvery = 64
-	}
-	if opt.EWMAAlpha <= 0 || opt.EWMAAlpha > 1 {
-		opt.EWMAAlpha = 0.2
 	}
 	if opt.Now == nil {
 		start := time.Now()
@@ -365,8 +362,7 @@ func (s *Server) Step() (completed int, done bool, err error) {
 	s.batches++
 
 	// Fold the batch's service time into the admission estimate.
-	a := s.opt.EWMAAlpha
-	s.estBatch.store((1-a)*s.estBatch.load() + a*(end-now))
+	s.estBatch.store((1-ewmaAlpha)*s.estBatch.load() + ewmaAlpha*(end-now))
 
 	// Request-driven hotness: every vertex this batch touched (the full
 	// sampled neighborhood, not just the seeds — Extract gathers them
@@ -381,7 +377,7 @@ func (s *Server) Step() (completed int, done bool, err error) {
 		}
 		s.hot.ApplyDelta(s.visits)
 		if s.batches%s.opt.RerankEvery == 0 {
-			s.hot.Decay(s.opt.HotnessDecay)
+			s.hot.Decay(hotnessDecay)
 			if err := s.rerank(); err != nil {
 				return completed, done, err
 			}
@@ -412,21 +408,6 @@ func (s *Server) rerank() error {
 			obs.Attr{Key: "hit_rate", Value: s.store.HitRate()})
 	}
 	return nil
-}
-
-// Drain steps until the queue is empty, returning total completions.
-func (s *Server) Drain() (int, error) {
-	total := 0
-	for {
-		n, _, err := s.Step()
-		total += n
-		if err != nil {
-			return total, err
-		}
-		if n == 0 && s.pending.Len() == 0 {
-			return total, nil
-		}
-	}
 }
 
 // Close shuts the admission queue: later Submits return Closed, and

@@ -253,7 +253,7 @@ func TestAdmissionRecoversFromSlowStep(t *testing.T) {
 		}
 		return clock
 	}
-	s := newServer(t, Options{Seed: 1, Deadline: deadline, EWMAAlpha: 0.5, Now: now})
+	s := newServer(t, Options{Seed: 1, Deadline: deadline, Now: now})
 	cycle := func() {
 		t.Helper()
 		tk, out := s.Submit(7)
@@ -268,7 +268,7 @@ func TestAdmissionRecoversFromSlowStep(t *testing.T) {
 		}
 		s.Release(tk)
 	}
-	stepCost = 5 * deadline
+	stepCost = 10 * deadline
 	cycle()
 	slow := s.estBatch.load()
 	if slow <= deadline {
@@ -320,7 +320,7 @@ func TestEWMATracksBatchTime(t *testing.T) {
 	// after the forward pass, so every batch appears to take 0.1s.
 	tick := 0.0
 	now := func() float64 { tick += 0.1; return tick }
-	s := newServer(t, Options{Seed: 1, Deadline: 1000, EWMAAlpha: 0.5, Now: now})
+	s := newServer(t, Options{Seed: 1, Deadline: 1000, Now: now})
 	before := s.estBatch.load()
 	for i := 0; i < 6; i++ {
 		if _, out := s.Submit(11); out != Admitted {

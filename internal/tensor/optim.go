@@ -109,22 +109,3 @@ func (a *Adam) Restore(st AdamState) error {
 	}
 	return nil
 }
-
-// SGD is plain stochastic gradient descent (used by tests as a simple
-// reference optimizer).
-type SGD struct {
-	LR     float64
-	params []*Param
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(lr float64, params []*Param) *SGD { return &SGD{LR: lr, params: params} }
-
-// Step applies one SGD update and clears gradients.
-func (s *SGD) Step() {
-	lr := float32(s.LR)
-	for _, p := range s.params {
-		AXPY(-lr, p.Grad.Data, p.Value.Data)
-		p.Grad.Zero()
-	}
-}

@@ -247,33 +247,12 @@ func TestAdamMinimizesQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMinimizesQuadratic(t *testing.T) {
-	p := NewParam(1, 2)
-	copy(p.Value.Data, []float32{4, -4})
-	target := []float32{0, 0}
-	opt := NewSGD(0.05, []*Param{p})
-	for i := 0; i < 200; i++ {
-		quadraticStep(p, target)
-		opt.Step()
-	}
-	for i, v := range p.Value.Data {
-		if math.Abs(float64(v)) > 0.01 {
-			t.Errorf("SGD left x[%d] = %v", i, v)
-		}
-	}
-}
-
 func TestStepClearsGradients(t *testing.T) {
 	p := NewParam(1, 2)
 	p.Grad.Data[0] = 3
 	NewAdam(0.01, []*Param{p}).Step()
 	if p.Grad.Data[0] != 0 {
 		t.Error("Adam.Step left gradients")
-	}
-	p.Grad.Data[1] = 2
-	NewSGD(0.01, []*Param{p}).Step()
-	if p.Grad.Data[1] != 0 {
-		t.Error("SGD.Step left gradients")
 	}
 }
 

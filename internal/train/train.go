@@ -136,6 +136,9 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 	if d.Labels == nil || d.Features == nil {
 		return nil, fmt.Errorf("train: dataset %s has no labels/features (use a KindCommunity preset)", d.Name)
 	}
+	if err := opts.Faults.Validate(); err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
 	spec := workload.Spec{Kind: opts.Model, HiddenDim: opts.HiddenDim, BatchSize: opts.BatchSize}
 	alg := spec.NewSampler()
 	// Build any per-graph sampler tables once, before sampler goroutines
