@@ -22,7 +22,9 @@ type PreprocessCost struct {
 func (p PreprocessCost) DRAMToGPU() float64 { return p.LoadTopology + p.LoadCache }
 
 // Preprocess estimates the preprocessing cost of running cfg on d,
-// performing the real pre-sampling to cost P3.
+// performing the real pre-sampling to cost P3. A configuration that Run
+// would report as OOM has no preprocessing to cost: its error wraps
+// device.ErrOutOfMemory.
 func Preprocess(ds *gen.Dataset, cfg Config) (PreprocessCost, error) {
 	cfg = cfg.withDefaults()
 	dim := ds.FeatureDim
@@ -32,8 +34,8 @@ func Preprocess(ds *gen.Dataset, cfg Config) (PreprocessCost, error) {
 	vfb := int64(dim) * 4
 
 	plan := planMemory(cfg, ds, vfb)
-	if plan.err != nil {
-		return PreprocessCost{}, plan.err
+	if err := oomError(cfg, plan); err != nil {
+		return PreprocessCost{}, err
 	}
 	p := PreprocessCost{
 		Dataset:      ds.Name,

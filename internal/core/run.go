@@ -203,21 +203,14 @@ func Replay(m *measure.Measurement, cfg Config) (*Report, error) {
 	return rn.replay(design, rep, plan, m)
 }
 
-// oomPreflight fills rep with any pre-measurement OOM outcome and reports
-// whether the run is over: a memory plan failure, or a single-GPU GNNLab
-// run, whose one GPU switches between the roles and so must hold the
-// topology and the training workspace together (no standby capacity).
-// The second rule belongs to the run, not to the plan: LedgerFor and
-// Preprocess still report such a configuration's per-role memory.
+// oomPreflight fills rep with any pre-measurement OOM outcome (oomError)
+// and reports whether the run is over.
 func oomPreflight(rep *Report, cfg Config, plan memPlan) bool {
-	switch {
-	case plan.err != nil:
-		rep.OOMReason = plan.err.Error()
-	case cfg.Design == DesignGNNLab && cfg.NumGPUs == 1 && plan.standbySlots < 0:
-		rep.OOMReason = "single GPU cannot hold topology and training workspace together"
-	default:
+	err := oomError(cfg, plan)
+	if err == nil {
 		return false
 	}
+	rep.OOMReason = err.Error()
 	rep.OOM = true
 	cfg.Obs.Registry().Counter("core.oom").Add(1)
 	if l := cfg.Obs.EventLog(); l.Enabled(obs.LevelError) {
@@ -228,6 +221,32 @@ func oomPreflight(rep *Report, cfg Config, plan memPlan) bool {
 	}
 	return true
 }
+
+// oomError is the pre-measurement OOM verdict on cfg, or nil: a memory
+// plan failure, or a single-GPU GNNLab run, whose one GPU switches between
+// the roles and so must hold the topology and the training workspace
+// together (no standby capacity). The second rule belongs to the run, not
+// to the plan: LedgerFor still reports such a configuration's per-role
+// memory. Run, Replay and Preprocess all read it from here.
+func oomError(cfg Config, plan memPlan) error {
+	switch {
+	case plan.err != nil:
+		return plan.err
+	case cfg.Design == DesignGNNLab && cfg.NumGPUs == 1 && plan.standbySlots < 0:
+		return singleGPUOOM{}
+	}
+	return nil
+}
+
+// singleGPUOOM is the single-GPU rule's error: the rule alone as its text,
+// device.ErrOutOfMemory underneath.
+type singleGPUOOM struct{}
+
+func (singleGPUOOM) Error() string {
+	return "single GPU cannot hold topology and training workspace together"
+}
+
+func (singleGPUOOM) Unwrap() error { return device.ErrOutOfMemory }
 
 // effectiveAlgorithm returns the sampling algorithm a configuration
 // actually measures with. When the system uses the reservoir sampler

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"gnnlab/internal/measure"
 )
 
 // quickOpts shrinks the experiments enough to run in test time.
@@ -97,6 +99,43 @@ func TestTable4GNNLabWins(t *testing.T) {
 		gl := cellFloat(t, row[5])
 		if gl >= dgl {
 			t.Errorf("GCN/PA: GNNLab %.3f not faster than DGL %.3f", gl, dgl)
+		}
+	}
+}
+
+// TestTable6OOMMatchesTable4 renders both tables on one GPU, where
+// GNNLab's single-GPU rule makes GCN on UK OOM, and checks that each
+// dataset's Table 6 column reads OOM in every row exactly where Table 4's
+// GNNLab GCN cell does.
+func TestTable6OOMMatchesTable4(t *testing.T) {
+	o := Options{Scale: 16, Epochs: 2, NumGPUs: 1, Store: measure.NewStore()}
+	t4, err := Table4(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t6, err := Table6(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Table 4 header: Model Dataset PyG DGL T_SOTA GNNLab (alloc).
+	oom := map[string]bool{}
+	for _, row := range t4.Rows {
+		if row[0] == "GCN" {
+			oom[row[1]] = row[5] == "OOM"
+		}
+	}
+	if !oom["UK"] {
+		t.Fatal("table4 at 1 GPU: GNNLab GCN on UK is not OOM; the check below needs an OOM column")
+	}
+	for c, name := range t6.Header[1:] {
+		want, ok := oom[name]
+		if !ok {
+			t.Fatalf("table6 column %s has no table4 GCN row", name)
+		}
+		for _, row := range t6.Rows {
+			if got := row[c+1] == "OOM"; got != want {
+				t.Errorf("table6 %s row %q = %q; table4 GNNLab GCN OOM = %v", name, row[0], row[c+1], want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"gnnlab/internal/cache"
@@ -230,7 +231,8 @@ func Table5(o Options) (*Table, error) {
 
 // Table6 reproduces the preprocessing-cost table for GCN over the four
 // datasets: disk→DRAM, DRAM→GPU (topology and cache separately), and the
-// PreSC#1 pre-sampling.
+// PreSC#1 pre-sampling. A dataset whose configuration Run reports OOM
+// (Table 4's cell) reads OOM in every row.
 func Table6(o Options) (*Table, error) {
 	o = o.withDefaults()
 	w := o.spec(workload.GCN)
@@ -249,6 +251,10 @@ func Table6(o Options) (*Table, error) {
 		}
 		cfg := o.apply(core.GNNLab(w, o.NumGPUs))
 		p, err := core.Preprocess(d, cfg)
+		if errors.Is(err, device.ErrOutOfMemory) {
+			cols[i] = []string{"OOM", "OOM", "OOM", "OOM", "OOM"}
+			return nil
+		}
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2 arms of axpyBlock, AXPY, ReLU and ReLUBackward. Each vector lane is
-// one output element, so vectorising across output columns leaves every
+// AVX2 arms of panel, AXPY, ReLU and ReLUBackward. Each vector lane is one
+// output element, so vectorising across output columns leaves every
 // element's chain as the Go loop folds it: a multiply rounded on its own
 // (VMULPS), then an add (VADDPS), in k order. There is deliberately no
 // fused multiply-add anywhere: it rounds once where the Go loop rounds
@@ -31,87 +31,173 @@
 	VMULSS (bp)(AX*4), coef, X4 \
 	VADDSS X4, X0, X0
 
-// func axpyBlockAVX2(d []float32, a *[8]float32, b *[8][]float32)
-TEXT ·axpyBlockAVX2(SB), NOSPLIT, $0-40
+// COEF loads the coefficient a[k] at R12 into every lane of Y8, or jumps
+// to skip when it is ±0 and R11 is 0 (the skipping products). With R11 = 1
+// the bits shifted left are never zero, so every term is folded.
+#define COEF(skip) \
+	MOVL (R12), BX \
+	ORL  R11, BX   \
+	SHLL $1, BX    \
+	JZ   skip      \
+	VBROADCASTSS (R12), Y8
+
+// PMADD folds coef·b[j+off/4 ..] at R13 into acc, through tmp.
+#define PMADD(off, tmp, acc) \
+	VMULPS off(R13), Y8, tmp \
+	VADDPS tmp, acc, acc
+
+// func panelAVX2(d, a []float32, aStride, k int, b []float32, bStride int, skipZeros bool)
+//
+// The row is cut into strips of 64, 32, 8 and 1 columns. A strip's
+// accumulators are loaded from d, stay in registers across every k and
+// are stored once. R12 walks a (aStride apart) and R13 walks the strip's
+// columns of b (bStride apart); R9 is where a's walk ends, so panel
+// requires aStride >= 1.
+TEXT ·panelAVX2(SB), NOSPLIT, $0-97
 	MOVQ d_base+0(FP), DI
 	MOVQ d_len+8(FP), CX
-	MOVQ a+24(FP), AX
-	MOVQ b+32(FP), SI
-	VBROADCASTSS 0(AX), Y8
-	VBROADCASTSS 4(AX), Y9
-	VBROADCASTSS 8(AX), Y10
-	VBROADCASTSS 12(AX), Y11
-	VBROADCASTSS 16(AX), Y12
-	VBROADCASTSS 20(AX), Y13
-	VBROADCASTSS 24(AX), Y14
-	VBROADCASTSS 28(AX), Y15
-
-	// Row base pointers: b[c] is a slice header, 24 bytes apart.
-	MOVQ 0(SI), BX
-	MOVQ 24(SI), DX
-	MOVQ 48(SI), R8
-	MOVQ 72(SI), R9
-	MOVQ 96(SI), R10
-	MOVQ 120(SI), R11
-	MOVQ 144(SI), R12
-	MOVQ 168(SI), R13
+	MOVQ a_base+24(FP), SI
+	MOVQ aStride+48(FP), R8
+	SHLQ $2, R8
+	MOVQ k+56(FP), R9
+	IMULQ R8, R9
+	ADDQ SI, R9
+	MOVQ b_base+64(FP), DX
+	MOVQ bStride+88(FP), R10
+	SHLQ $2, R10
+	MOVBQZX skipZeros+96(FP), R11
+	XORQ $1, R11
 	XORQ AX, AX
 
-block32:
-	LEAQ 32(AX), SI
-	CMPQ SI, CX
-	JGT  block8
+strip64:
+	LEAQ 64(AX), BX
+	CMPQ BX, CX
+	JGT  strip32
 	VMOVUPS 0(DI)(AX*4), Y0
 	VMOVUPS 32(DI)(AX*4), Y1
 	VMOVUPS 64(DI)(AX*4), Y2
 	VMOVUPS 96(DI)(AX*4), Y3
-	MADD4(BX, Y8)
-	MADD4(DX, Y9)
-	MADD4(R8, Y10)
-	MADD4(R9, Y11)
-	MADD4(R10, Y12)
-	MADD4(R11, Y13)
-	MADD4(R12, Y14)
-	MADD4(R13, Y15)
+	VMOVUPS 128(DI)(AX*4), Y4
+	VMOVUPS 160(DI)(AX*4), Y5
+	VMOVUPS 192(DI)(AX*4), Y6
+	VMOVUPS 224(DI)(AX*4), Y7
+	MOVQ SI, R12
+	LEAQ (DX)(AX*4), R13
+	CMPQ R12, R9
+	JEQ  store64
+
+k64:
+	COEF(next64)
+	PMADD(0, Y9, Y0)
+	PMADD(32, Y10, Y1)
+	PMADD(64, Y11, Y2)
+	PMADD(96, Y12, Y3)
+	PMADD(128, Y13, Y4)
+	PMADD(160, Y14, Y5)
+	PMADD(192, Y15, Y6)
+	PMADD(224, Y9, Y7)
+
+next64:
+	ADDQ R8, R12
+	ADDQ R10, R13
+	CMPQ R12, R9
+	JNE  k64
+
+store64:
 	VMOVUPS Y0, 0(DI)(AX*4)
 	VMOVUPS Y1, 32(DI)(AX*4)
 	VMOVUPS Y2, 64(DI)(AX*4)
 	VMOVUPS Y3, 96(DI)(AX*4)
-	MOVQ SI, AX
-	JMP  block32
+	VMOVUPS Y4, 128(DI)(AX*4)
+	VMOVUPS Y5, 160(DI)(AX*4)
+	VMOVUPS Y6, 192(DI)(AX*4)
+	VMOVUPS Y7, 224(DI)(AX*4)
+	ADDQ $64, AX
+	JMP  strip64
 
-block8:
-	LEAQ 8(AX), SI
-	CMPQ SI, CX
-	JGT  tail
+strip32:
+	LEAQ 32(AX), BX
+	CMPQ BX, CX
+	JGT  strip8
+	VMOVUPS 0(DI)(AX*4), Y0
+	VMOVUPS 32(DI)(AX*4), Y1
+	VMOVUPS 64(DI)(AX*4), Y2
+	VMOVUPS 96(DI)(AX*4), Y3
+	MOVQ SI, R12
+	LEAQ (DX)(AX*4), R13
+	CMPQ R12, R9
+	JEQ  store32
+
+k32:
+	COEF(next32)
+	PMADD(0, Y9, Y0)
+	PMADD(32, Y10, Y1)
+	PMADD(64, Y11, Y2)
+	PMADD(96, Y12, Y3)
+
+next32:
+	ADDQ R8, R12
+	ADDQ R10, R13
+	CMPQ R12, R9
+	JNE  k32
+
+store32:
+	VMOVUPS Y0, 0(DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VMOVUPS Y2, 64(DI)(AX*4)
+	VMOVUPS Y3, 96(DI)(AX*4)
+	ADDQ $32, AX
+	JMP  strip32
+
+strip8:
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JGT  strip1
 	VMOVUPS (DI)(AX*4), Y0
-	MADD1(BX, Y8)
-	MADD1(DX, Y9)
-	MADD1(R8, Y10)
-	MADD1(R9, Y11)
-	MADD1(R10, Y12)
-	MADD1(R11, Y13)
-	MADD1(R12, Y14)
-	MADD1(R13, Y15)
-	VMOVUPS Y0, (DI)(AX*4)
-	MOVQ SI, AX
-	JMP  block8
+	MOVQ SI, R12
+	LEAQ (DX)(AX*4), R13
+	CMPQ R12, R9
+	JEQ  store8
 
-tail:
+k8:
+	COEF(next8)
+	PMADD(0, Y9, Y0)
+
+next8:
+	ADDQ R8, R12
+	ADDQ R10, R13
+	CMPQ R12, R9
+	JNE  k8
+
+store8:
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  strip8
+
+strip1:
 	CMPQ AX, CX
 	JGE  done
 	VMOVSS (DI)(AX*4), X0
-	MADDS(BX, X8)
-	MADDS(DX, X9)
-	MADDS(R8, X10)
-	MADDS(R9, X11)
-	MADDS(R10, X12)
-	MADDS(R11, X13)
-	MADDS(R12, X14)
-	MADDS(R13, X15)
+	MOVQ SI, R12
+	LEAQ (DX)(AX*4), R13
+	CMPQ R12, R9
+	JEQ  store1
+
+k1:
+	COEF(next1)
+	VMULSS (R13), X8, X9
+	VADDSS X9, X0, X0
+
+next1:
+	ADDQ R8, R12
+	ADDQ R10, R13
+	CMPQ R12, R9
+	JNE  k1
+
+store1:
 	VMOVSS X0, (DI)(AX*4)
 	INCQ AX
-	JMP  tail
+	JMP  strip1
 
 done:
 	VZEROUPPER

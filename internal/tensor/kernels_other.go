@@ -6,7 +6,9 @@ package tensor
 // assembly stubs below are never called.
 var useAVX2 = false
 
-func axpyBlockAVX2(d []float32, a *[8]float32, b *[8][]float32) { panic("tensor: no AVX2 arm") }
-func axpyAVX2(alpha float32, x, y []float32)                    { panic("tensor: no AVX2 arm") }
-func reluAVX2(x []float32)                                      { panic("tensor: no AVX2 arm") }
-func reluBackwardAVX2(grad, out []float32)                      { panic("tensor: no AVX2 arm") }
+func panelAVX2(d, a []float32, aStride, k int, b []float32, bStride int, skipZeros bool) {
+	panic("tensor: no AVX2 arm")
+}
+func axpyAVX2(alpha float32, x, y []float32) { panic("tensor: no AVX2 arm") }
+func reluAVX2(x []float32)                   { panic("tensor: no AVX2 arm") }
+func reluBackwardAVX2(grad, out []float32)   { panic("tensor: no AVX2 arm") }

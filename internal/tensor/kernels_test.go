@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -73,7 +74,7 @@ func bitsEqual(a, b []float32) int {
 	return -1
 }
 
-// TestVectorKernelsMatchGo runs axpyBlock, AXPY, ReLU and ReLUBackward
+// TestVectorKernelsMatchGo runs panel, AXPY, ReLU and ReLUBackward
 // through both arms on the same inputs and compares every bit of the
 // result, including the elements around the written slice.
 func TestVectorKernelsMatchGo(t *testing.T) {
@@ -96,17 +97,33 @@ func TestVectorKernelsMatchGo(t *testing.T) {
 				name, n, off, i-off, math.Float32bits(res[0][i]), math.Float32bits(res[1][i]))
 		}
 	}
+	// panel: every strip boundary (64, 32, 8, 1 columns) and rows of
+	// several strips, short and long k, a row (stride 1) and a column walk
+	// of a, in both zero modes.
+	var widths []int
+	for n := 0; n <= 70; n++ {
+		widths = append(widths, n)
+	}
+	widths = append(widths, 127, 128, 129, 130, 256, 257)
+	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
+	for _, n := range widths {
+		for _, k := range ks {
+			for _, aStride := range []int{1, 2 + r.Intn(4)} {
+				for _, skip := range []bool{true, false} {
+					_, a := guarded(max(0, (k-1)*aStride+1), r.Intn(8), r)
+					bStride := n + r.Intn(3) // rows may be longer than d
+					_, b := guarded(max(0, (k-1)*bStride+n), r.Intn(8), r)
+					off := r.Intn(8)
+					buf, _ := guarded(n, off, r)
+					name := fmt.Sprintf("panel K %d aStride %d skip %v", k, aStride, skip)
+					both(name, n, off, buf, func(d []float32) { panel(d, a, aStride, k, b, bStride, skip) })
+				}
+			}
+		}
+	}
 	for n := 0; n <= 70; n++ {
 		for off := 0; off < 8; off++ {
-			var a [8]float32
-			var b [8][]float32
-			for c := range b {
-				a[c] = kernelValue(r)
-				_, b[c] = guarded(n+r.Intn(3), r.Intn(8), r) // rows may be longer than d
-			}
 			buf, _ := guarded(n, off, r)
-			both("axpyBlock", n, off, buf, func(d []float32) { axpyBlock(d, &a, &b) })
-
 			alpha := kernelValue(r)
 			_, x := guarded(n, r.Intn(8), r)
 			both("AXPY", n, off, buf, func(y []float32) { AXPY(alpha, x, y) })
@@ -122,47 +139,93 @@ func TestVectorKernelsMatchGo(t *testing.T) {
 }
 
 // TestVectorKernelsEdgeCases pins, on both arms, what the differential
-// test only compares: 0·Inf is NaN inside a chain, ReLU sends NaN and −0
-// to +0, its backward keeps a gradient's bits exactly where out > 0, and
-// a b row shorter than d panics before any kernel reads it.
+// test only compares: a ±0 coefficient opposite an Inf is skipped in skip
+// mode and gives NaN without it, a NaN coefficient is never skipped, 0·Inf
+// is NaN in AXPY, ReLU sends NaN and −0 to +0, its backward keeps a
+// gradient's bits exactly where out > 0, and a product whose operand Data
+// is shorter than Rows×Cols panics before any kernel reads it.
 func TestVectorKernelsEdgeCases(t *testing.T) {
 	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
 	forEachArm(t, func(t *testing.T) {
-		for _, n := range []int{1, 7, 8, 9, 33, 64} {
-			var a [8]float32
-			var b [8][]float32
-			for c := range b {
-				a[c] = 1
-				b[c] = make([]float32, n)
+		for _, n := range []int{1, 7, 8, 9, 33, 64, 65, 100} {
+			const k = 12
+			a := make([]float32, k)
+			b := make([]float32, k*n)
+			for i := range a {
+				a[i] = 1
 			}
-			a[3] = 0
-			for j := range b[3] {
-				b[3][j] = inf
+			for i := range b {
+				b[i] = 1
+			}
+			for j := 0; j < n; j++ {
+				b[3*n+j] = inf
 			}
 			d := make([]float32, n)
-			axpyBlock(d, &a, &b)
-			for j, v := range d {
-				if !math.IsNaN(float64(v)) {
-					t.Fatalf("axpyBlock len %d: 0·Inf term left element %d = %v, want NaN", n, j, v)
+			for _, zero := range []float32{0, negZero} {
+				a[3] = zero
+				clear(d)
+				panel(d, a, 1, k, b, n, true)
+				for j, v := range d {
+					if v != k-1 {
+						t.Fatalf("panel len %d: skipped %v·Inf left element %d = %v, want %d", n, zero, j, v, k-1)
+					}
+				}
+				clear(d)
+				panel(d, a, 1, k, b, n, false)
+				for j, v := range d {
+					if !math.IsNaN(float64(v)) {
+						t.Fatalf("panel len %d: folded %v·Inf left element %d = %v, want NaN", n, zero, j, v)
+					}
 				}
 			}
+			a[3] = 1
+			a[7] = kernelNaN
+			for _, skip := range []bool{true, false} {
+				clear(d)
+				panel(d, a, 1, k, b, n, skip)
+				for j, v := range d {
+					if math.Float32bits(v) != math.Float32bits(kernelNaN) {
+						t.Fatalf("panel len %d skip %v: NaN coefficient left element %d = %v, want NaN", n, skip, j, v)
+					}
+				}
+			}
+
 			y := make([]float32, n)
-			AXPY(0, b[3], y)
+			AXPY(0, b[3*n:4*n], y)
 			if !math.IsNaN(float64(y[n-1])) {
 				t.Fatalf("AXPY len %d: 0·Inf = %v, want NaN", n, y[n-1])
 			}
+		}
 
-			short := b
-			short[5] = short[5][:n-1]
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("axpyBlock len %d with a short b row did not panic", n)
-					}
+		// One element short in each operand of each product: dst's row
+		// slicing, the transposed copy's row reads or panel's bounds proof
+		// must panic.
+		r := rng.New(16)
+		products := []struct {
+			name string
+			run  func(dst, a, b *Matrix)
+			// shapes of dst, a, b for a 5×6 @ 6×7 product
+			dst, a, b [2]int
+		}{
+			{"MatMul", MatMul, [2]int{5, 7}, [2]int{5, 6}, [2]int{6, 7}},
+			{"MatMulATB", MatMulATB, [2]int{5, 7}, [2]int{6, 5}, [2]int{6, 7}},
+			{"MatMulABT", MatMulABT, [2]int{5, 7}, [2]int{5, 6}, [2]int{7, 6}},
+		}
+		for _, p := range products {
+			for short := 0; short < 3; short++ {
+				ms := [3]*Matrix{New(p.dst[0], p.dst[1]), randomMatrix(p.a[0], p.a[1], r), randomMatrix(p.b[0], p.b[1], r)}
+				m := ms[short]
+				m.Data = append([]float32(nil), m.Data[:len(m.Data)-1]...)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s with operand %d one element short did not panic", p.name, short)
+						}
+					}()
+					p.run(ms[0], ms[1], ms[2])
 				}()
-				axpyBlock(d, &a, &short)
-			}()
+			}
 		}
 
 		m := FromData(1, 5, []float32{kernelNaN, negZero, -1, 2, math.SmallestNonzeroFloat32})

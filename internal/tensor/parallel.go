@@ -5,15 +5,16 @@ import (
 	"sync"
 )
 
-// The three product kernels share one contract, per output element: a
-// single float32 accumulator starts at +0 and folds a·b over k ascending
-// (matMulRows and matMulATBCols skip k where the a factor is zero;
-// matMulABTRows does not). Blocking is therefore allowed only where it
-// leaves that chain alone: taking several k per pass while the
-// accumulator sits in a register, or computing several output elements
-// side by side. Splitting one element's chain across accumulators, or
-// reordering k, changes the rounding and is not allowed — every model's
-// losses and checkpoints are pinned bit for bit on top of these
+// The three products share one kernel, panel, and one contract per output
+// element: a single float32 accumulator starts at +0 and folds a·b over k
+// ascending (MatMul and MatMulATB skip k where the a factor is ±0;
+// MatMulABT does not). Blocking is therefore allowed only where it leaves
+// that chain alone: taking several k per pass while the accumulator sits
+// in a register, storing it and loading it back between passes, or
+// computing several output elements side by side.
+// Splitting one element's chain across accumulators, or reordering k,
+// changes the rounding and is not allowed — every model's losses and
+// checkpoints are pinned bit for bit on top of these
 // (TestKernelsExactFoldOrder, train's golden digests).
 
 // parallelThreshold is the multiply-add count at and above which a
@@ -21,24 +22,24 @@ import (
 // identical to the serial computation (each output row is an independent
 // serial reduction), so the constant moves time only, never results.
 //
-// Re-derived with BenchmarkFanOut on the AVX2 kernels (2-core box,
+// Re-derived with BenchmarkFanOut on the AVX2 panel kernel (2-core box,
 // GOMAXPROCS 2, n×64 @ 64×64, median of 7 in µs):
 //
 //	mul-adds        serial  fanned
-//	1<<19 (0.25×)       69     110   fan-out loses
-//	1<<20 (0.5×)       193     169   1.1×
-//	3<<19 (0.75×)      248     192   1.3×
-//	1<<21 (1×)         293     222   1.3×
-//	1<<22 (2×)         609     482   1.3×
-//	1<<23 (4×)        1409     843   1.7×
+//	1<<19 (0.25×)       28      28   even
+//	1<<20 (0.5×)        56      51   1.1×
+//	3<<19 (0.75×)       82      87   fan-out loses
+//	1<<21 (1×)         108     109   even
+//	1<<22 (2×)         214     184   1.2×
+//	1<<23 (4×)         429     296   1.5×
 //
-// The serial kernels got 3–4× faster. Back to back, fan-out now breaks
-// even between 1<<19 and 1<<20, but that is with the second thread still
-// spinning from the previous call. In a real step the products are
-// separated by serial work and it has parked: with the constant at 1<<20,
-// work_per_s was 0.97× (train-inline) and 1.00× (train-factored) of its
-// value at 1<<21, over five alternated benchmark pairs each. The constant
-// stays; a persistent pool, not this constant, is the fix.
+// The serial kernel got about 3× faster again, and back to back fan-out
+// now breaks even between 1<<21 and 1<<22. The live first-layer products
+// (4.9–5.7M multiply-adds) fan out at 1<<21 and would not at 1<<23; over
+// four alternated benchmark pairs each, work_per_s at 1<<23 read 1.01×
+// (train-inline) and 0.97× (train-factored) of its value at 1<<21, and
+// 1<<23 won 2 and 3 of the 4 pairs. The constant stays; a persistent
+// pool, not this constant, is the fix.
 const parallelThreshold = 1 << 21
 
 // rowKernel computes dst rows [lo,hi) of one of the three products.
@@ -71,138 +72,143 @@ func parallelRows(muladds, n int, kernel rowKernel, dst, a, b *Matrix) {
 	wg.Wait()
 }
 
-// kBlock is how many k one pass of the blocked kernels folds into a dst
-// row; axpyBlock spells its eight terms out, so its array types pin the
-// value.
-const kBlock = 8
-
-// axpyBlock folds kBlock scaled rows into d, in index order, holding each
-// d[j] in a register across the adds: d[j] = (…((d[j] + a[0]·b[0][j]) +
-// a[1]·b[1][j]) + …) + a[7]·b[7][j] — the chain eight AXPY calls produce,
-// with an eighth of the loads and stores of d. The AVX2 arm computes eight
-// j per instruction with the same chain. A b row shorter than d panics
-// here, before either arm reads it (slicing alone would check capacity,
-// and a Matrix row's capacity runs on into the next row).
-func axpyBlock(d []float32, a *[8]float32, b *[8][]float32) {
-	n := len(d)
-	for _, r := range b {
-		if len(r) < n {
-			panic("tensor: axpyBlock row shorter than d")
-		}
+// panel folds K terms into one dst row: d[j] += a[k·aStride]·b[k·bStride+j]
+// for k ascending in [0, K), each d[j] a single float32 accumulator that
+// starts from its value in d (+0 on panels' first pass). With skipZeros a
+// term whose a factor is ±0 is left out, so a zero hides an Inf or NaN
+// opposite it; without, every term is folded (MatMulABT's contract).
+// MatMul walks a row of a (aStride 1), MatMulATB a column (aStride
+// a.Cols), MatMulABT a row of a over its copy of bᵀ.
+//
+// The length check below is the one bounds proof for a and b: the AVX2 arm
+// reads exactly a[k·aStride] and b[k·bStride : k·bStride+len(d)] for each
+// k < K, and nothing when K is 0. The Go arm folds eight nonzero k per pass
+// over d, holding each d[j] in a register across the eight adds — the
+// chain eight single-k passes produce, with an eighth of the loads and
+// stores of d.
+func panel(d, a []float32, aStride, K int, b []float32, bStride int, skipZeros bool) {
+	if K > 0 && (aStride < 1 || bStride < 0 || len(a) <= (K-1)*aStride || len(b) < (K-1)*bStride+len(d)) {
+		panic("tensor: panel operand shorter than its K rows")
 	}
 	if useAVX2 {
-		axpyBlockAVX2(d, a, b)
+		panelAVX2(d, a, aStride, K, b, bStride, skipZeros)
 		return
 	}
-	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
-	b0, b1, b2, b3, b4, b5, b6, b7 := b[0][:n], b[1][:n], b[2][:n], b[3][:n], b[4][:n], b[5][:n], b[6][:n], b[7][:n]
-	for j, v := range d {
-		v += a0 * b0[j]
-		v += a1 * b1[j]
-		v += a2 * b2[j]
-		v += a3 * b3[j]
-		v += a4 * b4[j]
-		v += a5 * b5[j]
-		v += a6 * b6[j]
-		v += a7 * b7[j]
-		d[j] = v
-	}
-}
-
-// matMulRows computes dst rows [lo,hi) of a @ b. Each row takes its
-// nonzero a[i][k] kBlock at a time, k ascending.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	var av [kBlock]float32
-	var bv [kBlock][]float32
-	for i := lo; i < hi; i++ {
-		dr := dst.Row(i)
-		clear(dr)
-		n := 0
-		for k, aik := range a.Row(i) {
-			if aik == 0 {
-				continue
-			}
-			av[n], bv[n] = aik, b.Row(k)
-			if n++; n == kBlock {
-				axpyBlock(dr, &av, &bv)
-				n = 0
-			}
+	n := len(d)
+	var av [8]float32
+	var bo [8]int
+	m := 0
+	for k := 0; k < K; k++ {
+		c := a[k*aStride]
+		if skipZeros && c == 0 {
+			continue
 		}
-		for c := 0; c < n; c++ {
-			AXPY(av[c], bv[c], dr)
+		av[m], bo[m] = c, k*bStride
+		if m++; m < len(av) {
+			continue
+		}
+		m = 0
+		a0, a1, a2, a3, a4, a5, a6, a7 := av[0], av[1], av[2], av[3], av[4], av[5], av[6], av[7]
+		b0, b1, b2, b3 := b[bo[0]:][:n], b[bo[1]:][:n], b[bo[2]:][:n], b[bo[3]:][:n]
+		b4, b5, b6, b7 := b[bo[4]:][:n], b[bo[5]:][:n], b[bo[6]:][:n], b[bo[7]:][:n]
+		for j, v := range d {
+			v += a0 * b0[j]
+			v += a1 * b1[j]
+			v += a2 * b2[j]
+			v += a3 * b3[j]
+			v += a4 * b4[j]
+			v += a5 * b5[j]
+			v += a6 * b6[j]
+			v += a7 * b7[j]
+			d[j] = v
+		}
+	}
+	for t, o := range bo[:m] {
+		c, br := av[t], b[o:][:n]
+		for j := range d {
+			d[j] += c * br[j]
 		}
 	}
 }
 
-// matMulATBCols computes dst rows [lo,hi) of aᵀ @ b — each dst row i is
-// owned by the worker covering a's column band [lo,hi). k stays the outer
-// loop (kBlock rows of a and b stay in L1 while the band's dst rows are
-// swept); a block with a zero in it goes one k at a time, so the zero
-// skip means what it meant.
-func matMulATBCols(dst, a, b *Matrix, lo, hi int) {
+// panelChunkBytes bounds the rows of b that one pass of panels folds into
+// its dst rows: the pass then reads that block of b once per dst row from
+// L1 instead of streaming all of b per row. MatMulATB's b, as tall as the
+// batch, is the case it serves; the others' weight matrices mostly fit in
+// one pass.
+const panelChunkBytes = 16 << 10
+
+// panels computes dst rows [lo,hi) of a product whose dst row i is the
+// panel over b that walks a from a[i·step]. It clears the rows, then folds
+// K in passes of whole chunks of k, so each element's chain is still one
+// accumulator from +0 over k ascending; only its register is stored and
+// reloaded between passes.
+func panels(dst *Matrix, a []float32, step, aStride, K int, b *Matrix, lo, hi int, skipZeros bool) {
 	for i := lo; i < hi; i++ {
 		clear(dst.Row(i))
 	}
-	var av [kBlock]float32
-	var ar, bv [kBlock][]float32
-	k := 0
-	for ; k+kBlock <= a.Rows; k += kBlock {
-		for c := range ar {
-			ar[c], bv[c] = a.Row(k + c)[lo:hi], b.Row(k+c)
-		}
-		for i := range ar[0] {
-			dense := true
-			for c := range av {
-				av[c] = ar[c][i]
-				dense = dense && av[c] != 0
-			}
-			dr := dst.Row(lo + i)
-			if dense {
-				axpyBlock(dr, &av, &bv)
-				continue
-			}
-			for c, v := range av {
-				if v != 0 {
-					AXPY(v, bv[c], dr)
-				}
-			}
-		}
-	}
-	for ; k < a.Rows; k++ {
-		br := b.Row(k)
-		for i, aki := range a.Row(k)[lo:hi] {
-			if aki != 0 {
-				AXPY(aki, br, dst.Row(lo+i))
-			}
+	chunk := max(8, panelChunkBytes/(4*max(1, b.Cols)))
+	for k0 := 0; k0 < K && lo < hi; k0 += chunk { // no rows: a may be empty
+		kn := min(chunk, K-k0)
+		ak, bk := a[k0*aStride:], b.Data[k0*b.Cols:]
+		for i := lo; i < hi; i++ {
+			panel(dst.Row(i), ak[i*step:], aStride, kn, bk, b.Cols, skipZeros)
 		}
 	}
 }
 
-// matMulABTRows computes dst rows [lo,hi) of a @ bᵀ, four dst columns at
-// a time: four independent accumulators share each load of a[i][k].
-func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0, b1, b2, b3 := b.Row(j)[:len(ar)], b.Row(j + 1)[:len(ar)], b.Row(j + 2)[:len(ar)], b.Row(j + 3)[:len(ar)]
-			var s0, s1, s2, s3 float32
-			for k, v := range ar {
-				s0 += v * b0[k]
-				s1 += v * b1[k]
-				s2 += v * b2[k]
-				s3 += v * b3[k]
-			}
-			dr[j], dr[j+1], dr[j+2], dr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < b.Rows; j++ {
-			br := b.Row(j)[:len(ar)]
-			var sum float32
-			for k, v := range ar {
-				sum += v * br[k]
-			}
-			dr[j] = sum
+// matMulRows computes dst rows [lo,hi) of a @ b: dst row i walks row i
+// of a.
+func matMulRows(dst, a, b *Matrix, lo, hi int) {
+	panels(dst, a.Data, a.Cols, 1, a.Cols, b, lo, hi, true)
+}
+
+// matMulATBCols computes dst rows [lo,hi) of aᵀ @ b: dst row i walks
+// column i of a.
+func matMulATBCols(dst, a, b *Matrix, lo, hi int) {
+	panels(dst, a.Data, 1, a.Cols, a.Rows, b, lo, hi, true)
+}
+
+// matMulDenseRows computes dst rows [lo,hi) of a @ b like matMulRows but
+// folds every term: MatMulABT runs it over its copy of bᵀ.
+func matMulDenseRows(dst, a, b *Matrix, lo, hi int) {
+	panels(dst, a.Data, a.Cols, 1, a.Cols, b, lo, hi, false)
+}
+
+// transposes is MatMulABT's free list of bᵀ copies, the one buffer this
+// package holds outside the callers' arenas. Each copy is at most one
+// weight matrix; steady state takes and returns the same few (one per
+// concurrent caller). It is a mutex-guarded list rather than a sync.Pool,
+// whose entries a garbage collection may drop.
+var transposes struct {
+	sync.Mutex
+	free []*Matrix
+}
+
+// transposed returns a copy of bᵀ from the free list; putTransposed hands
+// it back.
+func transposed(b *Matrix) *Matrix {
+	var t *Matrix
+	transposes.Lock()
+	if n := len(transposes.free); n > 0 {
+		t = transposes.free[n-1]
+		transposes.free = transposes.free[:n-1]
+	}
+	transposes.Unlock()
+	if t == nil {
+		t = new(Matrix)
+	}
+	t.Reuse(b.Cols, b.Rows)
+	for i := 0; i < b.Rows; i++ {
+		for k, v := range b.Row(i) {
+			t.Data[k*t.Cols+i] = v
 		}
 	}
+	return t
+}
+
+func putTransposed(t *Matrix) {
+	transposes.Lock()
+	transposes.free = append(transposes.free, t)
+	transposes.Unlock()
 }

@@ -90,9 +90,9 @@ func MatMul(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMul shapes (%d×%d)@(%d×%d)->(%d×%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	// ikj loop order keeps the inner loop streaming over rows of b; large
-	// products partition output rows across cores (bitwise identical to
-	// the serial result).
+	checkData(dst, a, b)
+	// Large products partition output rows across cores (bitwise
+	// identical to the serial result).
 	parallelRows(a.Rows*a.Cols*b.Cols, a.Rows, matMulRows, dst, a, b)
 }
 
@@ -105,16 +105,33 @@ func MatMulATB(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulATB shapes (%d×%d)ᵀ@(%d×%d)->(%d×%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	checkData(dst, a, b)
 	parallelRows(a.Rows*a.Cols*b.Cols, a.Cols, matMulATBCols, dst, a, b)
 }
 
-// MatMulABT computes dst = a @ bᵀ (a: n×k, b: m×k, dst: n×m).
+// MatMulABT computes dst = a @ bᵀ (a: n×k, b: m×k, dst: n×m) as a @ (bᵀ)
+// without MatMul's zero skip, over a copy of bᵀ from a package-owned
+// scratch that steady state reuses.
 func MatMulABT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT shapes (%d×%d)@(%d×%d)ᵀ->(%d×%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelRows(a.Rows*a.Cols*b.Rows, a.Rows, matMulABTRows, dst, a, b)
+	checkData(dst, a, b)
+	bt := transposed(b)
+	parallelRows(a.Rows*a.Cols*b.Rows, a.Rows, matMulDenseRows, dst, a, bt)
+	putTransposed(bt)
+}
+
+// checkData panics unless each operand's Data holds exactly its Rows×Cols
+// elements. Row slicing checks only capacity, which may run past the
+// length, and the kernels trust the shapes from here on.
+func checkData(dst, a, b *Matrix) {
+	for _, m := range [...]*Matrix{dst, a, b} {
+		if len(m.Data) != m.Rows*m.Cols {
+			panic(fmt.Sprintf("tensor: data length %d != %d×%d", len(m.Data), m.Rows, m.Cols))
+		}
+	}
 }
 
 // AddBiasRows adds bias (1×cols) to every row of m in place.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -541,6 +542,31 @@ func TestParallelRowsCoversEveryRowOnce(t *testing.T) {
 	}
 }
 
+// TestMatMulABTConcurrentCallers runs MatMulABT from several goroutines
+// at once, with bᵀ copies of different shapes moving through the shared
+// free list, and checks every result against the reference bit for bit.
+func TestMatMulABTConcurrentCallers(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(20 + g))
+			for it := 0; it < 20; it++ {
+				a, b := randomMatrix(9, 5+g, r), randomMatrix(3+it%7, 5+g, r)
+				want := refMatMulABT(a, b)
+				got := New(want.Rows, want.Cols)
+				MatMulABT(got, a, b)
+				if i := sameBits(got, want); i >= 0 {
+					t.Errorf("caller %d iteration %d: element %d = %v, reference %v", g, it, i, got.Data[i], want.Data[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestSerialProductsAllocateNothing pins the fan-out harness at zero
 // allocations whenever it does not fan out: below the threshold, and on
 // one core at any size.
@@ -560,20 +586,22 @@ func TestSerialProductsAllocateNothing(t *testing.T) {
 	}
 }
 
-// kernelShapes are the two live first-layer products (rows×K @ K×cols):
-// train-inline's GraphSAGE step and train-factored's GCN step.
+// kernelShapes are the live products (rows×K @ K×cols): the first layer
+// of train-inline's GraphSAGE step and of train-factored's GCN step, and
+// the two output layers, which run the 8-wide and scalar strips.
 var kernelShapes = []struct {
 	name          string
 	rows, k, cols int
 }{
 	{"1400x64x64", 1400, 64, 64},
 	{"600x256x32", 600, 256, 32},
+	{"128x64x8", 128, 64, 8},
+	{"128x32x16", 128, 32, 16},
 }
 
 // BenchmarkKernels reports GFLOP/s (2 flops per multiply-add) for the
 // three products at the live shapes, on each kernel arm (the Go loops and
-// AVX2; MatMulABT has no AVX2 arm yet, so there the two read the same) at
-// GOMAXPROCS 1 and 2.
+// AVX2) at GOMAXPROCS 1 and 2.
 func BenchmarkKernels(b *testing.B) {
 	r := rng.New(11)
 	cpuHasAVX2 := useAVX2

@@ -17,6 +17,16 @@ go vet ./...
 # amd64 frames above) and the kernel test binaries must still compile.
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go test -c -o /dev/null ./internal/tensor ./internal/nn
+# DESIGN rule 5: no fused multiply-add in the kernel assembly. It rounds
+# once where the Go reference rounds twice, and results are pinned bit
+# for bit.
+if grep -inE 'VFN?M(ADD|SUB)' internal/tensor/*.s; then
+	echo "check.sh: fused multiply-add in internal/tensor assembly" >&2
+	exit 1
+fi
+# The kernels' fold order with the panel rows fanned out over 1, 2 and 4
+# workers, whatever this machine's core count.
+go test -cpu 1,2,4 -run 'TestKernelsExactFoldOrder|TestParallel' ./internal/tensor
 go build ./...
 go test -race -timeout 3600s ./...
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
