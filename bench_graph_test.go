@@ -10,7 +10,7 @@ package gnnlab
 //   - ApplyDelta: incremental hotness maintenance. Decay+ApplyDelta per
 //     round is measured at a fixed |Δ| across growing |V| (flat ⇒ the
 //     update is O(|Δ|), independent of graph size) and at growing |Δ|
-//     for a fixed |V| (linear in |Δ|), against the O(|V|) introselect
+//     for a fixed |V| (linear in |Δ|), against the O(|V|) radix
 //     re-rank it feeds.
 //   - PackedDecode: the compressed topology. Compression ratio and
 //     bytes/edge on a power-law graph (deterministic; internal/graph's
@@ -99,7 +99,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 	// Fixed |Δ| across growing |V|: flat timings here are the O(|Δ|)
 	// evidence — the per-round update cost does not track graph size
 	// (residual growth is cache misses on the scatter), while the eager
-	// sweep grows with |V|; ranktop is the O(|V|) introselect it feeds.
+	// sweep grows with |V|; ranktop is the O(|V|) radix re-rank it feeds.
 	const fixedDelta = 10_000
 	var firstRound, lastRound float64
 	for _, n := range []int{100_000, 400_000, 1_600_000} {

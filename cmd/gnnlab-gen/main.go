@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
+	"slices"
 
 	"gnnlab"
 	"gnnlab/internal/graph"
@@ -74,7 +74,7 @@ func printDegreeStats(d *gnnlab.Dataset) {
 		deg  []int64
 	}{{"out-degree", out}, {"in-degree", in}} {
 		sorted := append([]int64(nil), s.deg...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		q := func(p float64) int64 { return sorted[int(p*float64(len(sorted)-1))] }
 		fmt.Printf("%s: p50 %d  p90 %d  p99 %d  max %d\n",
 			s.name, q(0.50), q(0.90), q(0.99), sorted[len(sorted)-1])

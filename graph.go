@@ -47,7 +47,10 @@ func PackGraph(g GraphView, workers int) *GraphPacked { return graph.Pack(g, wor
 // holding non-CSR views are returned unchanged.
 func PackDataset(d *Dataset) *Dataset { return gen.PackDataset(d) }
 
-// GraphBuilder accumulates edges and produces a Graph.
+// GraphBuilder accumulates edges and produces a Graph. Build does not
+// consume the edges: it may be called again, in either dedup mode and
+// after more AddEdge calls, and returns what a fresh builder holding the
+// same edges would.
 type GraphBuilder = graph.Builder
 
 // NewGraphBuilder returns a builder for a graph with n vertices.

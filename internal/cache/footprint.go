@@ -189,9 +189,7 @@ func Similarity(fi, fj EpochFootprint, topFraction float64) float64 {
 }
 
 // topSet returns the set of the top `fraction` vertices by visit count
-// among vertices visited at least once, selecting (graph.SelectTop)
-// rather than sorting all visited vertices — only the chosen prefix is
-// ever ordered.
+// among vertices visited at least once, ties broken by ascending ID.
 func topSet(visits []int64, fraction float64) map[int32]struct{} {
 	ids := make([]int32, 0, len(visits))
 	for v, c := range visits {
@@ -200,18 +198,14 @@ func topSet(visits []int64, fraction float64) map[int32]struct{} {
 		}
 	}
 	k := int(fraction * float64(len(visits)))
-	if k > len(ids) {
-		k = len(ids)
-	}
-	graph.SelectTop(ids, k, func(a, b int32) bool {
-		ca, cb := visits[a], visits[b]
-		if ca != cb {
-			return ca > cb
+	// Visited counts are positive, so ^count ascends as the count falls.
+	top := graph.RadixTop(ids, k, func(ids []int32, keys []uint64) {
+		for i, v := range ids {
+			keys[i] = ^uint64(visits[v])
 		}
-		return a < b
 	})
-	set := make(map[int32]struct{}, k)
-	for _, v := range ids[:k] {
+	set := make(map[int32]struct{}, len(top))
+	for _, v := range top {
 		set[v] = struct{}{}
 	}
 	return set

@@ -158,29 +158,15 @@ func (h Hotness) Rank() []int32 {
 }
 
 // RankTop returns the k hottest vertex IDs in descending hotness, ties
-// broken by ascending ID — the same prefix Rank()[:k] would give, in
-// O(|V|) expected time instead of a full sort (graph.SelectTop, whose
-// total-order comparator makes the prefix unique). k is clamped to the
-// vertex count.
+// broken by ascending ID — Rank()[:k] — in O(|V|) time (graph.RadixTop
+// on the descending score key). −0 and +0 tie; a NaN score panics. k is
+// clamped to the vertex count.
 func (h Hotness) RankTop(k int) []int32 {
-	ids := make([]int32, len(h.Score))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	if k > len(ids) {
-		k = len(ids)
-	}
-	graph.SelectTop(ids, k, func(a, b int32) bool {
-		sa, sb := h.Score[a], h.Score[b]
-		if sa != sb {
-			return sa > sb
+	return graph.RadixTop(graph.Identity(len(h.Score)), k, func(ids []int32, keys []uint64) {
+		for i, v := range ids {
+			keys[i] = ^graph.FloatKey(h.Score[v])
 		}
-		return a < b
 	})
-	if k == len(ids) {
-		return ids
-	}
-	return ids[:k:k]
 }
 
 // DeltaVisit is one vertex's fresh hotness contribution from a batch of
@@ -221,7 +207,7 @@ func (h *Hotness) Decay(factor float64) {
 // O(|Δ|): each count is scaled by the current inflation so it outweighs
 // older, decayed contributions. This is the incremental alternative to a
 // full PreSC re-run after graph drift — the resulting Score vector feeds
-// the same introselect RankTop.
+// the same radix RankTop.
 func (h *Hotness) ApplyDelta(visits []DeltaVisit) {
 	scale := h.inflate
 	if scale == 0 {

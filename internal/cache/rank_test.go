@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
-	"gnnlab/internal/graph"
 	"gnnlab/internal/rng"
 )
 
@@ -87,45 +89,6 @@ func TestRankTopDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelectTopProperty exercises graph.SelectTop directly across sizes and k
-// values against sorting the whole slice.
-func TestSelectTopProperty(t *testing.T) {
-	r := rng.New(7)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(300)
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(r.Intn(10)) // dense ties
-		}
-		less := func(a, b int32) bool {
-			if vals[a] != vals[b] {
-				return vals[a] > vals[b]
-			}
-			return a < b
-		}
-		ids := make([]int32, n)
-		ref := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32(i)
-			ref[i] = int32(i)
-		}
-		sort.Slice(ref, func(a, b int) bool { return less(ref[a], ref[b]) })
-		k := r.Intn(n + 1)
-		graph.SelectTop(ids, k, less)
-		if !reflect.DeepEqual(ids[:k], ref[:k]) {
-			t.Fatalf("trial %d: SelectTop(n=%d, k=%d) prefix differs", trial, n, k)
-		}
-		// The tail must still be a permutation of the reference tail.
-		tail := append([]int32(nil), ids[k:]...)
-		refTail := append([]int32(nil), ref[k:]...)
-		sort.Slice(tail, func(a, b int) bool { return tail[a] < tail[b] })
-		sort.Slice(refTail, func(a, b int) bool { return refTail[a] < refTail[b] })
-		if !reflect.DeepEqual(tail, refTail) {
-			t.Fatalf("trial %d: SelectTop lost elements", trial)
-		}
-	}
-}
-
 // TestTopSetMatchesSortReference: the footprint top-set must match the old
 // full-sort implementation.
 func TestTopSetMatchesSortReference(t *testing.T) {
@@ -167,8 +130,65 @@ func TestTopSetMatchesSortReference(t *testing.T) {
 	}
 }
 
-// BenchmarkCacheRank contrasts the full sort against top-k selection at a
-// realistic ranking size (≥1M vertices, 10% cache ratio).
+// FuzzRank checks RankTop against refRank on scores drawn from a palette
+// that stresses the key: heavy ties, ±0, ±subnormals, ±Inf and raw
+// float64 bits. A NaN score must panic instead of ranking.
+func FuzzRank(f *testing.F) {
+	f.Add(uint16(3), []byte{0, 1, 2, 3, 4, 5, 6, 8, 16, 24, 0, 1})
+	f.Add(uint16(0), []byte{7, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 9})
+	f.Add(uint16(9), []byte{7, 1, 0, 0, 0, 0, 0, 0xf0, 0x7f, 7, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, k uint16, data []byte) {
+		var score []float64
+		hasNaN := false
+		for len(data) > 0 {
+			c := data[0]
+			data = data[1:]
+			var s float64
+			switch c % 8 {
+			case 0:
+				s = 0
+			case 1:
+				s = math.Copysign(0, -1)
+			case 2:
+				s = math.SmallestNonzeroFloat64 * float64(c>>3)
+			case 3:
+				s = -math.SmallestNonzeroFloat64 * float64(c>>3)
+			case 4:
+				s = math.Inf(1)
+			case 5:
+				s = math.Inf(-1)
+			case 6:
+				s = float64(c>>3) - 8 // small integers: heavy ties
+			case 7:
+				var raw [8]byte
+				copy(raw[:], data)
+				data = data[min(8, len(data)):]
+				s = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+			}
+			hasNaN = hasNaN || math.IsNaN(s)
+			score = append(score, s)
+		}
+		h := NewHotness(score)
+		if hasNaN {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("RankTop ranked a NaN score")
+				}
+			}()
+			h.RankTop(int(k))
+			return
+		}
+		want := refRank(score)
+		kk := min(int(k), len(score))
+		if got := h.RankTop(int(k)); !slices.Equal(got, want[:kk]) {
+			t.Fatalf("RankTop(%d) = %v, want %v (scores %v)", k, got, want[:kk], score)
+		}
+	})
+}
+
+// BenchmarkCacheRank contrasts the full ranking against the top-k prefix
+// at a realistic ranking size (≥1M vertices, 10% cache ratio), and times
+// the serve rerank's size (50k vertices, k = 5 000).
 func BenchmarkCacheRank(b *testing.B) {
 	const n = 1 << 20
 	r := rng.New(3)
@@ -187,6 +207,17 @@ func BenchmarkCacheRank(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h.RankTop(n / 10)
+		}
+	})
+	rerank := make([]float64, 50_000)
+	for i := range rerank {
+		rerank[i] = r.Float64() * 1e3 // decayed visit rates: no shared bits
+	}
+	b.Run("rank-top-50k-k5000", func(b *testing.B) {
+		h := NewHotness(rerank)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.RankTop(5_000)
 		}
 	})
 	visits := make([]int64, n)

@@ -82,15 +82,10 @@ func Drift(o Options) (*Table, error) {
 		bandSize = 8
 	}
 	edgesPerTarget := 8
-	coldOrder := make([]int32, n0)
-	for v := range coldOrder {
-		coldOrder[v] = int32(v)
-	}
-	graph.SelectTop(coldOrder, n0, func(a, b int32) bool {
-		if base0[a] != base0[b] {
-			return base0[a] < base0[b]
+	coldOrder := graph.RadixTop(graph.Identity(n0), n0, func(ids []int32, keys []uint64) {
+		for i, v := range ids {
+			keys[i] = graph.FloatKey(base0[v])
 		}
-		return a < b
 	})
 
 	t := &Table{

@@ -3,7 +3,6 @@ package gen
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gnnlab/internal/graph"
 	"gnnlab/internal/rng"
@@ -170,18 +169,13 @@ func genCitation(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	// better than random on ogbn-papers yet still far from optimal.
 	sigma := 0.5
 	mu := math.Log(avg) - sigma*sigma/2
-	degs := make([]int, n)
-	for v := range degs {
+	// degCount[d] counts the vertices drawing out-degree d; reading it
+	// from the top yields the degrees in descending order.
+	degCount := make([]int, max(1, 8*int(avg))+1)
+	for range n {
 		deg := int(math.Round(math.Exp(mu + sigma*r.NormFloat64())))
-		if deg < 1 {
-			deg = 1
-		}
-		if deg > 8*int(avg) {
-			deg = 8 * int(avg)
-		}
-		degs[v] = deg
+		degCount[min(max(deg, 1), 8*int(avg))]++
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(degs)))
 	// Noisy rank coupling: in-rank i gets a key of i plus large uniform
 	// noise; sorting the keys decides which in-rank receives the j-th
 	// largest out-degree. The noise scale sets the (weak) correlation.
@@ -189,16 +183,23 @@ func genCitation(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	if coupling == 0 {
 		coupling = 2.5
 	}
-	idx := make([]int, n)
 	keys := make([]float64, n)
-	for i := range idx {
-		idx[i] = i
+	for i := range keys {
 		keys[i] = float64(i) + r.Float64()*coupling*float64(n)
 	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	order := graph.RadixTop(graph.Identity(n), n, func(ids []int32, out []uint64) {
+		for i, v := range ids {
+			out[i] = graph.FloatKey(keys[v])
+		}
+	})
 	outDeg := make([]int, n)
-	for j, inRank := range idx {
-		outDeg[permIn[inRank]] = degs[j]
+	deg := len(degCount) - 1
+	for _, inRank := range order {
+		for degCount[deg] == 0 {
+			deg--
+		}
+		degCount[deg]--
+		outDeg[permIn[inRank]] = deg
 	}
 
 	b := graph.NewBuilder(n, cfg.Weighted)
@@ -245,7 +246,7 @@ func genCommunity(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	}
 	n := cfg.NumVertices
 	c := cfg.NumClasses
-	years := vertexYears(n, identityPerm(n), r.Split(1))
+	years := vertexYears(n, graph.Identity(n), r.Split(1))
 	const intra = 0.8
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
@@ -266,14 +267,6 @@ func genCommunity(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 		b.AddEdge(src, dst, edgeWeight(years[dst]))
 	}
 	return b.Build(false)
-}
-
-func identityPerm(n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	return p
 }
 
 func skewOr(cfg Config, def float64) float64 {
@@ -331,9 +324,15 @@ func genTrainSet(cfg Config, r *rng.Rand) []int32 {
 	if k > n {
 		k = n
 	}
-	perm := r.Perm(n)
-	ts := make([]int32, k)
-	copy(ts, perm[:k])
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	picked := make([]bool, n)
+	for _, v := range r.Perm(n)[:k] {
+		picked[v] = true
+	}
+	ts := make([]int32, 0, k)
+	for v, p := range picked {
+		if p {
+			ts = append(ts, int32(v))
+		}
+	}
 	return ts
 }

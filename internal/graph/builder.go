@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -54,62 +53,84 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// Build sorts edges into CSR order and returns the finished graph. If
-// dedup is true, parallel edges (same src and dst) are merged keeping the
-// weight of the edge added first (first weight wins — the stable sort
-// preserves insertion order among equal (src,dst) pairs, and dedupEdges
-// keeps the earliest). Build validates vertex ranges and returns an error
-// on any out-of-range endpoint; AddEdge already panics on those, so this
-// only fires for edges injected directly into the slice.
+// Build returns the edges as a CSR: rows by source, each row by
+// destination, parallel edges in the order they were added. If dedup is
+// true, parallel edges are merged keeping the weight of the edge added
+// first. Build returns an error on an out-of-range endpoint (AddEdge
+// panics on those, so this only fires for edges injected directly into
+// the slice). It never changes the added edges, so it may be called again,
+// in either mode and after more AddEdge calls.
+//
+// It counts each source's edges into RowPtr, scatters the edges in
+// insertion order straight into ColIdx and Weights, and sorts each row on
+// its own: no sort over the whole edge list and no second edge array.
 func (b *Builder) Build(dedup bool) (*CSR, error) {
 	n := b.numVertices
+	rowPtr := make([]int64, n+1)
 	for _, e := range b.edges {
 		if e.Src < 0 || int(e.Src) >= n || e.Dst < 0 || int(e.Dst) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.Src, e.Dst, n)
 		}
-	}
-	slices.SortStableFunc(b.edges, func(x, y Edge) int {
-		if c := cmp.Compare(x.Src, y.Src); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Dst, y.Dst)
-	})
-	edges := b.edges
-	if dedup {
-		edges = dedupEdges(edges)
-	}
-	rowPtr := make([]int64, n+1)
-	colIdx := make([]int32, len(edges))
-	var weights []float32
-	if b.weighted {
-		weights = make([]float32, len(edges))
-	}
-	for i, e := range edges {
 		rowPtr[e.Src+1]++
-		colIdx[i] = e.Dst
-		if b.weighted {
-			weights[i] = e.Weight
-		}
 	}
 	for v := 0; v < n; v++ {
 		rowPtr[v+1] += rowPtr[v]
 	}
-	return &CSR{RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}, nil
-}
-
-func dedupEdges(edges []Edge) []Edge {
-	if len(edges) == 0 {
-		return edges
+	colIdx := make([]int32, len(b.edges))
+	var weights []float32
+	if b.weighted {
+		weights = make([]float32, len(b.edges))
 	}
-	out := edges[:1]
-	for _, e := range edges[1:] {
-		last := out[len(out)-1]
-		if e.Src == last.Src && e.Dst == last.Dst {
-			continue
+	// rowPtr[v] is row v's cursor; the scatter leaves it at row v+1's
+	// start, so one shift restores the starts.
+	for _, e := range b.edges {
+		i := rowPtr[e.Src]
+		colIdx[i] = e.Dst
+		if weights != nil {
+			weights[i] = e.Weight
 		}
-		out = append(out, e)
+		rowPtr[e.Src]++
 	}
-	return out
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+
+	var keys []uint64 // a weighted row's (dst, position) sort keys
+	var rowW []float32
+	out := int64(0)
+	for v := 0; v < n; v++ {
+		lo, hi := rowPtr[v], rowPtr[v+1]
+		row := colIdx[lo:hi]
+		switch {
+		case slices.IsSorted(row):
+		case weights == nil: // equal destinations cannot be told apart
+			slices.Sort(row)
+		default: // stable by construction: the position breaks ties
+			keys = keys[:0]
+			for i, d := range row {
+				keys = append(keys, uint64(d)<<32|uint64(i))
+			}
+			slices.Sort(keys)
+			rowW = append(rowW[:0], weights[lo:hi]...)
+			for i, key := range keys {
+				row[i], weights[lo+int64(i)] = int32(key>>32), rowW[uint32(key)]
+			}
+		}
+		rowPtr[v] = out
+		for i := lo; i < hi; i++ {
+			if !dedup || out == rowPtr[v] || colIdx[i] != colIdx[out-1] {
+				colIdx[out] = colIdx[i]
+				if weights != nil {
+					weights[out] = weights[i]
+				}
+				out++
+			}
+		}
+	}
+	rowPtr[n] = out
+	if weights != nil {
+		weights = weights[:out]
+	}
+	return &CSR{RowPtr: rowPtr, ColIdx: colIdx[:out], Weights: weights}, nil
 }
 
 // FromAdjacency builds a CSR directly from an adjacency list, mainly for

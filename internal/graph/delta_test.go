@@ -246,8 +246,8 @@ func TestDeltaAddEdgeValidatesEagerly(t *testing.T) {
 }
 
 // TestDegreeRankTopMatchesFullSort ranks a random graph's vertices by
-// descending out-degree, ties by ascending ID, with SelectTop: the
-// introselect k-prefix must equal the full sort's prefix exactly.
+// descending out-degree, ties by ascending ID, with RadixTop: the
+// k-prefix must equal the comparator sort's prefix exactly.
 func TestDegreeRankTopMatchesFullSort(t *testing.T) {
 	const n = 500
 	stream := randomStream(31, n, 6000, false)
@@ -262,21 +262,16 @@ func TestDegreeRankTopMatchesFullSort(t *testing.T) {
 		}
 		return a < b
 	}
-	ids := func() []int32 {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
-	full := ids()
+	full := Identity(n)
 	sort.Slice(full, func(i, j int) bool { return less(full[i], full[j]) })
 	for _, k := range []int{0, 1, 7, 32, 33, 250, 499, 500, 600} {
-		got := ids()
-		SelectTop(got, k, less)
-		m := min(k, n)
-		if !reflect.DeepEqual(got[:m], full[:m]) {
-			t.Errorf("SelectTop(k=%d) differs from the full sort's prefix", k)
+		got := RadixTop(Identity(n), k, func(ids []int32, keys []uint64) {
+			for i, v := range ids {
+				keys[i] = ^uint64(g.Degree(v))
+			}
+		})
+		if m := min(k, n); !reflect.DeepEqual(got, full[:m]) {
+			t.Errorf("RadixTop(k=%d) differs from the full sort's prefix", k)
 		}
 	}
 }

@@ -2,10 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -256,11 +259,148 @@ func TestFromAdjacency(t *testing.T) {
 	}
 }
 
+// BenchmarkBuild times Build alone on 100k random edges; the dedup case
+// uses 1 000 vertices, so about 5% of its edges are parallel.
 func BenchmarkBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g := randomGraph(uint64(i), 10000, 100000, false)
-		if g.NumEdges() == 0 {
-			b.Fatal("empty graph")
+	for _, bc := range []struct {
+		name            string
+		n               int
+		weighted, dedup bool
+	}{
+		{"unweighted", 10000, false, false},
+		{"weighted", 10000, true, false},
+		{"weighted-dedup", 1000, true, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			stream := randomStream(1, bc.n, 100000, bc.weighted)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bl := NewBuilder(bc.n, bc.weighted)
+				for _, e := range stream {
+					bl.AddEdge(e.Src, e.Dst, e.Weight)
+				}
+				b.StartTimer()
+				if g, err := bl.Build(bc.dedup); err != nil || g.NumEdges() == 0 {
+					b.Fatal("empty graph", err)
+				}
+			}
+		})
+	}
+}
+
+// refBuild is the comparator reference Build must match: one stable sort
+// of the whole edge list by (src, dst), then parallel edges dropped after
+// the first, on a copy of the edges.
+func refBuild(n int, weighted bool, edges []Edge, dedup bool) *CSR {
+	edges = slices.Clone(edges)
+	slices.SortStableFunc(edges, func(x, y Edge) int {
+		if c := cmp.Compare(x.Src, y.Src); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Dst, y.Dst)
+	})
+	if dedup {
+		edges = slices.CompactFunc(edges, func(x, y Edge) bool { return x.Src == y.Src && x.Dst == y.Dst })
+	}
+	g := &CSR{RowPtr: make([]int64, n+1)}
+	if weighted {
+		g.Weights = []float32{}
+	}
+	for _, e := range edges {
+		g.RowPtr[e.Src+1]++
+		g.ColIdx = append(g.ColIdx, e.Dst)
+		if weighted {
+			g.Weights = append(g.Weights, e.Weight)
 		}
 	}
+	for v := 0; v < n; v++ {
+		g.RowPtr[v+1] += g.RowPtr[v]
+	}
+	return g
+}
+
+// checkSameCSR fails t unless got and want hold the same arrays.
+func checkSameCSR(t *testing.T, what string, got, want *CSR) {
+	t.Helper()
+	if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) ||
+		!slices.Equal(got.Weights, want.Weights) || got.Weighted() != want.Weighted() {
+		t.Fatalf("%s: got RowPtr %v ColIdx %v Weights %v, want %v %v %v", what,
+			got.RowPtr, got.ColIdx, got.Weights, want.RowPtr, want.ColIdx, want.Weights)
+	}
+}
+
+// TestBuilderRepeatedBuild: Build leaves the added edges as they were, so
+// every call, in either mode and after more AddEdge calls, equals a fresh
+// builder's result. Dedup once compacted the edges without shortening
+// them, so this sequence returned ColIdx [1 2 2], Weights [1 3 3].
+func TestBuilderRepeatedBuild(t *testing.T) {
+	b := NewBuilder(3, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(0, 1, 2)
+	b.AddEdge(0, 2, 3)
+	for _, dedup := range []bool{true, false, true} {
+		g, err := b.Build(dedup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameCSR(t, fmt.Sprintf("Build(%v)", dedup), g, refBuild(3, true, b.edges, dedup))
+	}
+	if g, _ := b.Build(false); !slices.Equal(g.ColIdx, []int32{1, 1, 2}) || !slices.Equal(g.Weights, []float32{1, 2, 3}) {
+		t.Errorf("Build(false) after Build(true) = %v %v, want [1 1 2] [1 2 3]", g.ColIdx, g.Weights)
+	}
+	if b.NumEdges() != 3 {
+		t.Errorf("NumEdges = %d after Build, want 3", b.NumEdges())
+	}
+	stream := randomStream(5, 50, 2000, true)
+	b = NewBuilder(50, true)
+	for i, e := range stream {
+		b.AddEdge(e.Src, e.Dst, e.Weight)
+		if i%500 == 499 {
+			for _, dedup := range []bool{true, false} {
+				g, err := b.Build(dedup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameCSR(t, fmt.Sprintf("%d edges, dedup %v", i+1, dedup), g, refBuild(50, true, stream[:i+1], dedup))
+			}
+		}
+	}
+}
+
+// FuzzBuild checks Build against refBuild on small graphs decoded from the
+// fuzz bytes: three bytes per edge (src, dst, weight), weighted or not,
+// both dedup modes, and Build called again after more edges are added.
+func FuzzBuild(f *testing.F) {
+	f.Add(uint8(3), true, uint8(1), []byte{0, 1, 1, 0, 1, 2, 0, 2, 3})
+	f.Add(uint8(5), false, uint8(2), []byte{4, 0, 0, 0, 4, 0, 4, 0, 0, 2, 2, 0, 4, 0, 0})
+	f.Add(uint8(200), true, uint8(3), []byte{7, 9, 1, 7, 3, 2, 7, 9, 3, 7, 3, 4, 0, 0, 5})
+	f.Add(uint8(5), true, uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, nb uint8, weighted bool, modes uint8, data []byte) {
+		n := 1 + int(nb)
+		var edges []Edge
+		for ; len(data) >= 3; data = data[3:] {
+			w := float32(0)
+			if weighted {
+				w = float32(data[2])
+			}
+			edges = append(edges, Edge{Src: int32(int(data[0]) % n), Dst: int32(int(data[1]) % n), Weight: w})
+		}
+		b := NewBuilder(n, weighted)
+		added := 0
+		for round, upTo := range []int{len(edges) / 2, len(edges), len(edges)} {
+			for _, e := range edges[added:upTo] {
+				b.AddEdge(e.Src, e.Dst, e.Weight)
+			}
+			added = upTo
+			dedup := modes>>round&1 != 0
+			g, err := b.Build(dedup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameCSR(t, fmt.Sprintf("round %d, dedup %v", round, dedup), g, refBuild(n, weighted, edges[:added], dedup))
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

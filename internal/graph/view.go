@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"math/bits"
-	"sort"
-)
-
 // View is the read-only graph contract every subsystem above this layer
 // operates on: samplers read neighbor lists from it, the cache layer
 // derives hotness metrics over it, and the device model accounts its
@@ -85,74 +80,4 @@ func InDegrees(g View) []int64 {
 // type-assert once per Sample call and fall back to Adj.
 type NeighborDecoder interface {
 	AdjInto(v VertexID, buf []int32) []int32
-}
-
-// SelectTop partially sorts ids so that ids[:k] holds the least k elements
-// under less, in sorted order — the O(|V|) expected-time introselect the
-// cache layer's RankTop uses. less must be a strict total order (callers
-// break ties by ascending vertex ID), which makes the
-// k-prefix — and its sorted order — the unique top-k regardless of
-// partition pivots: results are bit-identical to sorting everything and
-// truncating. A depth cutoff bounds the adversarial case at O(|V| log |V|);
-// the routine draws no randomness at all.
-func SelectTop(ids []int32, k int, less func(a, b int32) bool) {
-	if k <= 0 {
-		return
-	}
-	if k >= len(ids) {
-		sort.Slice(ids, func(a, b int) bool { return less(ids[a], ids[b]) })
-		return
-	}
-	lo, hi := 0, len(ids)
-	// Depth budget before falling back to sorting the remaining window:
-	// quickselect halves the window in expectation each round.
-	budget := 2 * bits.Len(uint(len(ids)))
-	for lo < hi {
-		if hi-lo <= 32 || budget == 0 {
-			// Small window (or pathological pivots): sorting it settles
-			// every remaining boundary position at once.
-			w := ids[lo:hi]
-			sort.Slice(w, func(a, b int) bool { return less(w[a], w[b]) })
-			break
-		}
-		budget--
-		p := selPartition(ids, lo, hi, less)
-		if p == k-1 {
-			break
-		}
-		if p < k-1 {
-			lo = p + 1
-		} else {
-			hi = p
-		}
-	}
-	prefix := ids[:k]
-	sort.Slice(prefix, func(a, b int) bool { return less(prefix[a], prefix[b]) })
-}
-
-// selPartition is a Lomuto partition of ids[lo:hi] around a median-of-three
-// pivot; it returns the pivot's final index.
-func selPartition(ids []int32, lo, hi int, less func(a, b int32) bool) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	// Median of first/middle/last lands at `last` to serve as the pivot.
-	if less(ids[mid], ids[lo]) {
-		ids[mid], ids[lo] = ids[lo], ids[mid]
-	}
-	if less(ids[last], ids[lo]) {
-		ids[last], ids[lo] = ids[lo], ids[last]
-	}
-	if less(ids[mid], ids[last]) {
-		ids[mid], ids[last] = ids[last], ids[mid]
-	}
-	pivot := ids[last]
-	store := lo
-	for i := lo; i < last; i++ {
-		if less(ids[i], pivot) {
-			ids[i], ids[store] = ids[store], ids[i]
-			store++
-		}
-	}
-	ids[store], ids[last] = ids[last], ids[store]
-	return store
 }

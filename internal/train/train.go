@@ -503,7 +503,7 @@ func buildStore(d *gen.Dataset, alg sampling.Algorithm, opts Options) (*feature.
 		return nil, fmt.Errorf("train: %w", err)
 	}
 	// Only the first `slots` ranking entries reach the cache table, so
-	// select the prefix (O(|V|) expected) instead of sorting all vertices.
+	// rank just that prefix instead of all vertices.
 	slots := int(opts.CacheRatio * float64(d.NumVertices()))
 	table, err := cache.Load(r.Hotness.RankTop(slots), slots, d.NumVertices(), int64(d.FeatureDim)*4)
 	if err != nil {

@@ -32,17 +32,20 @@ go test -race -timeout 3600s ./...
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
 # Sampling-arena, matmul-kernel and cache-ranking smoke: one iteration
 # each keeps the allocation-sensitive paths (pooled scratch, top-k
-# selection) and the GFLOP/s microbenchmark compiling and running without
+# ranking) and the GFLOP/s microbenchmark compiling and running without
 # paying full benchmark time.
 go test -timeout 3600s -run xxx -bench='BenchmarkSample$' -benchtime=1x ./internal/sampling
 go test -timeout 3600s -run xxx -bench='BenchmarkKernels$' -benchtime=1x ./internal/tensor
 go test -timeout 3600s -run xxx -bench=BenchmarkCacheRank -benchtime=1x ./internal/cache
-# Every byte decoder's fuzz target, 10 s each beyond its seed corpus (the
-# suite above runs only the seeds): packed topology, dataset files and
-# model checkpoints.
+# Every fuzz target, 10 s each beyond its seed corpus (the suite above
+# runs only the seeds): the byte decoders (packed topology, dataset files,
+# model checkpoints) and the linear-time Build and ranker against their
+# comparator-sort references.
 go test -run xxx -fuzz='^FuzzPackedFromBytes$' -fuzztime=10s -parallel 2 ./internal/graph
 go test -run xxx -fuzz='^FuzzReadDataset$' -fuzztime=10s -parallel 2 ./internal/gen
 go test -run xxx -fuzz='^FuzzLoadCheckpoint$' -fuzztime=10s -parallel 2 ./internal/nn
+go test -run xxx -fuzz='^FuzzBuild$' -fuzztime=10s -parallel 2 ./internal/graph
+go test -run xxx -fuzz='^FuzzRank$' -fuzztime=10s -parallel 2 ./internal/cache
 # One iteration of every root benchmark: sampling arena, minibatch, live
 # serve cycle, snapshot/delta/packed graph storage, measurement engine.
 go test -timeout 3600s -run xxx -bench=. -benchtime=1x .
