@@ -33,7 +33,7 @@ func main() {
 	batch := flag.Int("batch", 128, "mini-batch size")
 	lr := flag.Float64("lr", 0.01, "learning rate")
 	seed := flag.Uint64("seed", 42, "random seed")
-	cacheRatio := flag.Float64("cache", 0, "feature cache ratio (0 = no cache; PreSC policy)")
+	cacheRatio := flag.Float64("cache", 0, "feature cache ratio (0 = no cache; filled by the Random policy, train's default)")
 	checkpoint := flag.String("checkpoint", "", "write the trained model to this path")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run to this path")
 	metrics := flag.Bool("metrics", false, "print the observability counters to stderr at the end")

@@ -96,6 +96,8 @@ func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOu
 	if hIn.Cols != c.InDim {
 		panic(fmt.Sprintf("nn: conv input dim %d, want %d", hIn.Cols, c.InDim))
 	}
+	// Each mean is one unit-coefficient FoldRows over the neighbours' rows
+	// (every term folded, as one AXPY per neighbour would), then a Scale.
 	agg := ws.arena.Matrix(numOut, c.InDim)
 	for v := 0; v < numOut; v++ {
 		nbrs := g.Neighbors(int32(v))
@@ -103,15 +105,11 @@ func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOu
 		switch c.Agg {
 		case AggGCN:
 			copy(dst, hIn.Row(v))
-			for _, nbr := range nbrs {
-				tensor.AXPY(1, hIn.Row(int(nbr)), dst)
-			}
+			tensor.FoldRows(dst, nil, hIn, nbrs)
 			tensor.Scale(1/float32(len(nbrs)+1), dst)
 		default: // SAGE-family: neighbor mean only
 			if len(nbrs) > 0 {
-				for _, nbr := range nbrs {
-					tensor.AXPY(1, hIn.Row(int(nbr)), dst)
-				}
+				tensor.FoldRows(dst, nil, hIn, nbrs)
 				tensor.Scale(1/float32(len(nbrs)), dst)
 			}
 		}

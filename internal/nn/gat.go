@@ -125,9 +125,7 @@ func (g *GAT) ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut
 			alpha := softmaxInto(ws.arena.Floats(len(pre)), pre)
 			dst := out.Row(t)[off : off+headDim]
 			tensor.AXPY(alpha[0], z.Row(t), dst)
-			for i, nbr := range nbrs {
-				tensor.AXPY(alpha[i+1], z.Row(int(nbr)), dst)
-			}
+			tensor.FoldRows(dst, alpha[1:], z, nbrs)
 			hc.alphas[t] = alpha
 			hc.pres[t] = pre
 		}

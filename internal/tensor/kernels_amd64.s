@@ -1,13 +1,14 @@
 #include "textflag.h"
 
-// AVX2 arms of panel, AXPY, ReLU and ReLUBackward. Each vector lane is one
-// output element, so vectorising across output columns leaves every
-// element's chain as the Go loop folds it: a multiply rounded on its own
-// (VMULPS), then an add (VADDPS), in k order. There is deliberately no
-// fused multiply-add anywhere: it rounds once where the Go loop rounds
-// twice, and the results are pinned bit for bit. Tails shorter than a
-// register run the same sequence on scalars (VMULSS, VADDSS). Loads and
-// stores are unaligned-safe (VMOVUPS, memory operands of VEX ops).
+// AVX2 arms of panel (and its row-index form, FoldRows), AXPY, Scale,
+// ReLU and ReLUBackward. Each vector lane is one output element, so
+// vectorising across output columns leaves every element's chain as the
+// Go loop folds it: a multiply rounded on its own (VMULPS), then an add
+// (VADDPS), in k order. There is deliberately no fused multiply-add
+// anywhere: it rounds once where the Go loop rounds twice, and the results
+// are pinned bit for bit. Tails shorter than a register run the same
+// sequence on scalars (VMULSS, VADDSS). Loads and stores are
+// unaligned-safe (VMOVUPS, memory operands of VEX ops).
 
 // MADD4 folds one k term into the four accumulators Y0..Y3: Y4..Y7 =
 // coef·b[j..j+32), then acc += product.
@@ -41,10 +42,76 @@
 	JZ   skip      \
 	VBROADCASTSS (R12), Y8
 
+// ROWK is the row-index form's per-k address: it loads the coefficient
+// a[k] at R12 into every lane of Y8 and points R13 at column AX of b's row
+// rows[k], read at R14 (non-negative, so MOVL's zero extension is exact).
+#define ROWK \
+	VBROADCASTSS (R12), Y8 \
+	MOVL  (R14), BX        \
+	IMULQ R10, BX          \
+	ADDQ  DX, BX           \
+	LEAQ  (BX)(AX*4), R13
+
 // PMADD folds coef·b[j+off/4 ..] at R13 into acc, through tmp.
 #define PMADD(off, tmp, acc) \
 	VMULPS off(R13), Y8, tmp \
 	VADDPS tmp, acc, acc
+
+// The strips of panel and FoldRows: LOADn loads the n columns of d from
+// column AX into the accumulators, FOLDn folds one term (coefficient Y8, b
+// at R13) into them and STOREn stores them back. FOLD1 is the scalar
+// strip.
+#define LOAD64 \
+	VMOVUPS 0(DI)(AX*4), Y0   \
+	VMOVUPS 32(DI)(AX*4), Y1  \
+	VMOVUPS 64(DI)(AX*4), Y2  \
+	VMOVUPS 96(DI)(AX*4), Y3  \
+	VMOVUPS 128(DI)(AX*4), Y4 \
+	VMOVUPS 160(DI)(AX*4), Y5 \
+	VMOVUPS 192(DI)(AX*4), Y6 \
+	VMOVUPS 224(DI)(AX*4), Y7
+
+#define FOLD64 \
+	PMADD(0, Y9, Y0)    \
+	PMADD(32, Y10, Y1)  \
+	PMADD(64, Y11, Y2)  \
+	PMADD(96, Y12, Y3)  \
+	PMADD(128, Y13, Y4) \
+	PMADD(160, Y14, Y5) \
+	PMADD(192, Y15, Y6) \
+	PMADD(224, Y9, Y7)
+
+#define STORE64 \
+	VMOVUPS Y0, 0(DI)(AX*4)   \
+	VMOVUPS Y1, 32(DI)(AX*4)  \
+	VMOVUPS Y2, 64(DI)(AX*4)  \
+	VMOVUPS Y3, 96(DI)(AX*4)  \
+	VMOVUPS Y4, 128(DI)(AX*4) \
+	VMOVUPS Y5, 160(DI)(AX*4) \
+	VMOVUPS Y6, 192(DI)(AX*4) \
+	VMOVUPS Y7, 224(DI)(AX*4)
+
+#define LOAD32 \
+	VMOVUPS 0(DI)(AX*4), Y0  \
+	VMOVUPS 32(DI)(AX*4), Y1 \
+	VMOVUPS 64(DI)(AX*4), Y2 \
+	VMOVUPS 96(DI)(AX*4), Y3
+
+#define FOLD32 \
+	PMADD(0, Y9, Y0)   \
+	PMADD(32, Y10, Y1) \
+	PMADD(64, Y11, Y2) \
+	PMADD(96, Y12, Y3)
+
+#define STORE32 \
+	VMOVUPS Y0, 0(DI)(AX*4)  \
+	VMOVUPS Y1, 32(DI)(AX*4) \
+	VMOVUPS Y2, 64(DI)(AX*4) \
+	VMOVUPS Y3, 96(DI)(AX*4)
+
+#define FOLD1 \
+	VMULSS (R13), X8, X9 \
+	VADDSS X9, X0, X0
 
 // func panelAVX2(d, a []float32, aStride, k int, b []float32, bStride int, skipZeros bool)
 //
@@ -73,14 +140,7 @@ strip64:
 	LEAQ 64(AX), BX
 	CMPQ BX, CX
 	JGT  strip32
-	VMOVUPS 0(DI)(AX*4), Y0
-	VMOVUPS 32(DI)(AX*4), Y1
-	VMOVUPS 64(DI)(AX*4), Y2
-	VMOVUPS 96(DI)(AX*4), Y3
-	VMOVUPS 128(DI)(AX*4), Y4
-	VMOVUPS 160(DI)(AX*4), Y5
-	VMOVUPS 192(DI)(AX*4), Y6
-	VMOVUPS 224(DI)(AX*4), Y7
+	LOAD64
 	MOVQ SI, R12
 	LEAQ (DX)(AX*4), R13
 	CMPQ R12, R9
@@ -88,14 +148,7 @@ strip64:
 
 k64:
 	COEF(next64)
-	PMADD(0, Y9, Y0)
-	PMADD(32, Y10, Y1)
-	PMADD(64, Y11, Y2)
-	PMADD(96, Y12, Y3)
-	PMADD(128, Y13, Y4)
-	PMADD(160, Y14, Y5)
-	PMADD(192, Y15, Y6)
-	PMADD(224, Y9, Y7)
+	FOLD64
 
 next64:
 	ADDQ R8, R12
@@ -104,14 +157,7 @@ next64:
 	JNE  k64
 
 store64:
-	VMOVUPS Y0, 0(DI)(AX*4)
-	VMOVUPS Y1, 32(DI)(AX*4)
-	VMOVUPS Y2, 64(DI)(AX*4)
-	VMOVUPS Y3, 96(DI)(AX*4)
-	VMOVUPS Y4, 128(DI)(AX*4)
-	VMOVUPS Y5, 160(DI)(AX*4)
-	VMOVUPS Y6, 192(DI)(AX*4)
-	VMOVUPS Y7, 224(DI)(AX*4)
+	STORE64
 	ADDQ $64, AX
 	JMP  strip64
 
@@ -119,10 +165,7 @@ strip32:
 	LEAQ 32(AX), BX
 	CMPQ BX, CX
 	JGT  strip8
-	VMOVUPS 0(DI)(AX*4), Y0
-	VMOVUPS 32(DI)(AX*4), Y1
-	VMOVUPS 64(DI)(AX*4), Y2
-	VMOVUPS 96(DI)(AX*4), Y3
+	LOAD32
 	MOVQ SI, R12
 	LEAQ (DX)(AX*4), R13
 	CMPQ R12, R9
@@ -130,10 +173,7 @@ strip32:
 
 k32:
 	COEF(next32)
-	PMADD(0, Y9, Y0)
-	PMADD(32, Y10, Y1)
-	PMADD(64, Y11, Y2)
-	PMADD(96, Y12, Y3)
+	FOLD32
 
 next32:
 	ADDQ R8, R12
@@ -142,10 +182,7 @@ next32:
 	JNE  k32
 
 store32:
-	VMOVUPS Y0, 0(DI)(AX*4)
-	VMOVUPS Y1, 32(DI)(AX*4)
-	VMOVUPS Y2, 64(DI)(AX*4)
-	VMOVUPS Y3, 96(DI)(AX*4)
+	STORE32
 	ADDQ $32, AX
 	JMP  strip32
 
@@ -185,13 +222,127 @@ strip1:
 
 k1:
 	COEF(next1)
-	VMULSS (R13), X8, X9
-	VADDSS X9, X0, X0
+	FOLD1
 
 next1:
 	ADDQ R8, R12
 	ADDQ R10, R13
 	CMPQ R12, R9
+	JNE  k1
+
+store1:
+	VMOVSS X0, (DI)(AX*4)
+	INCQ AX
+	JMP  strip1
+
+done:
+	VZEROUPPER
+	RET
+
+// func panelRowsAVX2(d, a []float32, aStride int, rows []int32, b []float32, bStride int)
+//
+// FoldRows' arm: panelAVX2's strips, with no zero test, over the row
+// index form. R14 walks rows from R11 and R9 is where that walk ends; for
+// each k ROWK points R13 at the strip's columns of row rows[k]. R12 walks
+// a, aStride apart; at aStride 0 every term reads a[0].
+TEXT ·panelRowsAVX2(SB), NOSPLIT, $0-112
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ aStride+48(FP), R8
+	SHLQ $2, R8
+	MOVQ rows_base+56(FP), R11
+	MOVQ rows_len+64(FP), R9
+	LEAQ (R11)(R9*4), R9
+	MOVQ b_base+80(FP), DX
+	MOVQ bStride+104(FP), R10
+	SHLQ $2, R10
+	XORQ AX, AX
+
+strip64:
+	LEAQ 64(AX), BX
+	CMPQ BX, CX
+	JGT  strip32
+	LOAD64
+	MOVQ SI, R12
+	MOVQ R11, R14
+	CMPQ R14, R9
+	JEQ  store64
+
+k64:
+	ROWK
+	FOLD64
+	ADDQ R8, R12
+	ADDQ $4, R14
+	CMPQ R14, R9
+	JNE  k64
+
+store64:
+	STORE64
+	ADDQ $64, AX
+	JMP  strip64
+
+strip32:
+	LEAQ 32(AX), BX
+	CMPQ BX, CX
+	JGT  strip8
+	LOAD32
+	MOVQ SI, R12
+	MOVQ R11, R14
+	CMPQ R14, R9
+	JEQ  store32
+
+k32:
+	ROWK
+	FOLD32
+	ADDQ R8, R12
+	ADDQ $4, R14
+	CMPQ R14, R9
+	JNE  k32
+
+store32:
+	STORE32
+	ADDQ $32, AX
+	JMP  strip32
+
+strip8:
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JGT  strip1
+	VMOVUPS (DI)(AX*4), Y0
+	MOVQ SI, R12
+	MOVQ R11, R14
+	CMPQ R14, R9
+	JEQ  store8
+
+k8:
+	ROWK
+	PMADD(0, Y9, Y0)
+	ADDQ R8, R12
+	ADDQ $4, R14
+	CMPQ R14, R9
+	JNE  k8
+
+store8:
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  strip8
+
+strip1:
+	CMPQ AX, CX
+	JGE  done
+	VMOVSS (DI)(AX*4), X0
+	MOVQ SI, R12
+	MOVQ R11, R14
+	CMPQ R14, R9
+	JEQ  store1
+
+k1:
+	ROWK
+	FOLD1
+	ADDQ R8, R12
+	ADDQ $4, R14
+	CMPQ R14, R9
 	JNE  k1
 
 store1:
@@ -242,6 +393,58 @@ tail:
 	JGE  done
 	VMOVSS (DI)(AX*4), X0
 	MADDS(SI, X8)
+	VMOVSS X0, (DI)(AX*4)
+	INCQ AX
+	JMP  tail
+
+done:
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(alpha float32, x []float32)
+//
+// x[i] = x[i]·alpha: one VMULPS (VMULSS in the tail) per element, the
+// single rounding of the Go loop, with x as the first source as there.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-32
+	VBROADCASTSS alpha+0(FP), Y8
+	MOVQ x_base+8(FP), DI
+	MOVQ x_len+16(FP), CX
+	XORQ AX, AX
+
+block32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  block8
+	VMOVUPS 0(DI)(AX*4), Y0
+	VMOVUPS 32(DI)(AX*4), Y1
+	VMOVUPS 64(DI)(AX*4), Y2
+	VMOVUPS 96(DI)(AX*4), Y3
+	VMULPS Y8, Y0, Y0
+	VMULPS Y8, Y1, Y1
+	VMULPS Y8, Y2, Y2
+	VMULPS Y8, Y3, Y3
+	VMOVUPS Y0, 0(DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VMOVUPS Y2, 64(DI)(AX*4)
+	VMOVUPS Y3, 96(DI)(AX*4)
+	MOVQ DX, AX
+	JMP  block32
+
+block8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  tail
+	VMOVUPS (DI)(AX*4), Y0
+	VMULPS Y8, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	MOVQ DX, AX
+	JMP  block8
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+	VMOVSS (DI)(AX*4), X0
+	VMULSS X8, X0, X0
 	VMOVSS X0, (DI)(AX*4)
 	INCQ AX
 	JMP  tail

@@ -74,9 +74,10 @@ func bitsEqual(a, b []float32) int {
 	return -1
 }
 
-// TestVectorKernelsMatchGo runs panel, AXPY, ReLU and ReLUBackward
-// through both arms on the same inputs and compares every bit of the
-// result, including the elements around the written slice.
+// TestVectorKernelsMatchGo runs panel, its row-index form FoldRows, AXPY,
+// Scale, ReLU and ReLUBackward through both arms on the same inputs and
+// compares every bit of the result, including the elements around the
+// written slice.
 func TestVectorKernelsMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 arm: not amd64, the CPU lacks AVX2, or the OS does not save YMM state")
@@ -121,12 +122,49 @@ func TestVectorKernelsMatchGo(t *testing.T) {
 			}
 		}
 	}
+	// FoldRows: the same widths over index lists that are empty, in order,
+	// out of order and repeated, with nil (unit) and drawn coefficients. A
+	// ±0 coefficient sits opposite a row holding an Inf and a NaN: the
+	// row-index form folds every term.
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range widths {
+		for _, rows := range foldRowLists(r) {
+			const bRows = 12
+			b := New(bRows, n)
+			for i := range b.Data {
+				b.Data[i] = kernelValue(r)
+			}
+			if n > 0 {
+				b.Set(5, 0, inf)
+				b.Set(5, n-1, kernelNaN)
+			}
+			for _, unit := range []bool{true, false} {
+				var coef []float32
+				if !unit {
+					coef = make([]float32, len(rows))
+					for k, row := range rows {
+						coef[k] = kernelValue(r)
+						if row == 5 {
+							coef[k] = [2]float32{0, negZero}[r.Intn(2)]
+						}
+					}
+				}
+				off := r.Intn(8)
+				buf, _ := guarded(n, off, r)
+				name := fmt.Sprintf("FoldRows rows %v unit %v", rows, unit)
+				both(name, n, off, buf, func(d []float32) { FoldRows(d, coef, b, rows) })
+			}
+		}
+	}
 	for n := 0; n <= 70; n++ {
 		for off := 0; off < 8; off++ {
 			buf, _ := guarded(n, off, r)
 			alpha := kernelValue(r)
 			_, x := guarded(n, r.Intn(8), r)
 			both("AXPY", n, off, buf, func(y []float32) { AXPY(alpha, x, y) })
+
+			both("Scale", n, off, buf, func(x []float32) { Scale(alpha, x) })
 
 			both("ReLU", n, off, buf, func(s []float32) { ReLU(FromData(1, n, s)) })
 
@@ -136,6 +174,111 @@ func TestVectorKernelsMatchGo(t *testing.T) {
 			both("ReLUBackward after ReLU", n, off, buf, func(g []float32) { ReLUBackward(FromData(1, n, g), FromData(1, n, out)) })
 		}
 	}
+}
+
+// foldRowLists returns FoldRows index lists into a 12-row b: empty, one
+// row, every row in order, a shuffled list with repeats, and rows 13–20
+// long (more than one eight-term pass of the Go arm) that visit row 5.
+func foldRowLists(r *rng.Rand) [][]int32 {
+	lists := [][]int32{{}, {5}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, {11, 3, 3, 0, 5, 11, 5}}
+	long := []int32{5}
+	for len(long) < 13+r.Intn(8) {
+		long = append(long, int32(r.Intn(12)))
+	}
+	return append(lists, long)
+}
+
+// TestFoldRowsMatchesAXPYPerRow pins FoldRows to what it replaces in the
+// forward passes: one AXPY per listed row, in list order, with the row's
+// coefficient (1 for a nil coef), on both arms and every index list of
+// foldRowLists. A ±0 coefficient opposite an Inf or NaN gives NaN, which
+// AXPY does too.
+func TestFoldRowsMatchesAXPYPerRow(t *testing.T) {
+	forEachArm(t, func(t *testing.T) {
+		r := rng.New(17)
+		for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 130} {
+			for _, rows := range foldRowLists(r) {
+				b := New(12, n)
+				for i := range b.Data {
+					b.Data[i] = kernelValue(r)
+				}
+				if n > 0 {
+					b.Set(5, 0, float32(math.Inf(-1)))
+				}
+				for _, unit := range []bool{true, false} {
+					var coef []float32
+					if !unit {
+						coef = make([]float32, len(rows))
+						for k := range coef {
+							coef[k] = kernelValue(r)
+						}
+					}
+					start := make([]float32, n)
+					for i := range start {
+						start[i] = kernelValue(r)
+					}
+					want := append([]float32(nil), start...)
+					for k, row := range rows {
+						c := float32(1)
+						if coef != nil {
+							c = coef[k]
+						}
+						AXPY(c, b.Row(int(row)), want)
+					}
+					got := append([]float32(nil), start...)
+					FoldRows(got, coef, b, rows)
+					if i := bitsEqual(got, want); i >= 0 {
+						t.Fatalf("len %d rows %v unit %v: element %d = %#08x, AXPY per row gives %#08x",
+							n, rows, unit, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestFoldRowsRejectsBadOperands checks that FoldRows panics in its Go
+// wrapper, before either arm touches memory (d stays as it was), on a row
+// index outside b, a coefficient list of the wrong length, a d that is
+// not one row of b wide and a b whose Data is shorter than Rows×Cols.
+func TestFoldRowsRejectsBadOperands(t *testing.T) {
+	forEachArm(t, func(t *testing.T) {
+		r := rng.New(18)
+		b := randomMatrix(4, 9, r)
+		short := &Matrix{Rows: 4, Cols: 9, Data: b.Data[:35]}
+		cases := []struct {
+			name string
+			d    []float32
+			coef []float32
+			b    *Matrix
+			rows []int32
+		}{
+			{"row past the end", make([]float32, 9), nil, b, []int32{0, 4}},
+			{"negative row", make([]float32, 9), nil, b, []int32{-1}},
+			{"far row", make([]float32, 9), []float32{1, 1}, b, []int32{1 << 30, 0}},
+			{"short coef", make([]float32, 9), []float32{1}, b, []int32{0, 1}},
+			{"narrow d", make([]float32, 8), nil, b, []int32{0}},
+			{"short b", make([]float32, 9), nil, short, []int32{0}},
+		}
+		for _, c := range cases {
+			for i := range c.d {
+				c.d[i] = 12345
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: FoldRows did not panic", c.name)
+					}
+				}()
+				FoldRows(c.d, c.coef, c.b, c.rows)
+			}()
+			for i, v := range c.d {
+				if v != 12345 {
+					t.Fatalf("%s: d[%d] = %v after the panic, want it untouched", c.name, i, v)
+				}
+			}
+		}
+	})
 }
 
 // TestVectorKernelsEdgeCases pins, on both arms, what the differential

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -82,10 +83,7 @@ func parallelRows(muladds, n int, kernel rowKernel, dst, a, b *Matrix) {
 //
 // The length check below is the one bounds proof for a and b: the AVX2 arm
 // reads exactly a[k·aStride] and b[k·bStride : k·bStride+len(d)] for each
-// k < K, and nothing when K is 0. The Go arm folds eight nonzero k per pass
-// over d, holding each d[j] in a register across the eight adds — the
-// chain eight single-k passes produce, with an eighth of the loads and
-// stores of d.
+// k < K, and nothing when K is 0.
 func panel(d, a []float32, aStride, K int, b []float32, bStride int, skipZeros bool) {
 	if K > 0 && (aStride < 1 || bStride < 0 || len(a) <= (K-1)*aStride || len(b) < (K-1)*bStride+len(d)) {
 		panic("tensor: panel operand shorter than its K rows")
@@ -94,6 +92,50 @@ func panel(d, a []float32, aStride, K int, b []float32, bStride int, skipZeros b
 		panelAVX2(d, a, aStride, K, b, bStride, skipZeros)
 		return
 	}
+	panelGo(d, a, aStride, K, nil, b, bStride, skipZeros)
+}
+
+// FoldRows folds rows of b into d: d[j] += coef[k]·b.At(rows[k], j) for k
+// ascending, each d[j] a single float32 accumulator that starts from its
+// value in d. A nil coef weights every row 1. It is panel's row-index
+// form: term k reads row rows[k] of b instead of row k, in any order and
+// with repeats, and every term is folded, so a ±0 coefficient opposite an
+// Inf or NaN gives NaN exactly as one AXPY per row in order would. d has
+// b.Cols elements and must not alias b.
+//
+// The checks below are the bounds proof: the AVX2 arm reads
+// coef[k] (coef[0] when nil) and b.Data[rows[k]·b.Cols : rows[k]·b.Cols+len(d)]
+// for each k, and nothing when rows is empty.
+func FoldRows(d, coef []float32, b *Matrix, rows []int32) {
+	if len(d) != b.Cols || len(b.Data) != b.Rows*b.Cols || (coef != nil && len(coef) != len(rows)) {
+		panic(fmt.Sprintf("tensor: FoldRows of %d rows with %d coefficients from %d×%d (%d elements) into %d columns",
+			len(rows), len(coef), b.Rows, b.Cols, len(b.Data), len(d)))
+	}
+	for _, i := range rows {
+		if uint32(i) >= uint32(b.Rows) {
+			panic(fmt.Sprintf("tensor: FoldRows row %d outside %d rows", i, b.Rows))
+		}
+	}
+	aStride := 1
+	if coef == nil {
+		coef, aStride = unitCoef[:], 0
+	}
+	if useAVX2 {
+		panelRowsAVX2(d, coef, aStride, rows, b.Data, b.Cols)
+		return
+	}
+	panelGo(d, coef, aStride, len(rows), rows, b.Data, b.Cols, false)
+}
+
+// unitCoef is FoldRows' coefficient for a nil coef, read at stride 0.
+var unitCoef = [1]float32{1}
+
+// panelGo is the Go arm of panel and of its row-index form (rows non-nil:
+// term k reads b from rows[k]·bStride instead of k·bStride). It folds eight
+// nonzero k per pass over d, holding each d[j] in a register across the
+// eight adds — the chain eight single-k passes produce, with an eighth of
+// the loads and stores of d.
+func panelGo(d, a []float32, aStride, K int, rows []int32, b []float32, bStride int, skipZeros bool) {
 	n := len(d)
 	var av [8]float32
 	var bo [8]int
@@ -104,6 +146,9 @@ func panel(d, a []float32, aStride, K int, b []float32, bStride int, skipZeros b
 			continue
 		}
 		av[m], bo[m] = c, k*bStride
+		if rows != nil {
+			bo[m] = int(rows[k]) * bStride
+		}
 		if m++; m < len(av) {
 			continue
 		}

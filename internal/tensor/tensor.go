@@ -248,8 +248,12 @@ func AXPY(alpha float32, x, y []float32) {
 	}
 }
 
-// Scale multiplies every element by alpha.
+// Scale multiplies every element by alpha, one rounding each.
 func Scale(alpha float32, x []float32) {
+	if useAVX2 {
+		scaleAVX2(alpha, x)
+		return
+	}
 	for i := range x {
 		x[i] *= alpha
 	}

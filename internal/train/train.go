@@ -27,7 +27,8 @@ import (
 	"gnnlab/internal/workload"
 )
 
-// Options configures a training run.
+// Options configures a training run. A zero count or size keeps its
+// default; a negative one makes Train return an error.
 type Options struct {
 	Model     workload.ModelKind
 	HiddenDim int
@@ -129,9 +130,28 @@ type Result struct {
 	Recoveries int
 }
 
+// validate rejects negative counts and sizes; zero keeps the default.
+func (o Options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"NumTrainers", o.NumTrainers}, {"NumSamplers", o.NumSamplers}, {"BatchSize", o.BatchSize},
+		{"HiddenDim", o.HiddenDim}, {"EvalSize", o.EvalSize}, {"MaxEpochs", o.MaxEpochs},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("train: %s is %d, want >= 0 (0 keeps the default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Train runs sample-based GNN training on a labelled dataset until the
 // accuracy target or MaxEpochs.
 func Train(d *gen.Dataset, opts Options) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	if d.Labels == nil || d.Features == nil {
 		return nil, fmt.Errorf("train: dataset %s has no labels/features (use a KindCommunity preset)", d.Name)
@@ -165,7 +185,6 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 		replicas = append(replicas, rep)
 	}
 
-	evalSet := holdout(d, opts.EvalSize, opts.Seed)
 	r := rng.New(opts.Seed)
 
 	// One executor per trainer, alive for the whole run: steady-state
@@ -173,6 +192,15 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 	execs := make([]*minibatch.Executor, opts.NumTrainers)
 	for i := range execs {
 		execs[i] = minibatch.New(alg, d.Graph, store, d.Labels)
+	}
+	evalSet := holdout(d, opts.EvalSize, opts.Seed)
+	evalSamples := drawEvalSamples(execs[0], evalSet, opts.BatchSize, opts.Seed)
+	workers := append([]*nn.Model{model}, replicas...)
+	var lanes []obs.Lane // one per trainer, nil when not tracing
+	if opts.Obs != nil {
+		for i := range workers {
+			lanes = append(lanes, opts.Obs.Lane("Train", fmt.Sprintf("trainer-%d", i)))
+		}
 	}
 
 	res := &Result{Model: model}
@@ -208,7 +236,7 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 			}
 			var stepCount int
 			var err error
-			epochLoss, stepCount, err = runEpochSteps(model, replicas, opt, execs, stream, batches, opts, epoch, stopAfter)
+			epochLoss, stepCount, err = runEpochSteps(workers, opt, execs, lanes, stream, batches, opts, epoch, stopAfter)
 			if errors.Is(err, errInjectedCrash) {
 				if stream != nil {
 					stream.abandon()
@@ -230,9 +258,9 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 			break
 		}
 
-		// The round's workers are quiesced here, so evaluation borrows
-		// trainer 0's executor.
-		acc, err := evaluate(model, execs[0], evalSet, opts)
+		// The round's workers are quiesced here and every replica equals
+		// the master, so evaluation runs on all of them.
+		acc, err := evaluate(workers, execs, lanes, evalSamples, len(evalSet))
 		if err != nil {
 			return nil, err
 		}
@@ -375,32 +403,25 @@ func (ck *checkpoint) restore(model *nn.Model, replicas []*nn.Model, opt *tensor
 
 // runEpochSteps drives one epoch of synchronous data-parallel training:
 // rounds of up to NumTrainers mini-batches run concurrently (one per model
-// replica; the master model doubles as replica 0), gradients are averaged
+// replica in workers; the master is workers[0]), gradients are averaged
 // into the master, the optimizer steps, and updated parameters fan back
 // out to the replicas — the live analogue of the gradient exchange in §2.
-// Trainer i runs its mini-batch on execs[i]: with a nil stream the
-// executor samples batch idx itself, otherwise it accepts the sample a
-// Sampler goroutine queued for that batch. It returns the summed loss and
+// Trainer i runs its mini-batch on execs[i], traced on lanes[i] when lanes
+// is non-nil: with a nil stream the executor samples batch idx itself,
+// otherwise it accepts the sample a Sampler goroutine queued for that
+// batch. It returns the summed loss and
 // the number of gradient updates. stopAfterRounds >= 0 injects a trainer
 // crash: that many rounds complete, then the epoch aborts with
 // errInjectedCrash (-1 never crashes).
-func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, execs []*minibatch.Executor, stream *sampleStream, batches [][]int32, opts Options, epoch, stopAfterRounds int) (float64, int, error) {
-	workers := append([]*nn.Model{model}, replicas...)
+func runEpochSteps(workers []*nn.Model, opt *tensor.Adam, execs []*minibatch.Executor, lanes []obs.Lane, stream *sampleStream, batches [][]int32, opts Options, epoch, stopAfterRounds int) (float64, int, error) {
+	model, replicas := workers[0], workers[1:]
 	rec := opts.Obs
-	var trainerLanes []obs.Lane
-	var stepLane obs.Lane
 	reg := rec.Registry()
 	cBatches := reg.Counter("train.minibatches")
 	cUpdates := reg.Counter("train.updates")
 	cHits := reg.Counter("train.gather.hits")
 	cMisses := reg.Counter("train.gather.misses")
-	if rec != nil {
-		trainerLanes = make([]obs.Lane, len(workers))
-		for i := range trainerLanes {
-			trainerLanes[i] = rec.Lane("Train", fmt.Sprintf("trainer-%d", i))
-		}
-		stepLane = rec.Lane("Train", "optimizer")
-	}
+	stepLane := rec.Lane("Train", "optimizer")
 	var epochLoss float64
 	// Round result buffers, hoisted out of the per-round loop: every slot
 	// up to the round's width is overwritten each round before it is read.
@@ -431,8 +452,8 @@ func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, exec
 					return
 				}
 				var sp *obs.Span
-				if trainerLanes != nil {
-					sp = trainerLanes[i].Start("minibatch")
+				if lanes != nil {
+					sp = lanes[i].Start("minibatch")
 				}
 				if errs[i] = ex.Compact(); errs[i] != nil {
 					return
@@ -662,35 +683,18 @@ func averageGrads(params []*tensor.Param, k int) {
 	}
 }
 
-// trainSetBitmaps caches each dataset's training-set membership bitmap,
-// built once per dataset instead of rebuilding a hash map on every
-// holdout call (repeated Train runs over the same dataset are the norm in
-// experiment sweeps). Keyed by dataset pointer; the handful of live
-// datasets makes the retained memory negligible.
-var trainSetBitmaps sync.Map // *gen.Dataset → []bool
-
-// trainSetBitmap returns (building on first use) d's membership bitmap:
-// bitmap[v] reports whether v is in d.TrainSet.
-func trainSetBitmap(d *gen.Dataset) []bool {
-	if v, ok := trainSetBitmaps.Load(d); ok {
-		return v.([]bool)
-	}
-	bm := make([]bool, d.NumVertices())
-	for _, v := range d.TrainSet {
-		bm[v] = true
-	}
-	actual, _ := trainSetBitmaps.LoadOrStore(d, bm)
-	return actual.([]bool)
-}
-
-// holdout picks EvalSize vertices outside the training set. The draw
-// sequence is unchanged from the map-based version, so holdout sets are
-// stable across the bitmap conversion.
+// holdout picks size distinct vertices outside the training set, drawn
+// from rng.New(seed^0xE7A1). It builds its training-set bitmap on every
+// call — O(|V|) once per run, beside a whole training run — so nothing
+// that reaches d outlives Train.
 func holdout(d *gen.Dataset, size int, seed uint64) []int32 {
-	inTrain := trainSetBitmap(d)
+	n := d.NumVertices()
+	inTrain := make([]bool, n)
+	for _, v := range d.TrainSet {
+		inTrain[v] = true
+	}
 	r := rng.New(seed ^ 0xE7A1)
 	out := make([]int32, 0, size)
-	n := d.NumVertices()
 	seen := make([]bool, n)
 	distinct := 0
 	for len(out) < size && distinct < n {
@@ -709,27 +713,78 @@ func holdout(d *gen.Dataset, size int, seed uint64) []int32 {
 	return out
 }
 
-// evaluate runs the eval set through ex (which must not be in use by a
-// trainer goroutine) and returns accuracy. The sampling seed is fixed, so
-// the eval graph view is stable across epochs.
-func evaluate(model *nn.Model, ex *minibatch.Executor, evalSet []int32, opts Options) (float64, error) {
-	if len(evalSet) == 0 {
+// drawEvalSamples samples the eval set once per run, in batches of
+// batchSize over one rng.New(seed^0xEA11) stream, on ex's sampler. The
+// stream and order are fixed, so these are the subgraphs every epoch's
+// evaluation would draw; each is a Clone, since ex's next Sample reuses
+// its buffers.
+func drawEvalSamples(ex *minibatch.Executor, evalSet []int32, batchSize int, seed uint64) []*sampling.Sample {
+	er := rng.New(seed ^ 0xEA11)
+	var out []*sampling.Sample
+	for start := 0; start < len(evalSet); start += batchSize {
+		end := min(start+batchSize, len(evalSet))
+		out = append(out, ex.Sample(evalSet[start:end], er).Clone())
+	}
+	return out
+}
+
+// evaluate runs the eval samples through the trainers and returns the
+// accuracy over size seeds: batch b runs on execs[b mod k] with workers[b
+// mod k], k = len(execs), which equal the master after every round. Each
+// batch still gathers its features, so the store's hit/miss accounting is
+// what per-epoch sampling gave. With one trainer it runs inline; otherwise
+// each trainer's share runs on its own goroutine, in an "evaluate" span on
+// its lane when lanes is non-nil. No executor may be in use.
+func evaluate(workers []*nn.Model, execs []*minibatch.Executor, lanes []obs.Lane, samples []*sampling.Sample, size int) (float64, error) {
+	if size == 0 {
 		return 0, nil
 	}
-	correct := 0
-	er := rng.New(opts.Seed ^ 0xEA11)
-	for start := 0; start < len(evalSet); start += opts.BatchSize {
-		end := min(start+opts.BatchSize, len(evalSet))
-		ex.Sample(evalSet[start:end], er)
-		if err := ex.Compact(); err != nil {
-			return 0, err
+	k := min(len(execs), len(samples))
+	correct := make([]int, k)
+	errs := make([]error, k)
+	run := func(i int) {
+		var sp *obs.Span
+		if lanes != nil {
+			sp = lanes[i].Start("evaluate")
 		}
-		ex.Gather()
-		c, err := ex.Predict(model)
-		if err != nil {
-			return 0, err
+		ex, n := execs[i], 0
+		for b := i; b < len(samples); b += len(execs) {
+			n++
+			ex.Accept(samples[b])
+			if errs[i] = ex.Compact(); errs[i] != nil {
+				return
+			}
+			ex.Gather()
+			c, err := ex.Predict(workers[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			correct[i] += c
 		}
-		correct += c
+		if sp != nil {
+			sp.End(obs.Attr{Key: "batches", Value: n})
+		}
 	}
-	return float64(correct) / float64(len(evalSet)), nil
+	if k == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(i)
+			}()
+		}
+		wg.Wait()
+	}
+	total := 0
+	for i := range correct {
+		if errs[i] != nil {
+			return 0, errs[i]
+		}
+		total += correct[i]
+	}
+	return float64(total) / float64(size), nil
 }

@@ -1,8 +1,10 @@
 package train
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gnnlab/internal/cache"
 	"gnnlab/internal/gen"
@@ -92,4 +94,77 @@ func TestTrainRejectsUnusableCachePolicy(t *testing.T) {
 			t.Errorf("policy %v: err = %v, want an error naming the policy", p, err)
 		}
 	}
+}
+
+// TestTrainRejectsNegativeOptions checks that each count or size below
+// zero is an error naming the field, not a panic, and that zero keeps
+// its default.
+func TestTrainRejectsNegativeOptions(t *testing.T) {
+	d := convDataset(t)
+	base := Options{Model: workload.GCN, MaxEpochs: 1, EvalSize: 100}
+	cases := []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"NumTrainers", func(o *Options) { o.NumTrainers = -2 }},
+		{"NumSamplers", func(o *Options) { o.NumSamplers = -1 }},
+		{"BatchSize", func(o *Options) { o.BatchSize = -3 }},
+		{"HiddenDim", func(o *Options) { o.HiddenDim = -3 }},
+		{"EvalSize", func(o *Options) { o.EvalSize = -1 }},
+		{"MaxEpochs", func(o *Options) { o.MaxEpochs = -3 }},
+	}
+	for _, c := range cases {
+		t.Run(c.field, func(t *testing.T) {
+			opts := base
+			c.set(&opts)
+			var res *Result
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("Train panicked: %v", p)
+					}
+				}()
+				res, err = Train(d, opts)
+			}()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("err = %v (result %v), want an error naming %s", err, res, c.field)
+			}
+		})
+	}
+	if _, err := Train(d, base); err != nil {
+		t.Errorf("zero counts: %v, want the defaults", err)
+	}
+}
+
+// TestTrainReleasesDataset checks that Train keeps nothing that reaches
+// the dataset once it returns: an experiment sweep trains on dataset
+// after dataset, and each must be collectable when the caller drops it.
+func TestTrainReleasesDataset(t *testing.T) {
+	cfg, err := gen.PresetConfig(gen.PresetConv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = gen.ScaleDown(cfg, 4)
+	cfg.MaterializeFeatures = true
+	collected := make(chan struct{})
+	func() {
+		d, err := gen.Generate(cfg) // not gen.Load, whose cache keeps every dataset
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(d, func(*gen.Dataset) { close(collected) })
+		if _, err := Train(d, Options{Model: workload.GCN, MaxEpochs: 1, EvalSize: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("the dataset was not collected after Train returned and the caller dropped it")
 }

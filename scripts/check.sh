@@ -4,11 +4,11 @@
 # every run exercises real concurrency), and one-shot smoke runs of the
 # CLIs and benchmarks. The race detector is ~10-20x slower than a plain
 # run — the explicit -timeout keeps slow single-core machines from
-# tripping go test's 600s default. Every test runs exactly once, in the
-# full -race suite; the exact performance pins (allocation counts,
-# simulated serving figures, packed sizes) are tests in that suite, so
-# nothing here compares against a stored baseline. The script prints its
-# own wall-clock at the end.
+# tripping go test's 600s default. Every test runs in the full -race
+# suite, and a few again at 1, 2 and 4 Ps; the exact performance pins
+# (allocation counts, simulated serving figures, packed sizes) are tests
+# in that suite, so nothing here compares against a stored baseline. The
+# script prints its own wall-clock at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,10 +25,14 @@ if grep -inE 'VFN?M(ADD|SUB)' internal/tensor/*.s; then
 	exit 1
 fi
 # The kernels' fold order with the panel rows fanned out over 1, 2 and 4
-# workers, whatever this machine's core count.
-go test -cpu 1,2,4 -run 'TestKernelsExactFoldOrder|TestParallel' ./internal/tensor
+# workers, whatever this machine's core count, and panel's row-index form.
+go test -cpu 1,2,4 -run 'TestKernelsExactFoldOrder|TestParallel|TestFoldRows' ./internal/tensor
 go build ./...
 go test -race -timeout 3600s ./...
+# Evaluation fanned out over the Trainers against the serial per-epoch
+# reference, and the pinned runs, under the race detector at 1, 2 and 4
+# Ps: the goroutine interleavings differ, the bits may not.
+go test -race -timeout 3600s -cpu 1,2,4 -run 'TestEvaluateMatchesSerialReference|TestGoldenRuns|TestTrainPooledMatchesFresh' ./internal/train
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
 # Sampling-arena, matmul-kernel and cache-ranking smoke: one iteration
 # each keeps the allocation-sensitive paths (pooled scratch, top-k
