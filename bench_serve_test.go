@@ -4,11 +4,10 @@ package gnnlab
 // steady-state allocation count of one Submit×B→Step→Release cycle of a
 // real serve.Server (admission, microbatching, request-driven cache). The
 // pooled buffers themselves are zero-alloc (pinned at 0 by internal/serve's
-// TestServeSteadyStateZeroAlloc, which stays below tensor's parallel
-// threshold); at this benchmark's batch size the two layer MatMuls cross
-// that threshold, so on one core the steady state is 0 allocs/cycle and
-// on more it is parallelRows' goroutine bookkeeping — a WaitGroup and one
-// closure per extra core, per large MatMul, nothing per-request. The
+// TestServeSteadyStateZeroAlloc); at this benchmark's batch size the
+// gather, the aggregations and the layer MatMuls cross tensor's parallel
+// threshold and run on the par row pool, which posts kept descriptors, so
+// the steady state is 0 allocs/cycle on any number of cores. The
 // simulated open-loop side is pinned exactly by internal/sim's
 // TestServeGolden.
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"gnnlab/internal/cache"
+	"gnnlab/internal/par"
 	"gnnlab/internal/sampling"
 	"gnnlab/internal/tensor"
 )
@@ -32,6 +33,9 @@ type Store struct {
 	// Extract-stage analogue of sampling's ScratchStats, surfaced as the
 	// feature.gather_reuse / feature.gather_grow obs counters by train.
 	gatherReuses, gatherGrows atomic.Int64
+
+	// gathers is the free list of GatherInto job descriptors.
+	gathers par.Free[gatherJob]
 }
 
 // NewStore wraps the host feature table (row-major, n×dim).
@@ -93,9 +97,32 @@ func (s *Store) GatherInto(dst *tensor.Matrix, smp *sampling.Sample) (int, int) 
 	} else {
 		s.gatherReuses.Add(1)
 	}
-	hits, misses := 0, 0
-	for local, v := range smp.Input {
-		row := dst.Row(local)
+	j := s.gathers.Get()
+	j.s, j.dst, j.input = s, dst, smp.Input
+	j.hits.Store(0)
+	j.misses.Store(0)
+	tensor.ParallelRows(j, len(smp.Input), len(smp.Input)*s.dim)
+	hits, misses := j.hits.Load(), j.misses.Load()
+	j.s, j.dst, j.input = nil, nil, nil
+	s.gathers.Put(j)
+	s.hits.Add(hits)
+	s.misses.Add(misses)
+	return int(hits), int(misses)
+}
+
+// gatherJob is one GatherInto on the row pool: each chunk copies its
+// input rows and adds its hit and miss counts, exact integer sums.
+type gatherJob struct {
+	s            *Store
+	dst          *tensor.Matrix
+	input        []int32
+	hits, misses atomic.Int64
+}
+
+func (j *gatherJob) Rows(lo, hi int) {
+	s, hits := j.s, 0
+	for local := lo; local < hi; local++ {
+		v, row := j.input[local], j.dst.Row(local)
 		if s.table != nil {
 			if slot, ok := s.table.Slot(v); ok {
 				copy(row, s.cached[int(slot)*s.dim:(int(slot)+1)*s.dim])
@@ -104,11 +131,9 @@ func (s *Store) GatherInto(dst *tensor.Matrix, smp *sampling.Sample) (int, int) 
 			}
 		}
 		copy(row, s.hostRow(v))
-		misses++
 	}
-	s.hits.Add(int64(hits))
-	s.misses.Add(int64(misses))
-	return hits, misses
+	j.hits.Add(int64(hits))
+	j.misses.Add(int64(hi - lo - hits))
 }
 
 // GatherStats returns how many GatherInto calls reused vs. grew their

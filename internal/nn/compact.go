@@ -72,6 +72,12 @@ func (c *Compact) Neighbors(v int32) []int32 {
 	return c.AdjNbr[c.AdjStart[v]:c.AdjStart[v+1]]
 }
 
+// edges returns how many sampled neighbours the first n local vertices
+// have in all.
+func (c *Compact) edges(n int) int {
+	return int(c.AdjStart[n] - c.AdjStart[0])
+}
+
 // growInts returns buf resliced to length n, reallocating only when the
 // capacity is insufficient. Contents are unspecified.
 func growInts(buf []int, n int) []int {

@@ -57,6 +57,8 @@ type Conv struct {
 	// layer is live between a forward and its backward, so a single slot
 	// suffices.
 	ctxPool convCtx
+	// means is the neighbour-mean job ForwardLayer posts, refilled per call.
+	means convMeans
 }
 
 // NewConv creates a layer with Glorot-initialized weights.
@@ -96,28 +98,13 @@ func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOu
 	if hIn.Cols != c.InDim {
 		panic(fmt.Sprintf("nn: conv input dim %d, want %d", hIn.Cols, c.InDim))
 	}
-	// Each mean is one unit-coefficient FoldRows over the neighbours' rows
-	// (every term folded, as one AXPY per neighbour would), then a Scale.
-	agg := ws.arena.Matrix(numOut, c.InDim)
-	for v := 0; v < numOut; v++ {
-		nbrs := g.Neighbors(int32(v))
-		dst := agg.Row(v)
-		switch c.Agg {
-		case AggGCN:
-			copy(dst, hIn.Row(v))
-			tensor.FoldRows(dst, nil, hIn, nbrs)
-			tensor.Scale(1/float32(len(nbrs)+1), dst)
-		default: // SAGE-family: neighbor mean only
-			if len(nbrs) > 0 {
-				tensor.FoldRows(dst, nil, hIn, nbrs)
-				tensor.Scale(1/float32(len(nbrs)), dst)
-			}
-		}
-	}
-	out := ws.arena.Matrix(numOut, c.OutDim)
+	agg := ws.arena.Dst(numOut, c.InDim)
+	c.means = convMeans{gcn: c.Agg == AggGCN, g: g, hIn: hIn, agg: agg}
+	tensor.ParallelRows(&c.means, numOut, (g.edges(numOut)+numOut)*c.InDim)
+	out := ws.arena.Dst(numOut, c.OutDim)
 	tensor.MatMul(out, agg, c.WNbr.Value)
 	if c.WSelf != nil {
-		selfPart := ws.arena.Matrix(numOut, c.OutDim)
+		selfPart := ws.arena.Dst(numOut, c.OutDim)
 		hSelf := ws.arena.View(numOut, c.InDim, hIn.Data[:numOut*c.InDim])
 		tensor.MatMul(selfPart, hSelf, c.WSelf.Value)
 		tensor.AXPY(1, selfPart.Data, out.Data)
@@ -130,6 +117,35 @@ func (c *Conv) ForwardLayer(ws *Workspace, g *Compact, hIn *tensor.Matrix, numOu
 		ctx.out = out
 	}
 	return out, ctx
+}
+
+// convMeans computes rows of Conv's aggregation: each mean is one
+// unit-coefficient FoldRows over the neighbours' rows (every term folded,
+// as one AXPY per neighbour would), then a Scale. Each row is copied or
+// cleared before it is folded into, so agg comes uncleared from the arena.
+type convMeans struct {
+	gcn      bool // self-loop mean (GCN) rather than neighbour mean
+	g        *Compact
+	hIn, agg *tensor.Matrix
+}
+
+func (j *convMeans) Rows(lo, hi int) {
+	for v := lo; v < hi; v++ {
+		nbrs := j.g.Neighbors(int32(v))
+		dst := j.agg.Row(v)
+		switch {
+		case j.gcn:
+			copy(dst, j.hIn.Row(v))
+			tensor.FoldRows(dst, nil, j.hIn, nbrs)
+			tensor.Scale(1/float32(len(nbrs)+1), dst)
+		case len(nbrs) > 0: // SAGE-family: neighbour mean only
+			clear(dst)
+			tensor.FoldRows(dst, nil, j.hIn, nbrs)
+			tensor.Scale(1/float32(len(nbrs)), dst)
+		default:
+			clear(dst)
+		}
+	}
 }
 
 // BackwardLayer implements Layer: it consumes the gradient w.r.t. this
@@ -146,12 +162,12 @@ func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, saved any, gradOut *tens
 	// Bias gradient.
 	tensor.SumRows(gradOut, c.Bias.Grad.Data)
 	// Weight gradients.
-	wg := ws.arena.Matrix(c.InDim, c.OutDim)
+	wg := ws.arena.Dst(c.InDim, c.OutDim)
 	tensor.MatMulATB(wg, ctx.agg, gradOut)
 	tensor.AXPY(1, wg.Data, c.WNbr.Grad.Data)
 	if c.WSelf != nil {
 		hSelf := ws.arena.View(ctx.numOut, c.InDim, ctx.hIn.Data[:ctx.numOut*c.InDim])
-		wsg := ws.arena.Matrix(c.InDim, c.OutDim)
+		wsg := ws.arena.Dst(c.InDim, c.OutDim)
 		tensor.MatMulATB(wsg, hSelf, gradOut)
 		tensor.AXPY(1, wsg.Data, c.WSelf.Grad.Data)
 	}
@@ -161,7 +177,7 @@ func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, saved any, gradOut *tens
 
 	gradIn := ws.arena.Matrix(ctx.hIn.Rows, c.InDim)
 	// Through the aggregation: gradAgg = gradOut @ WNbrᵀ, scattered back.
-	gradAgg := ws.arena.Matrix(ctx.numOut, c.InDim)
+	gradAgg := ws.arena.Dst(ctx.numOut, c.InDim)
 	tensor.MatMulABT(gradAgg, gradOut, c.WNbr.Value)
 	for v := 0; v < ctx.numOut; v++ {
 		nbrs := g.Neighbors(int32(v))
@@ -184,7 +200,7 @@ func (c *Conv) BackwardLayer(ws *Workspace, g *Compact, saved any, gradOut *tens
 	}
 	// Through the self path (SAGE-family).
 	if c.WSelf != nil {
-		gradSelf := ws.arena.Matrix(ctx.numOut, c.InDim)
+		gradSelf := ws.arena.Dst(ctx.numOut, c.InDim)
 		tensor.MatMulABT(gradSelf, gradOut, c.WSelf.Value)
 		tensor.AXPY(1, gradSelf.Data, gradIn.Data[:ctx.numOut*c.InDim])
 	}

@@ -34,6 +34,8 @@ type GAT struct {
 	// serves one goroutine and one context is live between forward and
 	// backward).
 	ctxPool gatCtx
+	// attend is the per-head attention job ForwardLayer posts.
+	attend gatAttend
 }
 
 // gatHead holds one attention head's parameters.
@@ -101,34 +103,23 @@ type gatCtx struct {
 // every element is overwritten before use.
 func (g *GAT) ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut int) (*tensor.Matrix, any) {
 	headDim := g.OutDim / g.NumHeads
-	out := ws.arena.Matrix(numOut, g.OutDim)
+	out := ws.arena.Dst(numOut, g.OutDim)
 	ctx := &g.ctxPool
 	ctx.hIn, ctx.numOut, ctx.out = hIn, numOut, nil
 	ctx.heads = growHeadCtxs(ctx.heads, g.NumHeads)
+	terms := numOut + c.edges(numOut) // participants over all targets
 	for hi, head := range g.heads {
 		hc := &ctx.heads[hi]
-		hc.z = ws.arena.Matrix(hIn.Rows, headDim)
+		hc.z = ws.arena.Dst(hIn.Rows, headDim)
 		tensor.MatMul(hc.z, hIn, head.W.Value)
 		hc.alphas = growFloatRows(hc.alphas, numOut)
 		hc.pres = growFloatRows(hc.pres, numOut)
-		z := hc.z
-		aL, aR := head.AttnL.Value.Data, head.AttnR.Value.Data
-		off := hi * headDim
-		for t := 0; t < numOut; t++ {
-			nbrs := c.Neighbors(int32(t))
-			pre := ws.arena.Floats(len(nbrs) + 1)
-			selfL := dot(aL, z.Row(t))
-			pre[0] = leaky(selfL + dot(aR, z.Row(t)))
-			for i, nbr := range nbrs {
-				pre[i+1] = leaky(selfL + dot(aR, z.Row(int(nbr))))
-			}
-			alpha := softmaxInto(ws.arena.Floats(len(pre)), pre)
-			dst := out.Row(t)[off : off+headDim]
-			tensor.AXPY(alpha[0], z.Row(t), dst)
-			tensor.FoldRows(dst, alpha[1:], z, nbrs)
-			hc.alphas[t] = alpha
-			hc.pres[t] = pre
+		g.attend = gatAttend{
+			c: c, hc: hc, out: out, off: hi * headDim,
+			aL: head.AttnL.Value.Data, aR: head.AttnR.Value.Data,
+			pres: ws.arena.Floats(terms), alphas: ws.arena.Floats(terms),
 		}
+		tensor.ParallelRows(&g.attend, numOut, 2*terms*headDim)
 	}
 	tensor.AddBiasRows(out, g.Bias.Value.Data)
 	if g.ReLUAfter {
@@ -136,6 +127,39 @@ func (g *GAT) ForwardLayer(ws *Workspace, c *Compact, hIn *tensor.Matrix, numOut
 		ctx.out = out
 	}
 	return out, ctx
+}
+
+// gatAttend computes one head's attention and weighted sum for target
+// rows of out. Target t's scores and alphas sit at t + edges(t) of the
+// head's pres and alphas buffers, so rows write disjoint ranges.
+type gatAttend struct {
+	c            *Compact
+	hc           *gatHeadCtx
+	out          *tensor.Matrix
+	off          int // the head's first lane in out
+	aL, aR       []float32
+	pres, alphas []float32
+}
+
+func (j *gatAttend) Rows(lo, hi int) {
+	z := j.hc.z
+	for t := lo; t < hi; t++ {
+		nbrs := j.c.Neighbors(int32(t))
+		at := t + j.c.edges(t)
+		pre := j.pres[at : at+len(nbrs)+1]
+		selfL := dot(j.aL, z.Row(t))
+		pre[0] = leaky(selfL + dot(j.aR, z.Row(t)))
+		for i, nbr := range nbrs {
+			pre[i+1] = leaky(selfL + dot(j.aR, z.Row(int(nbr))))
+		}
+		alpha := softmaxInto(j.alphas[at:at+len(pre)], pre)
+		dst := j.out.Row(t)[j.off : j.off+z.Cols]
+		clear(dst)
+		tensor.AXPY(alpha[0], z.Row(t), dst)
+		tensor.FoldRows(dst, alpha[1:], z, nbrs)
+		j.hc.alphas[t] = alpha
+		j.hc.pres[t] = pre
+	}
 }
 
 // growHeadCtxs reslices buf to n head contexts, keeping pooled entries
@@ -220,11 +244,11 @@ func (g *GAT) BackwardLayer(ws *Workspace, c *Compact, saved any, gradOut *tenso
 		}
 
 		// z = hIn @ W_h.
-		wg := ws.arena.Matrix(g.InDim, headDim)
+		wg := ws.arena.Dst(g.InDim, headDim)
 		tensor.MatMulATB(wg, ctx.hIn, gradZ)
 		tensor.AXPY(1, wg.Data, head.W.Grad.Data)
 		if needInput {
-			headGradIn := ws.arena.Matrix(ctx.hIn.Rows, g.InDim)
+			headGradIn := ws.arena.Dst(ctx.hIn.Rows, g.InDim)
 			tensor.MatMulABT(headGradIn, gradZ, head.W.Value)
 			tensor.AXPY(1, headGradIn.Data, gradIn.Data)
 		}

@@ -125,7 +125,7 @@ func (m *Model) LossAndGradWS(ws *Workspace, g *Compact, feats *tensor.Matrix, l
 	if err != nil {
 		return 0, 0, err
 	}
-	gradLogits := ws.arena.Matrix(logits.Rows, logits.Cols)
+	gradLogits := ws.arena.Dst(logits.Rows, logits.Cols) // SoftmaxCrossEntropy writes every element
 	loss, correct := tensor.SoftmaxCrossEntropy(logits, labels, gradLogits)
 	m.BackwardWS(ws, g, ctxs, gradLogits)
 	return loss, correct, nil

@@ -20,7 +20,8 @@ import "gnnlab/internal/tensor"
 //     gradients live in tensor.Param and are NOT workspace-backed).
 //   - A workspace serves one goroutine; data-parallel trainers pool one
 //     per replica.
-//   - Reuse never changes results: matrices are zeroed on hand-out and
+//   - Reuse never changes results: accumulators are zeroed on hand-out,
+//     every other buffer is overwritten whole before it is read, and
 //     every float fold order is fixed, so a warm workspace and a new one
 //     compute bit-identical losses (TestModelWorkspaceMatchesFresh,
 //     train's TestTrainPooledMatchesFresh).

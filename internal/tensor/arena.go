@@ -9,10 +9,10 @@ package tensor
 // seen, so steady-state passes allocate nothing.
 //
 // Everything handed out is borrowed: valid only until the next Reset.
-// Matrices are zeroed on hand-out (several consumers accumulate into
-// them with AXPY and rely on zero initialization, exactly like a fresh
-// tensor.New); float slices and views are not cleared — their
-// consumers overwrite every element.
+// Matrix zeroes on hand-out (several consumers accumulate into its
+// matrices with AXPY and rely on zero initialization, exactly like a
+// fresh tensor.New); Dst matrices, float slices and views are not
+// cleared — their consumers overwrite every element.
 //
 // An Arena is not safe for concurrent use; pool one per worker.
 type Arena struct {
@@ -39,6 +39,16 @@ func (a *Arena) Grows() int64 { return a.grows }
 
 // Matrix returns a zeroed rows×cols matrix from the next matrix slot.
 func (a *Arena) Matrix(rows, cols int) *Matrix {
+	m := a.Dst(rows, cols)
+	clear(m.Data)
+	return m
+}
+
+// Dst returns a rows×cols matrix from the next matrix slot without
+// clearing it: for a destination its producer writes whole, such as a
+// product's (MatMul, MatMulATB and MatMulABT overwrite dst). It shares
+// the matrix slots with Matrix.
+func (a *Arena) Dst(rows, cols int) *Matrix {
 	if a.next == len(a.mats) {
 		a.mats = append(a.mats, &Matrix{})
 		a.grows++
@@ -48,7 +58,6 @@ func (a *Arena) Matrix(rows, cols int) *Matrix {
 	if m.Reuse(rows, cols) {
 		a.grows++
 	}
-	clear(m.Data)
 	return m
 }
 

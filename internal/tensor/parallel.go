@@ -2,8 +2,8 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"gnnlab/internal/par"
 )
 
 // The three products share one kernel, panel, and one contract per output
@@ -18,59 +18,69 @@ import (
 // checkpoints are pinned bit for bit on top of these
 // (TestKernelsExactFoldOrder, train's golden digests).
 
-// parallelThreshold is the multiply-add count at and above which a
-// product fans out across cores. Row-partitioned products are bitwise
-// identical to the serial computation (each output row is an independent
-// serial reduction), so the constant moves time only, never results.
+// parallelThreshold is the work, in multiply-add equivalents, at and
+// above which a row-independent stage runs on the par pool: a product,
+// counted in multiply-adds, or a caller of ParallelRows, which counts a
+// folded or copied element as one. Every row is still computed by the
+// same serial code, so the constant moves time only, never results.
 //
-// Re-derived with BenchmarkFanOut on the AVX2 panel kernel (2-core box,
-// GOMAXPROCS 2, n×64 @ 64×64, median of 7 in µs):
+// Derived with BenchmarkFanOut on the pool (2-core box, GOMAXPROCS 2,
+// n×64 @ 64×64 back to back, AVX2 panel kernel, median of 7 in µs):
 //
-//	mul-adds        serial  fanned
-//	1<<19 (0.25×)       28      28   even
-//	1<<20 (0.5×)        56      51   1.1×
-//	3<<19 (0.75×)       82      87   fan-out loses
-//	1<<21 (1×)         108     109   even
-//	1<<22 (2×)         214     184   1.2×
-//	1<<23 (4×)         429     296   1.5×
+//	mul-adds   serial   pool
+//	1<<15         0.9    1.6   pool loses
+//	1<<16         1.8    2.0   pool loses
+//	1<<17         3.6    3.2   1.1×
+//	1<<18         7.1    5.4   1.3×
+//	1<<19        14.5    9.0   1.6×
+//	1<<20        29.5   17.4   1.7×
+//	1<<21        59.2   33.7   1.8×
+//	1<<22       118.8   65.7   1.8×
+//	1<<23       236.3  126.2   1.9×
 //
-// The serial kernel got about 3× faster again, and back to back fan-out
-// now breaks even between 1<<21 and 1<<22. The live first-layer products
-// (4.9–5.7M multiply-adds) fan out at 1<<21 and would not at 1<<23; over
-// four alternated benchmark pairs each, work_per_s at 1<<23 read 1.01×
-// (train-inline) and 0.97× (train-factored) of its value at 1<<21, and
-// 1<<23 won 2 and 3 of the 4 pairs. The constant stays; a persistent
-// pool, not this constant, is the fix.
-const parallelThreshold = 1 << 21
+// A post costs well under a microsecond more than the serial call when
+// the helpers are still spinning from the previous stage, which is the
+// case between the stages of one minibatch.
+const parallelThreshold = 1 << 17
+
+// ParallelRows runs job over rows [0, n): inline when work (in
+// multiply-add equivalents) is below parallelThreshold, on the par pool
+// otherwise. The job must compute each row independently of the others.
+func ParallelRows(job par.Job, n, work int) {
+	if work < parallelThreshold {
+		job.Rows(0, n)
+		return
+	}
+	par.Run(job, n)
+}
 
 // rowKernel computes dst rows [lo,hi) of one of the three products.
 type rowKernel func(dst, a, b *Matrix, lo, hi int)
 
-// parallelRows runs kernel over dst rows [0, n): serially when the
-// product has fewer than parallelThreshold multiply-adds (or one core),
-// otherwise split into contiguous chunks, one per core. The caller runs
-// the last chunk itself, so a product on w cores spawns w-1 goroutines,
-// and the serial case allocates nothing (kernel is a plain function, not
-// a closure over the operands).
+// productJob is a product posted to the pool.
+type productJob struct {
+	kernel    rowKernel
+	dst, a, b *Matrix
+}
+
+func (j *productJob) Rows(lo, hi int) { j.kernel(j.dst, j.a, j.b, lo, hi) }
+
+// productJobs is the free list of product descriptors.
+var productJobs par.Free[productJob]
+
+// parallelRows runs kernel over dst rows [0, n), on the pool when the
+// product has parallelThreshold multiply-adds or more. Neither path
+// allocates once the free list holds a descriptor per concurrent caller.
 func parallelRows(muladds, n int, kernel rowKernel, dst, a, b *Matrix) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if muladds < parallelThreshold || workers <= 1 {
+	if muladds < parallelThreshold {
 		kernel(dst, a, b, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	lo := 0
-	for ; lo+chunk < n; lo += chunk {
-		start := lo
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			kernel(dst, a, b, start, start+chunk)
-		}()
-	}
-	kernel(dst, a, b, lo, n)
-	wg.Wait()
+	j := productJobs.Get()
+	*j = productJob{kernel, dst, a, b}
+	par.Run(j, n)
+	*j = productJob{}
+	productJobs.Put(j)
 }
 
 // panel folds K terms into one dst row: d[j] += a[k·aStride]·b[k·bStride+j]
@@ -223,26 +233,13 @@ func matMulDenseRows(dst, a, b *Matrix, lo, hi int) {
 // transposes is MatMulABT's free list of bᵀ copies, the one buffer this
 // package holds outside the callers' arenas. Each copy is at most one
 // weight matrix; steady state takes and returns the same few (one per
-// concurrent caller). It is a mutex-guarded list rather than a sync.Pool,
-// whose entries a garbage collection may drop.
-var transposes struct {
-	sync.Mutex
-	free []*Matrix
-}
+// concurrent caller).
+var transposes par.Free[Matrix]
 
-// transposed returns a copy of bᵀ from the free list; putTransposed hands
-// it back.
+// transposed returns a copy of bᵀ from the free list; transposes.Put
+// hands it back.
 func transposed(b *Matrix) *Matrix {
-	var t *Matrix
-	transposes.Lock()
-	if n := len(transposes.free); n > 0 {
-		t = transposes.free[n-1]
-		transposes.free = transposes.free[:n-1]
-	}
-	transposes.Unlock()
-	if t == nil {
-		t = new(Matrix)
-	}
+	t := transposes.Get()
 	t.Reuse(b.Cols, b.Rows)
 	for i := 0; i < b.Rows; i++ {
 		for k, v := range b.Row(i) {
@@ -250,10 +247,4 @@ func transposed(b *Matrix) *Matrix {
 		}
 	}
 	return t
-}
-
-func putTransposed(t *Matrix) {
-	transposes.Lock()
-	transposes.free = append(transposes.free, t)
-	transposes.Unlock()
 }

@@ -120,7 +120,7 @@ func MatMulABT(dst, a, b *Matrix) {
 	checkData(dst, a, b)
 	bt := transposed(b)
 	parallelRows(a.Rows*a.Cols*b.Rows, a.Rows, matMulDenseRows, dst, a, bt)
-	putTransposed(bt)
+	transposes.Put(bt)
 }
 
 // checkData panics unless each operand's Data holds exactly its Rows×Cols

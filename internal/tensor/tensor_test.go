@@ -641,11 +641,11 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // BenchmarkFanOut is the measurement behind parallelThreshold: n×64 @
-// 64×64 run serially and fanned out regardless of size, for n·64·64
-// multiply-adds from a quarter of the constant to 4 times it.
+// 64×64 run serially and on the pool regardless of size, for n·64·64
+// multiply-adds from 2¹⁵ (8 rows) to 2²³.
 func BenchmarkFanOut(b *testing.B) {
 	r := rng.New(12)
-	for _, madds := range []int{1 << 19, 1 << 20, 3 << 19, 1 << 21, 1 << 22, 1 << 23} {
+	for _, madds := range []int{1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 21, 1 << 22, 1 << 23} {
 		rows := madds / (64 * 64)
 		x, w, out := randomMatrix(rows, 64, r), randomMatrix(64, 64, r), New(rows, 64)
 		b.Run(fmt.Sprintf("madds=%d/serial", madds), func(b *testing.B) {

@@ -428,53 +428,66 @@ func runEpochSteps(workers []*nn.Model, opt *tensor.Adam, execs []*minibatch.Exe
 	losses := make([]float64, len(workers))
 	errs := make([]error, len(workers))
 	updates := 0
-	for start := 0; start < len(batches); start += len(workers) {
+	// step runs trainer i's minibatch of the round that starts at batch
+	// start, on whatever goroutine calls it.
+	var (
+		start  int
+		queued []*sampling.Sample
+	)
+	step := func(i int) {
+		ex, idx := execs[i], start+i
+		if queued != nil {
+			ex.Accept(queued[i])
+		} else if _, errs[i] = sampleOne(ex.Sample, batches[idx], idx, opts, epoch); errs[i] != nil {
+			return
+		}
+		var sp *obs.Span
+		if lanes != nil {
+			sp = lanes[i].Start("minibatch")
+		}
+		if errs[i] = ex.Compact(); errs[i] != nil {
+			return
+		}
+		gsp := sp.Child("gather")
+		hits, misses := ex.Gather()
+		if gsp != nil {
+			gsp.End(obs.Attr{Key: "hits", Value: hits}, obs.Attr{Key: "misses", Value: misses})
+		}
+		cHits.Add(int64(hits))
+		cMisses.Add(int64(misses))
+		fbsp := sp.Child("forward+backward")
+		losses[i], errs[i] = ex.LossAndGrad(workers[i])
+		fbsp.End()
+		if sp != nil {
+			sp.End(obs.Attr{Key: "batch", Value: idx})
+		}
+		cBatches.Add(1)
+	}
+	for ; start < len(batches); start += len(workers) {
 		if updates == stopAfterRounds {
 			return epochLoss, updates, errInjectedCrash
 		}
 		width := min(len(workers), len(batches)-start)
-		var queued []*sampling.Sample
+		queued = nil
 		if stream != nil {
 			var err error
 			if queued, err = stream.take(width); err != nil {
 				return 0, 0, err
 			}
 		}
-		var wg sync.WaitGroup
-		for i := 0; i < width; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				ex, idx := execs[i], start+i
-				if queued != nil {
-					ex.Accept(queued[i])
-				} else if _, errs[i] = sampleOne(ex.Sample, batches[idx], idx, opts, epoch); errs[i] != nil {
-					return
-				}
-				var sp *obs.Span
-				if lanes != nil {
-					sp = lanes[i].Start("minibatch")
-				}
-				if errs[i] = ex.Compact(); errs[i] != nil {
-					return
-				}
-				gsp := sp.Child("gather")
-				hits, misses := ex.Gather()
-				if gsp != nil {
-					gsp.End(obs.Attr{Key: "hits", Value: hits}, obs.Attr{Key: "misses", Value: misses})
-				}
-				cHits.Add(int64(hits))
-				cMisses.Add(int64(misses))
-				fbsp := sp.Child("forward+backward")
-				losses[i], errs[i] = ex.LossAndGrad(workers[i])
-				fbsp.End()
-				if sp != nil {
-					sp.End(obs.Attr{Key: "batch", Value: idx})
-				}
-				cBatches.Add(1)
-			}(i)
+		if width == 1 {
+			step(0) // one Trainer: no goroutine to hand the round to
+		} else {
+			var wg sync.WaitGroup
+			for i := 0; i < width; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					step(i)
+				}(i)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 		for i := 0; i < width; i++ {
 			if errs[i] != nil {
 				return 0, 0, errs[i]

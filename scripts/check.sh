@@ -33,6 +33,12 @@ go test -race -timeout 3600s ./...
 # reference, and the pinned runs, under the race detector at 1, 2 and 4
 # Ps: the goroutine interleavings differ, the bits may not.
 go test -race -timeout 3600s -cpu 1,2,4 -run 'TestEvaluateMatchesSerialReference|TestGoldenRuns|TestTrainPooledMatchesFresh' ./internal/train
+# The row pool at 1, 2 and 4 Ps under the race detector: panics, nested and
+# concurrent posts, GOMAXPROCS changes, parking; and the fan-out path of a
+# product, a Conv aggregation and a gather pinned at zero allocations (the
+# step above runs the goldens through the same pool).
+go test -race -timeout 3600s -cpu 1,2,4 -run 'TestRun|TestIdleHelpersPark' ./internal/par
+go test -race -timeout 3600s -cpu 1,2,4 -run 'TestFanOutSteadyStateZeroAllocs' ./internal/nn
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
 # Sampling-arena, matmul-kernel and cache-ranking smoke: one iteration
 # each keeps the allocation-sensitive paths (pooled scratch, top-k
