@@ -2,12 +2,13 @@ package gnnlab
 
 // BenchmarkMeasureParallel times the measurement engine end to end —
 // core.Run's sampling+extract fan-out plus the PreSC pre-sampling replay —
-// serial (MeasureWorkers=1) against the pooled default (0 = NumCPU), and
-// reports the observed speedup. Reports are bit-identical between the two
+// at GOMAXPROCS 1 against the default GOMAXPROCS, and reports the observed
+// speedup. Reports are bit-identical between the two
 // (see internal/core/determinism_test.go); only wall-clock changes. On a
 // single-core machine the speedup is ~1x by construction.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -34,9 +35,10 @@ func measureBenchSetup(b *testing.B) (*gen.Dataset, core.Config) {
 	return d, cfg
 }
 
-func runMeasure(b *testing.B, d *gen.Dataset, cfg core.Config, workers int) float64 {
+// runMeasure times one core.Run at GOMAXPROCS procs.
+func runMeasure(b *testing.B, d *gen.Dataset, cfg core.Config, procs int) float64 {
 	b.Helper()
-	cfg.MeasureWorkers = workers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	start := time.Now()
 	rep, err := core.Run(d, cfg)
 	if err != nil {
@@ -50,13 +52,14 @@ func runMeasure(b *testing.B, d *gen.Dataset, cfg core.Config, workers int) floa
 
 func BenchmarkMeasureParallel(b *testing.B) {
 	d, cfg := measureBenchSetup(b)
+	procs := runtime.GOMAXPROCS(0)
 	runMeasure(b, d, cfg, 1) // warm the dataset and sampler tables
 
 	var serial, parallel float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serial += runMeasure(b, d, cfg, 1)
-		parallel += runMeasure(b, d, cfg, 0)
+		parallel += runMeasure(b, d, cfg, procs)
 	}
 	b.StopTimer()
 	serial /= float64(b.N)

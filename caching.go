@@ -91,7 +91,7 @@ func EvaluateCachePolicy(d *Dataset, alg SamplingAlgorithm, policy CachePolicy, 
 	if _, builtin := sampling.ScratchStatsOf(alg); !builtin {
 		alg = checked(alg, &failed)
 	}
-	fp := cache.CollectFootprintN(d.Graph, alg, d.TrainSet, batchSize, epochs, seed, 0)
+	fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, batchSize, epochs, seed)
 	var hot cache.Hotness
 	if policy == cache.PolicyOptimal {
 		// The oracle ranks the footprint just measured, which is the

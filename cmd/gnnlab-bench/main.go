@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gnnlab-bench [-scale N] [-gpus N] [-epochs N] [-workers N] [-faults N] [-drift N]
+//	gnnlab-bench [-scale N] [-gpus N] [-epochs N] [-faults N] [-drift N]
 //	             [-packed] [-format table|csv] [-list] [-whatif DATASET] [-serve]
 //	             [-eventlog out.jsonl] [-trace out.json] [-metrics]
 //	             [-pprof addr] [experiment ...]
@@ -12,6 +12,10 @@
 // tables and figures plus the ablations) runs in paper order. At -scale 1
 // (default) the calibrated 1/100-scale presets are used; larger scales
 // shrink datasets and simulated GPUs together for quick runs.
+//
+// The measurement engine fans out over GOMAXPROCS cores, and every table
+// is byte-identical at any setting: GOMAXPROCS=1 gnnlab-bench … runs it
+// serially. A negative size flag prints an error and exits 2.
 package main
 
 import (
@@ -32,7 +36,6 @@ func main() {
 	gpus := flag.Int("gpus", 8, "number of simulated GPUs")
 	epochs := flag.Int("epochs", 3, "measured epochs per configuration")
 	seed := flag.Uint64("seed", 0, "experiment seed (0 = default)")
-	workers := flag.Int("workers", 0, "measurement worker pool size (0 = NumCPU, 1 = serial; results are identical at any setting)")
 	faults := flag.Int("faults", 0, "cap for the resilience experiment's injected-fault sweep (0 = default sweep)")
 	drift := flag.Int("drift", 0, "mutation rounds for the dynamic-graph drift experiment (0 = default sweep)")
 	packed := flag.Bool("packed", false, "run over the compressed packed topology (bit-identical tables; Vol_G reflects the compressed bytes)")
@@ -58,7 +61,11 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Scale: *scale, NumGPUs: *gpus, Epochs: *epochs, Seed: *seed, Workers: *workers, Faults: *faults, Drift: *drift, Packed: *packed}
+	opts := experiments.Options{Scale: *scale, NumGPUs: *gpus, Epochs: *epochs, Seed: *seed, Faults: *faults, Drift: *drift, Packed: *packed}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "gnnlab-bench: %v\n", err)
+		os.Exit(2)
+	}
 	if *tracePath != "" || *metrics || *pprofAddr != "" || *eventlogPath != "" {
 		opts.Obs = obs.NewRecorder()
 	}

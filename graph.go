@@ -37,10 +37,10 @@ func NewGraphDelta(base *Graph, dedup bool) *GraphDelta { return graph.NewDelta(
 // bit-identical results.
 type GraphPacked = graph.Packed
 
-// PackGraph compresses any GraphView into the packed layout. Encoding is
-// parallelized over workers goroutines (0 = NumCPU) with deterministic
-// output bytes at any worker count.
-func PackGraph(g GraphView, workers int) *GraphPacked { return graph.Pack(g, workers) }
+// PackGraph compresses any GraphView into the packed layout. Encoding
+// fans out over GOMAXPROCS cores with the same output bytes at any
+// setting.
+func PackGraph(g GraphView) *GraphPacked { return graph.Pack(g, 0) }
 
 // PackDataset returns a shallow copy of d with its topology converted to
 // the compressed packed layout (memoized per underlying graph); datasets

@@ -154,7 +154,7 @@ func TestFootprintCountsMatchManual(t *testing.T) {
 	g := skewedGraph(1, 300, 4000)
 	ts := trainSet(300, 30, 2)
 	alg := sampling.NewKHop([]int{3, 2}, sampling.FisherYates)
-	fp := CollectFootprintN(g, alg, ts, 10, 2, 7, 0)
+	fp := CollectFootprint(g, alg, ts, 10, 2, 7)
 	var total int64
 	for _, c := range fp.Extractions {
 		total += c
@@ -168,7 +168,7 @@ func TestFootprintCountsMatchManual(t *testing.T) {
 	// Visits >= extractions per vertex: a vertex is extracted once per
 	// batch but may be visited multiple times.
 	visits := make([]int64, len(fp.Extractions))
-	for _, ef := range CollectEpochFootprintsN(g, alg, ts, 10, 2, 7, 0) {
+	for _, ef := range CollectEpochFootprints(g, alg, ts, 10, 2, 7) {
 		for v, c := range ef.Visits {
 			visits[v] += c
 		}
@@ -184,7 +184,7 @@ func TestHitRateMonotoneInSlots(t *testing.T) {
 	g := skewedGraph(3, 300, 4000)
 	ts := trainSet(300, 30, 4)
 	alg := sampling.NewKHop([]int{3, 2}, sampling.FisherYates)
-	fp := CollectFootprintN(g, alg, ts, 10, 2, 7, 0)
+	fp := CollectFootprint(g, alg, ts, 10, 2, 7)
 	rank := fp.OptimalHotness().Rank()
 	prev := -1.0
 	for slots := 0; slots <= 300; slots += 30 {
@@ -205,7 +205,7 @@ func TestOptimalDominates(t *testing.T) {
 	g := skewedGraph(5, 400, 6000)
 	ts := trainSet(400, 40, 6)
 	alg := sampling.NewKHop([]int{4, 3}, sampling.FisherYates)
-	fp := CollectFootprintN(g, alg, ts, 10, 2, 7, 0)
+	fp := CollectFootprint(g, alg, ts, 10, 2, 7)
 	opt := fp.OptimalHotness().Rank()
 	rivals := [][]int32{
 		DegreeHotness(g).Rank(),
@@ -226,7 +226,7 @@ func TestPreSCBeatsRandomOnSkewedGraph(t *testing.T) {
 	g := skewedGraph(8, 500, 10000)
 	ts := trainSet(500, 50, 9)
 	alg := sampling.NewKHop([]int{5, 3}, sampling.FisherYates)
-	fp := CollectFootprintN(g, alg, ts, 10, 3, 7, 0)
+	fp := CollectFootprint(g, alg, ts, 10, 3, 7)
 	pre := PreSC(g, alg, ts, 10, 1, 99).Hotness.Rank()
 	rnd := RandomHotness(500, rng.New(2)).Rank()
 	slots := 50
@@ -255,7 +255,7 @@ func TestTransferredBytes(t *testing.T) {
 	g := skewedGraph(12, 200, 3000)
 	ts := trainSet(200, 20, 13)
 	alg := sampling.NewKHop([]int{3}, sampling.FisherYates)
-	fp := CollectFootprintN(g, alg, ts, 10, 1, 7, 0)
+	fp := CollectFootprint(g, alg, ts, 10, 1, 7)
 	rank := fp.OptimalHotness().Rank()
 	if got := fp.TransferredBytes(rank, 200, 64); got != 0 {
 		t.Errorf("full cache still transfers %d bytes", got)
@@ -269,7 +269,7 @@ func TestSimilaritySelfIsOne(t *testing.T) {
 	g := skewedGraph(14, 300, 5000)
 	ts := trainSet(300, 30, 15)
 	alg := sampling.NewKHop([]int{4}, sampling.FisherYates)
-	fps := CollectEpochFootprintsN(g, alg, ts, 10, 2, 7, 0)
+	fps := CollectEpochFootprints(g, alg, ts, 10, 2, 7)
 	if got := Similarity(fps[0], fps[0], 0.1); got != 1 {
 		t.Errorf("self-similarity %v, want 1", got)
 	}
@@ -283,7 +283,7 @@ func TestSimilarityBoundsProperty(t *testing.T) {
 	g := skewedGraph(16, 200, 2000)
 	ts := trainSet(200, 20, 17)
 	alg := sampling.NewKHop([]int{3}, sampling.FisherYates)
-	fps := CollectEpochFootprintsN(g, alg, ts, 10, 4, 7, 0)
+	fps := CollectEpochFootprints(g, alg, ts, 10, 4, 7)
 	if err := quick.Check(func(a, b uint8, fRaw uint8) bool {
 		i, j := int(a)%4, int(b)%4
 		f := 0.01 + float64(fRaw%50)/100

@@ -8,17 +8,43 @@ import (
 	"gnnlab/internal/sampling"
 )
 
-// The replay engine's contract: PreSCN, CollectFootprintN and
-// CollectEpochFootprintsN are pure functions of (graph, alg, trainSet,
-// batchSize, epochs, seed) — the workers argument only changes wall-clock
-// time. Verified for every algorithm family the workloads use.
+// The replay engine's contract: PreSC, CollectFootprint and
+// CollectEpochFootprints are pure functions of (graph, alg, trainSet,
+// batchSize, epochs, seed) — GOMAXPROCS only changes wall-clock time.
+// Verified for every algorithm family the workloads use.
 
-func replayWorkerCounts() []int {
-	counts := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		counts = append(counts, n)
+// replayProcs is the serial width and two wider ones, whatever this
+// machine's core count.
+func replayProcs() []int {
+	return []int{1, 2, max(4, runtime.NumCPU())}
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS procs; the value the
+// test started with comes back at cleanup.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// sameAcrossProcs runs run at the test's starting GOMAXPROCS, then at
+// each width of replayProcs, and reports every result that differs from
+// the serial one. It leaves GOMAXPROCS changed until the test ends, so a
+// test calls it once, or once per subtest.
+func sameAcrossProcs[T any](t *testing.T, what string, run func() T) {
+	t.Helper()
+	def := run()
+	setProcs(t, 1)
+	base := run()
+	for _, p := range replayProcs()[1:] {
+		setProcs(t, p)
+		if got := run(); !reflect.DeepEqual(base, got) {
+			t.Errorf("%s differs between GOMAXPROCS 1 and %d", what, p)
+		}
 	}
-	return counts
+	if !reflect.DeepEqual(base, def) {
+		t.Errorf("%s at the starting GOMAXPROCS differs from GOMAXPROCS 1", what)
+	}
 }
 
 func replayAlgs() []struct {
@@ -39,17 +65,9 @@ func TestPreSCDeterministicAcrossWorkers(t *testing.T) {
 	g := skewedGraph(7, 600, 4000)
 	ts := trainSet(600, 120, 8)
 	for _, a := range replayAlgs() {
-		base := PreSCN(g, a.alg, ts, 16, 2, 42, 1)
-		for _, w := range replayWorkerCounts()[1:] {
-			got := PreSCN(g, a.alg, ts, 16, 2, 42, w)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%s: PreSC result differs between workers=1 and %d", a.name, w)
-			}
-		}
-		// The legacy entry point (workers = GOMAXPROCS) must agree too.
-		if legacy := PreSC(g, a.alg, ts, 16, 2, 42); !reflect.DeepEqual(base, legacy) {
-			t.Errorf("%s: PreSC disagrees with PreSCN(workers=1)", a.name)
-		}
+		t.Run(a.name, func(t *testing.T) {
+			sameAcrossProcs(t, "PreSC result", func() PreSCResult { return PreSC(g, a.alg, ts, 16, 2, 42) })
+		})
 	}
 }
 
@@ -57,16 +75,9 @@ func TestCollectFootprintDeterministicAcrossWorkers(t *testing.T) {
 	g := skewedGraph(9, 600, 4000)
 	ts := trainSet(600, 120, 10)
 	for _, a := range replayAlgs() {
-		base := CollectFootprintN(g, a.alg, ts, 16, 2, 42, 1)
-		for _, w := range replayWorkerCounts()[1:] {
-			got := CollectFootprintN(g, a.alg, ts, 16, 2, 42, w)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%s: footprint differs between workers=1 and %d", a.name, w)
-			}
-		}
-		if def := CollectFootprintN(g, a.alg, ts, 16, 2, 42, 0); !reflect.DeepEqual(base, def) {
-			t.Errorf("%s: CollectFootprintN(workers=0) disagrees with workers=1", a.name)
-		}
+		t.Run(a.name, func(t *testing.T) {
+			sameAcrossProcs(t, "footprint", func() *Footprint { return CollectFootprint(g, a.alg, ts, 16, 2, 42) })
+		})
 	}
 }
 
@@ -74,27 +85,19 @@ func TestCollectEpochFootprintsDeterministicAcrossWorkers(t *testing.T) {
 	g := skewedGraph(11, 600, 4000)
 	ts := trainSet(600, 120, 12)
 	for _, a := range replayAlgs() {
-		base := CollectEpochFootprintsN(g, a.alg, ts, 16, 3, 42, 1)
-		for _, w := range replayWorkerCounts()[1:] {
-			got := CollectEpochFootprintsN(g, a.alg, ts, 16, 3, 42, w)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%s: epoch footprints differ between workers=1 and %d", a.name, w)
-			}
-		}
+		t.Run(a.name, func(t *testing.T) {
+			sameAcrossProcs(t, "epoch footprints", func() []EpochFootprint { return CollectEpochFootprints(g, a.alg, ts, 16, 3, 42) })
+		})
 	}
 }
 
 // The Optimal oracle contract: with the same seed, the footprint replay
-// must reproduce a measured run exactly no matter how either side's
-// worker pool is sized (§3 footnote 4).
+// must reproduce a measured run exactly no matter how wide either side
+// fans out (§3 footnote 4).
 func TestFootprintRankingStableAcrossWorkers(t *testing.T) {
 	g := skewedGraph(13, 600, 4000)
 	ts := trainSet(600, 120, 14)
-	base := CollectFootprintN(g, sampling.ForGCN(), ts, 16, 2, 7, 1).OptimalHotness().Rank()
-	for _, w := range replayWorkerCounts()[1:] {
-		got := CollectFootprintN(g, sampling.ForGCN(), ts, 16, 2, 7, w).OptimalHotness().Rank()
-		if !reflect.DeepEqual(base, got) {
-			t.Errorf("oracle ranking differs between workers=1 and %d", w)
-		}
-	}
+	sameAcrossProcs(t, "oracle ranking", func() []int32 {
+		return CollectFootprint(g, sampling.ForGCN(), ts, 16, 2, 7).OptimalHotness().Rank()
+	})
 }

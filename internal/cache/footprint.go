@@ -21,19 +21,19 @@ type Footprint struct {
 	ScannedEdges     int64
 }
 
-// CollectFootprintN runs `epochs` epochs of the Sample stage on a pool of
-// `workers` (0 = GOMAXPROCS, 1 = serial) and records the footprint.
+// CollectFootprint runs `epochs` epochs of the Sample stage on the
+// measurement engine (sampling.ReplayEpochs) and records the footprint.
 // Deterministic in (g, alg, trainSet, batchSize, seed) — the replay
 // samples the same sampling.PlanEpochs cells as measure.Collect, so with
 // the same seed it reproduces a measured run's footprint exactly (the
 // Optimal oracle's contract, §3 footnote 4). Per-worker footprints are
 // merged at the end; all absorbed quantities are commutative sums, so
-// the result is bit-identical at any worker count.
-func CollectFootprintN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) *Footprint {
+// the result is bit-identical at any GOMAXPROCS.
+func CollectFootprint(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64) *Footprint {
 	n := g.NumVertices()
 	cells := sampling.PlanEpochs(trainSet, batchSize, epochs, seed)
-	accs := make([]*Footprint, par.Pool(workers, len(cells)))
-	sampling.ReplayEpochs(g, alg, cells, workers, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
+	accs := make([]*Footprint, par.Pool(len(cells)))
+	sampling.ReplayEpochs(g, alg, cells, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
 		acc := accs[worker]
 		if acc == nil {
 			acc = &Footprint{Extractions: make([]int64, n)}
@@ -117,18 +117,17 @@ func (ef *EpochFootprint) absorb(s *sampling.Sample) {
 	}
 }
 
-// CollectEpochFootprintsN runs `epochs` epochs and returns each epoch's
-// footprint separately, replaying the same cells as CollectFootprintN on
-// a pool of `workers` (0 = GOMAXPROCS, 1 = serial). Visits and edge
-// counts are commutative integer sums, so the result is bit-identical at
-// any worker count.
-func CollectEpochFootprintsN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) []EpochFootprint {
+// CollectEpochFootprints runs `epochs` epochs and returns each epoch's
+// footprint separately, replaying the same cells as CollectFootprint.
+// Visits and edge counts are commutative integer sums, so the result is
+// bit-identical at any GOMAXPROCS.
+func CollectEpochFootprints(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64) []EpochFootprint {
 	n := g.NumVertices()
 	cells := sampling.PlanEpochs(trainSet, batchSize, epochs, seed)
 	// accs[worker][epoch] is that worker's share of one epoch, allocated
 	// on its first sample there.
-	accs := make([][]EpochFootprint, par.Pool(workers, len(cells)))
-	sampling.ReplayEpochs(g, alg, cells, workers, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
+	accs := make([][]EpochFootprint, par.Pool(len(cells)))
+	sampling.ReplayEpochs(g, alg, cells, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
 		if accs[worker] == nil {
 			accs[worker] = make([]EpochFootprint, epochs)
 		}

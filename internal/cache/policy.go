@@ -55,9 +55,6 @@ type RankSpec struct {
 	TrainSet  []int32
 	BatchSize int
 	Seed      uint64
-	// Workers sizes the replay pool (0 = GOMAXPROCS); rankings are
-	// identical at any setting.
-	Workers int
 	// PreSCK is PreSC's K: how many epochs it pre-samples.
 	PreSCK int
 	// Epochs is the length of the run Optimal's oracle replays.
@@ -83,9 +80,9 @@ func Rank(s RankSpec) (Ranking, error) {
 	return rank(), nil
 }
 
-// Inputs returns s reduced to what its policy reads (Workers never
-// counts): two specs with equal inputs over the same graph and training
-// set rank identically, which is what a memo key needs.
+// Inputs returns s reduced to what its policy reads: two specs with
+// equal inputs over the same graph and training set rank identically,
+// which is what a memo key needs.
 func (s RankSpec) Inputs() (RankSpec, error) {
 	in, _, err := resolve(s)
 	return in, err
@@ -109,7 +106,7 @@ func resolve(s RankSpec) (RankSpec, func() Ranking, error) {
 		}
 		in.Alg, in.BatchSize, in.Seed, in.PreSCK = s.Alg, s.BatchSize, s.Seed, s.PreSCK
 		return in, func() Ranking {
-			res := PreSCN(s.Graph, s.Alg, s.TrainSet, s.BatchSize, s.PreSCK, s.Seed^0x12345, s.Workers)
+			res := PreSC(s.Graph, s.Alg, s.TrainSet, s.BatchSize, s.PreSCK, s.Seed^0x12345)
 			pre := &sampling.Sample{SampledEdges: res.SampledEdges, ScannedEdges: res.ScannedEdges}
 			return Ranking{Hotness: res.Hotness, PreSample: pre}
 		}, nil
@@ -121,7 +118,7 @@ func resolve(s RankSpec) (RankSpec, func() Ranking, error) {
 		// The oracle sees the measured run itself: identical seed and
 		// epoch count reproduce the exact footprint (§3 footnote 4).
 		return in, func() Ranking {
-			fp := CollectFootprintN(s.Graph, s.Alg, s.TrainSet, s.BatchSize, s.Epochs, s.Seed, s.Workers)
+			fp := CollectFootprint(s.Graph, s.Alg, s.TrainSet, s.BatchSize, s.Epochs, s.Seed)
 			return Ranking{Hotness: fp.OptimalHotness()}
 		}, nil
 	default:

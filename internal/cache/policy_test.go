@@ -15,14 +15,14 @@ func TestRankMatchesPolicyPrimitives(t *testing.T) {
 	g := skewedGraph(21, 300, 3000)
 	ts := trainSet(300, 40, 22)
 	alg := sampling.NewKHop([]int{4, 3}, sampling.FisherYates)
-	spec := RankSpec{Graph: g, Alg: alg, TrainSet: ts, BatchSize: 10, Seed: 5, Workers: 2, PreSCK: 2, Epochs: 3}
-	presc := PreSCN(g, alg, ts, 10, 2, 5^0x12345, 1)
+	spec := RankSpec{Graph: g, Alg: alg, TrainSet: ts, BatchSize: 10, Seed: 5, PreSCK: 2, Epochs: 3}
+	presc := PreSC(g, alg, ts, 10, 2, 5^0x12345)
 	want := map[PolicyKind]Ranking{
 		PolicyRandom: {Hotness: RandomHotness(300, rng.New(5^0x5EED))},
 		PolicyDegree: {Hotness: DegreeHotness(g)},
 		PolicyPreSC: {Hotness: presc.Hotness, PreSample: &sampling.Sample{
 			SampledEdges: presc.SampledEdges, ScannedEdges: presc.ScannedEdges}},
-		PolicyOptimal: {Hotness: CollectFootprintN(g, alg, ts, 10, 3, 5, 1).OptimalHotness()},
+		PolicyOptimal: {Hotness: CollectFootprint(g, alg, ts, 10, 3, 5).OptimalHotness()},
 	}
 	for p, w := range want {
 		spec.Policy = p
@@ -36,11 +36,11 @@ func TestRankMatchesPolicyPrimitives(t *testing.T) {
 	}
 }
 
-// Inputs keeps exactly what a policy reads; Workers never counts.
+// Inputs keeps exactly what a policy reads.
 func TestRankSpecInputs(t *testing.T) {
 	g := skewedGraph(23, 100, 800)
 	alg := sampling.NewKHop([]int{2}, sampling.FisherYates)
-	full := RankSpec{Graph: g, Alg: alg, BatchSize: 8, Seed: 9, Workers: 3, PreSCK: 2, Epochs: 4}
+	full := RankSpec{Graph: g, Alg: alg, BatchSize: 8, Seed: 9, PreSCK: 2, Epochs: 4}
 	cases := map[PolicyKind]RankSpec{
 		PolicyRandom:  {Seed: 9},
 		PolicyDegree:  {},

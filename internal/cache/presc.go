@@ -23,20 +23,14 @@ type PreSCResult struct {
 // algorithm, graph and training set — and returns the average visit count
 // as the hotness metric h_v (§6.3, PreSC#K). The pre-sampling epochs use
 // the same shuffled mini-batch structure as training so the footprint is
-// representative. Pre-sampling runs on the parallel measurement engine
-// with GOMAXPROCS workers; use PreSCN to pin the worker count.
+// representative. Pre-sampling runs on the parallel measurement engine:
+// it sums the K epoch footprints of CollectEpochFootprints, so the result
+// is bit-identical at any GOMAXPROCS.
 func PreSC(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, k int, seed uint64) PreSCResult {
-	return PreSCN(g, alg, trainSet, batchSize, k, seed, 0)
-}
-
-// PreSCN is PreSC with an explicit worker-pool size (0 = GOMAXPROCS,
-// 1 = serial). It sums the K epoch footprints of CollectEpochFootprintsN,
-// so the result is bit-identical at any worker count.
-func PreSCN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, k int, seed uint64, workers int) PreSCResult {
 	if k <= 0 {
 		panic("cache: PreSC with non-positive K")
 	}
-	epochs := CollectEpochFootprintsN(g, alg, trainSet, batchSize, k, seed^0x9E3779B97F4A7C15, workers)
+	epochs := CollectEpochFootprints(g, alg, trainSet, batchSize, k, seed^0x9E3779B97F4A7C15)
 	total := epochs[0]
 	for _, ef := range epochs[1:] {
 		total.add(ef)

@@ -66,33 +66,37 @@ func deltaRebuildPair(t *testing.T, seed uint64, nBase, nNew, e int) (*graph.Sna
 }
 
 // TestPreSCSnapshotMatchesRebuild: pre-sampling hotness over a delta
-// snapshot equals pre-sampling over a from-scratch rebuild, at every worker
-// count.
+// snapshot equals pre-sampling over a from-scratch rebuild, at every
+// GOMAXPROCS.
 func TestPreSCSnapshotMatchesRebuild(t *testing.T) {
 	snap, rebuilt := deltaRebuildPair(t, 3, 500, 50, 9000)
 	ts := trainSet(rebuilt.NumVertices(), 60, 4)
 	alg := sampling.NewKHop([]int{5, 3}, sampling.FisherYates)
-	ref := PreSCN(rebuilt, alg, ts, 16, 2, 77, 1)
-	for _, workers := range []int{1, 2, 4} {
-		got := PreSCN(snap, alg, ts, 16, 2, 77, workers)
+	setProcs(t, 1)
+	ref := PreSC(rebuilt, alg, ts, 16, 2, 77)
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		got := PreSC(snap, alg, ts, 16, 2, 77)
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("workers=%d: PreSC over snapshot differs from rebuild reference", workers)
+			t.Errorf("GOMAXPROCS %d: PreSC over snapshot differs from rebuild reference", procs)
 		}
 	}
 }
 
 // TestFootprintSnapshotMatchesRebuild: the analytic footprint (the basis
 // for every hit-rate number in the evaluation) is identical between a
-// snapshot and a rebuild, at every worker count.
+// snapshot and a rebuild, at every GOMAXPROCS.
 func TestFootprintSnapshotMatchesRebuild(t *testing.T) {
 	snap, rebuilt := deltaRebuildPair(t, 5, 500, 50, 9000)
 	ts := trainSet(rebuilt.NumVertices(), 60, 6)
 	alg := sampling.NewWeightedKHop([]int{5, 3})
-	ref := CollectFootprintN(rebuilt, alg, ts, 16, 2, 99, 1)
-	for _, workers := range []int{1, 2, 4} {
-		got := CollectFootprintN(snap, alg, ts, 16, 2, 99, workers)
+	setProcs(t, 1)
+	ref := CollectFootprint(rebuilt, alg, ts, 16, 2, 99)
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		got := CollectFootprint(snap, alg, ts, 16, 2, 99)
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("workers=%d: footprint over snapshot differs from rebuild reference", workers)
+			t.Errorf("GOMAXPROCS %d: footprint over snapshot differs from rebuild reference", procs)
 		}
 	}
 }

@@ -49,21 +49,22 @@ func TestTracedRunBuildsAccount(t *testing.T) {
 }
 
 // TestAccountUnderFaultsDeterministicAcrossWorkers: the account of a
-// traced, fault-injected run is bit-identical at any MeasureWorkers
-// setting, and its invariants survive crashes and requeues.
+// traced, fault-injected run is bit-identical at any GOMAXPROCS, and its
+// invariants survive crashes and requeues.
 func TestAccountUnderFaultsDeterministicAcrossWorkers(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
-	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil, 1)
+	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil)
 	plan := fault.Generate(0xFA17, 8, fault.GenOptions{
 		Epochs:    2,
 		EpochTime: clean.EpochTime,
 		Trainers:  clean.Alloc.Trainers,
 	})
-	at := func(workers int) *Report {
+	at := func(procs int) *Report {
+		setProcs(t, procs)
 		cfg := GNNLab(w, 4)
 		cfg.Trace = true
-		return runWithFaults(t, d, cfg, mem, ms, plan, workers)
+		return runWithFaults(t, d, cfg, mem, ms, plan)
 	}
 	base := at(1)
 	if base.Account == nil {
@@ -72,13 +73,13 @@ func TestAccountUnderFaultsDeterministicAcrossWorkers(t *testing.T) {
 	if err := base.Account.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range workerCounts()[1:] {
-		got := at(workers)
+	for _, procs := range procsCounts()[1:] {
+		got := at(procs)
 		if !reflect.DeepEqual(base.Account, got.Account) {
-			t.Errorf("account differs between MeasureWorkers=1 and %d", workers)
+			t.Errorf("account differs between GOMAXPROCS 1 and %d", procs)
 		}
 		if !reflect.DeepEqual(base.Bottleneck, got.Bottleneck) {
-			t.Errorf("bottleneck differs between MeasureWorkers=1 and %d", workers)
+			t.Errorf("bottleneck differs between GOMAXPROCS 1 and %d", procs)
 		}
 	}
 }
@@ -96,7 +97,7 @@ func TestReportBitIdenticalWithEventLog(t *testing.T) {
 		cfg := GNNLab(w, 4)
 		cfg.Trace = true
 		cfg.Obs = rec
-		return runWithFaults(t, d, cfg, mem, ms, plan, 1)
+		return runWithFaults(t, d, cfg, mem, ms, plan)
 	}
 	plain := mk(nil)
 	rec := obs.NewRecorder()
@@ -121,7 +122,7 @@ func TestReportBitIdenticalWithEventLog(t *testing.T) {
 func TestEventLogRecordsReallocation(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
-	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil, 1)
+	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil)
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KindTrainerCrash, Epoch: 0, Trainer: 0, At: 0.25 * clean.EpochTime},
 	}}
@@ -130,7 +131,7 @@ func TestEventLogRecordsReallocation(t *testing.T) {
 	rec.SetEventLog(obs.NewLog(&buf, obs.LevelWarn))
 	cfg := GNNLab(w, 4)
 	cfg.Obs = rec
-	rep := runWithFaults(t, d, cfg, mem, ms, plan, 1)
+	rep := runWithFaults(t, d, cfg, mem, ms, plan)
 	if rep.Reallocations != 1 {
 		t.Fatalf("Reallocations = %d, want 1", rep.Reallocations)
 	}

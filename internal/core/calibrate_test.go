@@ -23,7 +23,7 @@ func TestCalibration(t *testing.T) {
 		}
 		w := workload.NewSpec(workload.GCN)
 		alg := w.NewSampler()
-		fp := cache.CollectFootprintN(d.Graph, alg, d.TrainSet, w.BatchSize, 2, 1, 0)
+		fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, w.BatchSize, 2, 1)
 		batches := 2 * ((len(d.TrainSet) + w.BatchSize - 1) / w.BatchSize)
 		t.Logf("%s: V=%d E=%d TS=%d batches/ep=%d draws/batch=%d unique/batch=%d",
 			name, d.NumVertices(), d.Graph.NumEdges(), len(d.TrainSet), batches/2,
@@ -32,7 +32,7 @@ func TestCalibration(t *testing.T) {
 		deg := cache.DegreeHotness(d.Graph).Rank()
 		pre := cache.PreSC(d.Graph, alg, d.TrainSet, w.BatchSize, 1, 99).Hotness.Rank()
 		pre2 := cache.PreSC(d.Graph, alg, d.TrainSet, w.BatchSize, 2, 99).Hotness.Rank()
-		uniq := cache.CollectFootprintN(d.Graph, alg, d.TrainSet, w.BatchSize, 1, 99, 0).OptimalHotness().Rank()
+		uniq := cache.CollectFootprint(d.Graph, alg, d.TrainSet, w.BatchSize, 1, 99).OptimalHotness().Rank()
 		n := d.NumVertices()
 		for _, ratio := range []float64{0.05, 0.10, 0.20} {
 			k := int(ratio * float64(n))

@@ -99,13 +99,6 @@ type Config struct {
 	Epochs int
 	Seed   uint64
 
-	// MeasureWorkers sizes the measurement engine's worker pool: the
-	// per-batch sampling+extract loop (and the PreSC / Optimal policy
-	// replays) fan across this many OS-level workers. 0 = GOMAXPROCS,
-	// 1 = the serial path. Per-batch RNG streams are keyed by
-	// (epoch, batch), so Reports are bit-identical at any worker count.
-	MeasureWorkers int
-
 	// MeasureStore, when non-nil, memoizes measurements and cache
 	// rankings by content key: runs whose sampling work is identical
 	// (same dataset, effective sampler, batch size, seed, epochs)

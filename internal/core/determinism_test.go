@@ -12,32 +12,38 @@ import (
 )
 
 // The measurement engine's contract: a Report is a pure function of
-// (dataset, config, seed) — MeasureWorkers only changes wall-clock time.
+// (dataset, config, seed) — GOMAXPROCS only changes wall-clock time.
 // Every algorithm family the workloads use must hold to it, since each
 // keys its RNG consumption off the per-cell (epoch, batch) stream.
 
-func workerCounts() []int {
-	counts := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		counts = append(counts, n)
-	}
-	return counts
+// procsCounts is the serial width and two wider ones, whatever this
+// machine's core count.
+func procsCounts() []int {
+	return []int{1, 2, max(4, runtime.NumCPU())}
 }
 
-func reportAt(t *testing.T, d *gen.Dataset, cfg Config, mem int64, memScale float64, workers int) *Report {
+// setProcs runs the rest of the test at GOMAXPROCS procs; the value the
+// test started with comes back at cleanup.
+func setProcs(t *testing.T, procs int) {
 	t.Helper()
-	cfg.MeasureWorkers = workers
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+func reportAt(t *testing.T, d *gen.Dataset, cfg Config, mem int64, memScale float64, procs int) *Report {
+	t.Helper()
+	setProcs(t, procs)
 	return runScaled(t, d, cfg, mem, memScale)
 }
 
 func assertReportsIdentical(t *testing.T, d *gen.Dataset, cfg Config, mem int64, memScale float64) {
 	t.Helper()
 	base := reportAt(t, d, cfg, mem, memScale, 1)
-	for _, w := range workerCounts()[1:] {
-		got := reportAt(t, d, cfg, mem, memScale, w)
+	for _, p := range procsCounts()[1:] {
+		got := reportAt(t, d, cfg, mem, memScale, p)
 		if !reflect.DeepEqual(base, got) {
-			t.Errorf("%s: report differs between MeasureWorkers=1 and %d:\n  1: %v\n  %d: %v",
-				cfg.Name, w, base, w, got)
+			t.Errorf("%s: report differs between GOMAXPROCS 1 and %d:\n  1: %v\n  %d: %v",
+				cfg.Name, p, base, p, got)
 		}
 	}
 }
@@ -71,7 +77,7 @@ func TestRunDeterministicAcrossWorkersRandomWalk(t *testing.T) {
 	assertReportsIdentical(t, d, GNNLab(w, 4), mem, ms)
 }
 
-// The Optimal policy path exercises CollectFootprintN inside Run.
+// The Optimal policy path exercises CollectFootprint inside Run.
 func TestRunDeterministicAcrossWorkersOptimalPolicy(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)

@@ -12,10 +12,9 @@ import (
 )
 
 // runWithFaults runs cfg over d with a fault plan attached.
-func runWithFaults(t *testing.T, d *gen.Dataset, cfg Config, mem int64, ms float64, plan *fault.Plan, workers int) *Report {
+func runWithFaults(t *testing.T, d *gen.Dataset, cfg Config, mem int64, ms float64, plan *fault.Plan) *Report {
 	t.Helper()
 	cfg.Faults = plan
-	cfg.MeasureWorkers = workers
 	return runScaled(t, d, cfg, mem, ms)
 }
 
@@ -26,8 +25,8 @@ func TestEmptyFaultPlanBitIdentical(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
 	for _, cfg := range []Config{GNNLab(w, 4), TSOTA(w, 4), PyG(w, 4), AGL(w, 4)} {
-		clean := runWithFaults(t, d, cfg, mem, ms, nil, 1)
-		empty := runWithFaults(t, d, cfg, mem, ms, &fault.Plan{}, 1)
+		clean := runWithFaults(t, d, cfg, mem, ms, nil)
+		empty := runWithFaults(t, d, cfg, mem, ms, &fault.Plan{})
 		if !reflect.DeepEqual(clean, empty) {
 			t.Errorf("%s: empty fault plan perturbed the report:\nclean %v\nempty %v", cfg.Name, clean, empty)
 		}
@@ -35,21 +34,22 @@ func TestEmptyFaultPlanBitIdentical(t *testing.T) {
 }
 
 // TestFaultedRunDeterministicAcrossWorkers: a seeded plan yields the
-// same Report and the same fault.* counter values at any MeasureWorkers.
+// same Report and the same fault.* counter values at any GOMAXPROCS.
 func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
-	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil, 1)
+	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil)
 	plan := fault.Generate(0xFA17, 8, fault.GenOptions{
 		Epochs:    2, // runScaled measures 2 epochs
 		EpochTime: clean.EpochTime,
 		Trainers:  clean.Alloc.Trainers,
 	})
-	at := func(workers int) (*Report, [3]int64) {
+	at := func(procs int) (*Report, [3]int64) {
+		setProcs(t, procs)
 		rec := obs.NewRecorder()
 		cfg := GNNLab(w, 4)
 		cfg.Obs = rec
-		rep := runWithFaults(t, d, cfg, mem, ms, plan, workers)
+		rep := runWithFaults(t, d, cfg, mem, ms, plan)
 		reg := rec.Registry()
 		return rep, [3]int64{
 			reg.Counter("fault.injected").Value(),
@@ -58,15 +58,15 @@ func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	base, baseCtrs := at(1)
-	for _, workers := range workerCounts()[1:] {
-		got, ctrs := at(workers)
+	for _, procs := range procsCounts()[1:] {
+		got, ctrs := at(procs)
 		if !reflect.DeepEqual(base, got) {
-			t.Errorf("faulted report differs between MeasureWorkers=1 and %d:\n  1: %v\n  %d: %v",
-				workers, base, workers, got)
+			t.Errorf("faulted report differs between GOMAXPROCS 1 and %d:\n  1: %v\n  %d: %v",
+				procs, base, procs, got)
 		}
 		if ctrs != baseCtrs {
-			t.Errorf("fault counters differ between MeasureWorkers=1 and %d: %v vs %v",
-				workers, baseCtrs, ctrs)
+			t.Errorf("fault counters differ between GOMAXPROCS 1 and %d: %v vs %v",
+				procs, baseCtrs, ctrs)
 		}
 	}
 	if want := int64(plan.InjectedWithin(2)); baseCtrs[0] != want {
@@ -84,11 +84,11 @@ func TestFaultedRunDeterministicAcrossWorkers(t *testing.T) {
 func TestPermanentCrashInflatesAndReallocates(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
-	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil, 1)
+	clean := runWithFaults(t, d, GNNLab(w, 4), mem, ms, nil)
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KindTrainerCrash, Epoch: 0, Trainer: 0, At: 0.25 * clean.EpochTime},
 	}}
-	faulty := runWithFaults(t, d, GNNLab(w, 4), mem, ms, plan, 1)
+	faulty := runWithFaults(t, d, GNNLab(w, 4), mem, ms, plan)
 	if faulty.EpochTime <= clean.EpochTime {
 		t.Errorf("permanent crash did not inflate epoch time: %v <= %v", faulty.EpochTime, clean.EpochTime)
 	}
@@ -110,11 +110,11 @@ func TestPinnedAllocationNeverReallocates(t *testing.T) {
 	w := scaledSpec(workload.GCN, 16)
 	cfg := GNNLab(w, 4)
 	cfg.ForceSamplers = 1
-	clean := runWithFaults(t, d, cfg, mem, ms, nil, 1)
+	clean := runWithFaults(t, d, cfg, mem, ms, nil)
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KindTrainerCrash, Epoch: 0, Trainer: 0, At: 0.25 * clean.EpochTime},
 	}}
-	faulty := runWithFaults(t, d, cfg, mem, ms, plan, 1)
+	faulty := runWithFaults(t, d, cfg, mem, ms, plan)
 	if faulty.Reallocations != 0 {
 		t.Errorf("pinned split reallocated %d times", faulty.Reallocations)
 	}
@@ -130,7 +130,7 @@ func TestAllocFailForcesOOM(t *testing.T) {
 	w := scaledSpec(workload.GCN, 16)
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.KindAllocFail, Label: "train-ws"}}}
 	for _, cfg := range []Config{GNNLab(w, 4), TSOTA(w, 4), PyG(w, 4)} {
-		rep := runWithFaults(t, d, cfg, mem, ms, plan, 1)
+		rep := runWithFaults(t, d, cfg, mem, ms, plan)
 		if !rep.OOM {
 			t.Errorf("%s: injected alloc fault did not OOM", cfg.Name)
 			continue

@@ -207,7 +207,7 @@ func TestUnknownDesignErrors(t *testing.T) {
 func TestRankKeyPerPolicy(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	cfg := scaledCfg(GNNLab(scaledSpec(workload.GCN, 16), 4), mem, ms).withDefaults()
-	cfg.Seed, cfg.PreSCK, cfg.Epochs, cfg.MeasureWorkers = 11, 2, 3, 5
+	cfg.Seed, cfg.PreSCK, cfg.Epochs = 11, 2, 3
 	base := measure.RankKey{Dataset: d.Name, Vertices: d.NumVertices(), Edges: d.Graph.NumEdges()}
 	alg := sampling.Fingerprint(cfg.Workload.NewSampler())
 	batch := cfg.Workload.BatchSize

@@ -273,7 +273,7 @@ func measureFor(d *gen.Dataset, cfg Config) *measure.Measurement {
 	alg := effectiveAlgorithm(cfg)
 	spec := measure.SpecFor(d, alg, cfg.Workload.BatchSize, cfg.Epochs, cfg.Seed)
 	collect := func() *measure.Measurement {
-		return measure.Collect(d, spec, alg, cfg.MeasureWorkers, cfg.Obs)
+		return measure.Collect(d, spec, alg, cfg.Obs)
 	}
 	sp := cfg.costLane(d).Start("measure")
 	defer sp.End(obs.Attr{Key: "stored", Value: cfg.MeasureStore != nil})
@@ -338,8 +338,7 @@ func (rn runner) replay(design Design, rep *Report, plan memPlan, m *measure.Mea
 	// Probe the measurement against this configuration's cache tables and
 	// price the FLOPs at the feature dimension in effect. Each cell writes
 	// only its own pre-sized slot, and hit/miss counters are commutative
-	// atomic sums, so the Report is bit-identical at any MeasureWorkers
-	// setting.
+	// atomic sums, so the Report is bit-identical at any GOMAXPROCS.
 	probeSp := lane.Start("probe-cache")
 	type cellRef struct{ epoch, batch int }
 	epochs := make([][]batchWork, len(m.Epochs))
@@ -350,7 +349,7 @@ func (rn runner) replay(design Design, rep *Report, plan memPlan, m *measure.Mea
 			cells = append(cells, cellRef{epoch: e, batch: b})
 		}
 	}
-	par.ForEach(cfg.MeasureWorkers, len(cells), func(_, i int) {
+	par.ForEach(len(cells), func(_, i int) {
 		c := cells[i]
 		mb := &m.Epochs[c.epoch][c.batch]
 		w := batchWork{
@@ -483,7 +482,7 @@ func buildRanking(cfg Config, d *gen.Dataset) ([]int32, float64, error) {
 // the configured run itself: same sampler, seed and epoch count.
 func rankSpec(cfg Config, d *gen.Dataset) cache.RankSpec {
 	return cache.RankSpec{Policy: cfg.CachePolicy, Graph: d.Graph, Alg: cfg.Workload.NewSampler(), TrainSet: d.TrainSet,
-		BatchSize: cfg.Workload.BatchSize, Seed: cfg.Seed, Workers: cfg.MeasureWorkers, PreSCK: cfg.PreSCK, Epochs: cfg.Epochs}
+		BatchSize: cfg.Workload.BatchSize, Seed: cfg.Seed, PreSCK: cfg.PreSCK, Epochs: cfg.Epochs}
 }
 
 // rankKey is the content key of the ranking computed from in, a policy's

@@ -120,11 +120,11 @@ func AblationSubgraph(o Options) (*Table, error) {
 	}
 	slots := int(0.10 * float64(d.NumVertices()))
 	for _, a := range algs {
-		fps := cache.CollectEpochFootprintsN(d.Graph, a.alg, d.TrainSet, o.batchSize(), 2, o.Seed, o.Workers)
+		fps := cache.CollectEpochFootprints(d.Graph, a.alg, d.TrainSet, o.batchSize(), 2, o.Seed)
 		sim := cache.Similarity(fps[0], fps[1], 0.10)
 
-		fp := cache.CollectFootprintN(d.Graph, a.alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers)
-		spec := cache.RankSpec{Graph: d.Graph, Alg: a.alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, Workers: o.Workers, PreSCK: 1}
+		fp := cache.CollectFootprint(d.Graph, a.alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed)
+		spec := cache.RankSpec{Graph: d.Graph, Alg: a.alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, PreSCK: 1}
 		var hr [3]float64
 		for i, p := range []cache.PolicyKind{cache.PolicyRandom, cache.PolicyDegree, cache.PolicyPreSC} {
 			spec.Policy = p

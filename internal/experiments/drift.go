@@ -55,7 +55,7 @@ func Drift(o Options) (*Table, error) {
 
 	// Round-0 rankings over the base graph.
 	degreeStale := cache.DegreeHotness(base).RankTop(slots)
-	presc, err := cache.Rank(cache.RankSpec{Policy: cache.PolicyPreSC, Graph: base, Alg: alg, TrainSet: d.TrainSet, BatchSize: batch, Seed: o.Seed, Workers: o.Workers, PreSCK: 2})
+	presc, err := cache.Rank(cache.RankSpec{Policy: cache.PolicyPreSC, Graph: base, Alg: alg, TrainSet: d.TrainSet, BatchSize: batch, Seed: o.Seed, PreSCK: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func Drift(o Options) (*Table, error) {
 		},
 	}
 
-	fp0 := cache.CollectFootprintN(base, alg, d.TrainSet, batch, o.Epochs, o.Seed, o.Workers)
+	fp0 := cache.CollectFootprint(base, alg, d.TrainSet, batch, o.Epochs, o.Seed)
 	t.AddRow("0", "0",
 		pct(fp0.HitRate(degreeStale, slots)), pct(fp0.HitRate(degreeStale, slots)),
 		pct(fp0.HitRate(prescStale, slots)), pct(fp0.HitRate(prescStale, slots)))
@@ -158,8 +158,7 @@ func Drift(o Options) (*Table, error) {
 		degreeRe := cache.DegreeHotness(snap).RankTop(slots)
 		prescIncRank := prescInc.RankTop(slots)
 
-		fp := cache.CollectFootprintN(snap, alg, d.TrainSet, batch, o.Epochs,
-			o.Seed+uint64(round), o.Workers)
+		fp := cache.CollectFootprint(snap, alg, d.TrainSet, batch, o.Epochs, o.Seed+uint64(round))
 		t.AddRow(fmt.Sprintf("%d", round), fmt.Sprintf("%d", delta.AddedEdges()),
 			pct(fp.HitRate(degreeStale, slots)), pct(fp.HitRate(degreeRe, slots)),
 			pct(fp.HitRate(prescStale, slots)), pct(fp.HitRate(prescIncRank, slots)))

@@ -30,13 +30,6 @@ type Options struct {
 	// Epochs measured per configuration (default 3; the paper uses 10).
 	Epochs int
 	Seed   uint64
-	// Workers sizes the measurement worker pool at both levels: the
-	// number of experiment cells (independent system configurations) run
-	// concurrently, and the MeasureWorkers handed to each core.Run.
-	// 0 = NumCPU, 1 = fully serial. Every table is bit-identical at any
-	// setting: cells write into pre-sized slots and the per-cell
-	// measurement engine is itself deterministic.
-	Workers int
 	// Store, when non-nil, is a shared measurement store: experiment
 	// cells whose sampling work has the same content key (dataset,
 	// effective sampler, batch size, seed, epochs) measure once and
@@ -62,6 +55,23 @@ type Options struct {
 	// bit-identical to CSR runs; only topology bytes and sampling
 	// wall-clock change.
 	Packed bool
+}
+
+// Validate rejects negative sizes, which the defaults would pass through
+// to a panic inside a cell (a GPU of negative capacity, a slice of
+// negative length). Zero keeps each field's default.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Scale", o.Scale}, {"NumGPUs", o.NumGPUs}, {"Epochs", o.Epochs}, {"Faults", o.Faults}, {"Drift", o.Drift},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("experiments: %s is %d, want >= 0 (0 keeps the default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -107,22 +117,20 @@ func (o Options) apply(cfg core.Config) core.Config {
 	cfg.MemScale = float64(o.Scale)
 	cfg.Epochs = o.Epochs
 	cfg.Seed = o.Seed
-	cfg.MeasureWorkers = o.Workers
 	cfg.MeasureStore = o.Store
 	cfg.Obs = o.Obs
 	return cfg
 }
 
-// runCells evaluates n independent experiment cells on the Options'
-// worker pool. Each cell must write only its own pre-sized slot(s); rows
-// are then assembled serially in cell order, so rendered tables are
-// byte-identical at any Workers setting. On error, the error of the
+// runCells evaluates n independent experiment cells, GOMAXPROCS at a
+// time (par.Group). Each cell must write only its own pre-sized slot(s);
+// rows are then assembled serially in cell order, so rendered tables are
+// byte-identical at any GOMAXPROCS. On error, the error of the
 // lowest-indexed failing cell is returned (also independent of
 // scheduling).
-func (o Options) runCells(n int, fn func(i int) error) error {
-	g := par.NewGroup(par.Workers(o.Workers))
+func runCells(n int, fn func(i int) error) error {
+	g := par.NewGroup()
 	for i := 0; i < n; i++ {
-		i := i
 		g.Go(func() error { return fn(i) })
 	}
 	return g.Wait()
@@ -228,12 +236,12 @@ func (t *Table) RenderCSV() string {
 type Func func(Options) (*Table, error)
 
 // Registry maps experiment IDs (table1 … figure17) to their functions, in
-// paper order.
+// paper order. Each Fn validates its Options first and returns the error.
 func Registry() []struct {
 	ID string
 	Fn Func
 } {
-	return []struct {
+	entries := []struct {
 		ID string
 		Fn Func
 	}{
@@ -273,6 +281,15 @@ func Registry() []struct {
 		{"drift", Drift},
 		{"serving", Serving},
 	}
+	for i, e := range entries {
+		entries[i].Fn = func(o Options) (*Table, error) {
+			if err := o.Validate(); err != nil {
+				return nil, err
+			}
+			return e.Fn(o)
+		}
+	}
+	return entries
 }
 
 // Lookup returns the experiment function for an ID.

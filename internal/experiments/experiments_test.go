@@ -262,3 +262,38 @@ func TestRenderCSV(t *testing.T) {
 		t.Errorf("RenderCSV = %q, want %q", got, want)
 	}
 }
+
+// A negative size is an error from every registered experiment, not a
+// panic from inside one of its cells (a GPU of negative capacity, a
+// slice of negative length).
+func TestBadOptionsReturnError(t *testing.T) {
+	bad := []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"Scale", func(o *Options) { o.Scale = -2 }},
+		{"NumGPUs", func(o *Options) { o.NumGPUs = -1 }},
+		{"Epochs", func(o *Options) { o.Epochs = -1 }},
+		{"Faults", func(o *Options) { o.Faults = -1 }},
+		{"Drift", func(o *Options) { o.Drift = -1 }},
+	}
+	for _, b := range bad {
+		o := quickOpts()
+		b.set(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), b.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", b.field, err)
+		}
+		for _, e := range Registry() {
+			tbl, err := e.Fn(o)
+			if err == nil || tbl != nil {
+				t.Errorf("%s: %s returned (%v, %v), want only an error", b.field, e.ID, tbl, err)
+			}
+		}
+	}
+	if err := quickOpts().Validate(); err != nil {
+		t.Errorf("quick options rejected: %v", err)
+	}
+	if err := (Options{}).Validate(); err != nil {
+		t.Errorf("zero options rejected: %v", err)
+	}
+}

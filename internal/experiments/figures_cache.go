@@ -32,11 +32,11 @@ func (o Options) evalPolicies(preset string, alg sampling.Algorithm, prescKs []i
 	}
 	pe := &policyEval{
 		d:        d,
-		fp:       cache.CollectFootprintN(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers),
+		fp:       cache.CollectFootprint(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed),
 		rankings: map[string][]int32{},
 		order:    []string{"Random", "Degree"},
 	}
-	base := cache.RankSpec{Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, Workers: o.Workers}
+	base := cache.RankSpec{Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed}
 	specs := []cache.RankSpec{base, base}
 	specs[0].Policy, specs[1].Policy = cache.PolicyRandom, cache.PolicyDegree
 	for _, k := range prescKs {
@@ -47,7 +47,7 @@ func (o Options) evalPolicies(preset string, alg sampling.Algorithm, prescKs []i
 	}
 	pe.order = append(pe.order, "Optimal")
 	ranks := make([][]int32, len(pe.order))
-	if err := o.runCells(len(ranks), func(i int) error {
+	if err := runCells(len(ranks), func(i int) error {
 		if i == len(specs) {
 			// The oracle ranks the footprint just measured: the same
 			// replay cache.Rank would run for PolicyOptimal.
@@ -155,7 +155,7 @@ func Figure5(o Options) (*Table, error) {
 		{"TW 3-hop weighted", gen.PresetTW, sampling.ForGCNWeighted()},
 	}
 	groups := make([][][]string, len(cases))
-	if err := o.runCells(len(cases), func(i int) error {
+	if err := runCells(len(cases), func(i int) error {
 		c := cases[i]
 		pe, err := o.evalPolicies(c.preset, c.alg, nil)
 		if err != nil {
@@ -201,7 +201,7 @@ func Figure10(o Options) (*Table, error) {
 	}
 	presets := gen.PresetNames()
 	rows := make([][]string, len(algs)*len(presets))
-	if err := o.runCells(len(rows), func(i int) error {
+	if err := runCells(len(rows), func(i int) error {
 		a, name := algs[i/len(presets)], presets[i%len(presets)]
 		pe, err := o.evalPolicies(name, a.mk(), []int{1})
 		if err != nil {

@@ -72,7 +72,7 @@ func Figure12(o Options) (*Table, error) {
 	policies := []cache.PolicyKind{cache.PolicyDegree, cache.PolicyRandom, cache.PolicyPreSC}
 	presets := []string{gen.PresetTW, gen.PresetPA, gen.PresetUK}
 	rows := make([][]string, len(workloads)*len(presets))
-	if err := o.runCells(len(rows), func(i int) error {
+	if err := runCells(len(rows), func(i int) error {
 		wl, name := workloads[i/len(presets)], presets[i%len(presets)]
 		d, err := o.load(name)
 		if err != nil {
@@ -125,7 +125,7 @@ func Figure13(o Options) (*Table, error) {
 	policies := []cache.PolicyKind{cache.PolicyDegree, cache.PolicyRandom, cache.PolicyPreSC}
 	presets := []string{gen.PresetTW, gen.PresetPA, gen.PresetUK}
 	rows := make([][]string, len(workloads)*len(presets))
-	if err := o.runCells(len(rows), func(i int) error {
+	if err := runCells(len(rows), func(i int) error {
 		wl, name := workloads[i/len(presets)], presets[i%len(presets)]
 		d, err := o.load(name)
 		if err != nil {
@@ -164,7 +164,7 @@ func Figure14(o Options) (*Table, error) {
 	presets := []string{gen.PresetPA, gen.PresetTW}
 	nGPUCounts := o.NumGPUs - 1 // 2..NumGPUs
 	rows := make([][]string, len(presets)*nGPUCounts)
-	if err := o.runCells(len(rows), func(i int) error {
+	if err := runCells(len(rows), func(i int) error {
 		name := presets[i/nGPUCounts]
 		gpus := 2 + i%nGPUCounts
 		d, err := o.load(name)
@@ -224,7 +224,7 @@ func Figure15(o Options) (*Table, error) {
 		}
 	}
 	rows := make([][]string, len(splits))
-	if err := o.runCells(len(splits), func(i int) error {
+	if err := runCells(len(splits), func(i int) error {
 		ns, nt := splits[i].ns, splits[i].nt
 		cfg := o.apply(core.GNNLab(w, ns+nt))
 		cfg.ForceSamplers = ns
@@ -262,7 +262,7 @@ func Figure17a(o Options) (*Table, error) {
 		Header: []string{"Trainers", "w/o DS", "w/ DS", "standby tasks/epoch"},
 	}
 	rows := make([][]string, o.NumGPUs-1)
-	if err := o.runCells(len(rows), func(i int) error {
+	if err := runCells(len(rows), func(i int) error {
 		nt := i + 1
 		base := o.apply(core.GNNLab(w, nt+1))
 		base.ForceSamplers = 1
@@ -307,7 +307,7 @@ func Figure17b(o Options) (*Table, error) {
 	}
 	presets := gen.PresetNames()
 	rows := make([][]string, len(presets))
-	if err := o.runCells(len(presets), func(i int) error {
+	if err := runCells(len(presets), func(i int) error {
 		d, err := o.load(presets[i])
 		if err != nil {
 			return err

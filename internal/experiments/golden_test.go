@@ -15,12 +15,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/<id>.csv from the current output")
 
-// stableIDs each cover one path through the worker pool and the
-// measurement store: table1 core.Run (six system variants), figure10 the
+// stableIDs each cover one path through the measurement engine and the
+// store: table1 core.Run (six system variants), figure10 the
 // analytic cache path (footprints, PreSC rankings), table2 per-epoch
 // footprints, table6 preprocessing's PreSC ranking, and ablation-coupling
-// cache.Rank with the Options' pool. They render once more serially and
-// once more without a store; both renders must equal the golden.
+// cache.Rank. They render once more at GOMAXPROCS 1 and once more
+// without a store; both renders must equal the golden.
 var stableIDs = []string{"table1", "figure10", "table2", "table6", "ablation-coupling"}
 
 // TestExperimentGolden renders every registered experiment with one
@@ -41,16 +41,26 @@ func TestExperimentGolden(t *testing.T) {
 	}
 }
 
-// TestRenderStableAcrossWorkers renders stableIDs on one worker, with a
-// store of its own so every measurement runs serially, and compares each
-// with the golden the default pool rendered. On a machine with two or
-// more cores the two renders ran at different worker counts.
+// TestRenderStableAcrossWorkers renders stableIDs at GOMAXPROCS 1, with
+// a store of its own so every measurement runs serially, and compares
+// each with the golden TestExperimentGolden rendered at the default
+// GOMAXPROCS. On a machine with two or more cores the two renders ran at
+// different widths.
 func TestRenderStableAcrossWorkers(t *testing.T) {
 	skipOffAMD64(t)
+	setProcs(t, 1)
 	store := measure.NewStore()
 	for _, id := range stableIDs {
-		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{Workers: 1, Store: store}, false) })
+		t.Run(id, func(t *testing.T) { checkGolden(t, id, Options{Store: store}, false) })
 	}
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS procs; the value the
+// test started with comes back at cleanup.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func skipOffAMD64(t *testing.T) {
@@ -61,7 +71,7 @@ func skipOffAMD64(t *testing.T) {
 }
 
 // checkGolden renders experiment id at the options of `gnnlab-bench
-// -scale 16 -gpus 4 -epochs 2 -format csv`, with o's Workers and Store,
+// -scale 16 -gpus 4 -epochs 2 -format csv`, with o's Store,
 // checks the table's structure, and compares it with testdata/<id>.csv
 // (whose body is that command's table), first rewriting the file when
 // write is set.

@@ -62,7 +62,7 @@ func Resilience(o Options) (*Table, error) {
 	}
 	t.AddRow("0", secs(base.EpochTime), "1.00x", "0", "0")
 	reps := make([]*core.Report, len(counts))
-	err = o.runCells(len(counts), func(i int) error {
+	err = runCells(len(counts), func(i int) error {
 		plan := fault.Generate(o.Seed^0xFA17, counts[i], fault.GenOptions{
 			Epochs:    o.Epochs,
 			EpochTime: base.EpochTime,

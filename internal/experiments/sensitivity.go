@@ -41,9 +41,9 @@ func AblationCoupling(o Options) (*Table, error) {
 			return nil, err
 		}
 		alg := sampling.ForGCN()
-		fp := cache.CollectFootprintN(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers)
+		fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed)
 		slots := int(0.10 * float64(d.NumVertices()))
-		spec := cache.RankSpec{Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, Workers: o.Workers, PreSCK: 1}
+		spec := cache.RankSpec{Graph: d.Graph, Alg: alg, TrainSet: d.TrainSet, BatchSize: o.batchSize(), Seed: o.Seed, PreSCK: 1}
 		row := []string{fmt.Sprintf("%.2f", coupling)}
 		for _, p := range []cache.PolicyKind{cache.PolicyDegree, cache.PolicyPreSC} {
 			spec.Policy = p

@@ -64,7 +64,7 @@ func Serving(o Options) (*Table, error) {
 		requests = 500
 	}
 
-	err = o.runCells(len(splits), func(i int) error {
+	err = runCells(len(splits), func(i int) error {
 		ns := splits[i]
 		cfg := o.apply(core.GNNLab(w, gpus))
 		cfg.ForceSamplers = ns

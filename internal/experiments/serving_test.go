@@ -50,9 +50,10 @@ func TestServingShape(t *testing.T) {
 	}
 }
 
-// TestServingRenderStableAcrossWorkers renders the serving table on one
-// worker and compares it with the golden the default pool rendered.
+// TestServingRenderStableAcrossWorkers renders the serving table at
+// GOMAXPROCS 1 and compares it with the golden rendered at the default.
 func TestServingRenderStableAcrossWorkers(t *testing.T) {
 	skipOffAMD64(t)
-	checkGolden(t, "serving", Options{Workers: 1}, false)
+	setProcs(t, 1)
+	checkGolden(t, "serving", Options{}, false)
 }

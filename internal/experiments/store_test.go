@@ -16,8 +16,7 @@ func TestFigure13StoreReuseBitIdentical(t *testing.T) {
 		t.Fatal("figure13 not registered")
 	}
 	render := func(store *measure.Store) string {
-		o := Quick()
-		o.Workers = 0 // concurrent cells: exercises the single-flight path
+		o := Quick() // cells run concurrently: exercises the single-flight path
 		o.Store = store
 		tbl, err := fn(o)
 		if err != nil {

@@ -45,7 +45,7 @@ func Table1(o Options) (*Table, error) {
 		Header: []string{"System", "Sample", "Extract", "Train", "Total"},
 	}
 	reps := make([]*core.Report, len(variants))
-	if err := o.runCells(len(variants), func(i int) error {
+	if err := runCells(len(variants), func(i int) error {
 		v := variants[i]
 		cfg := o.apply(v.cfg)
 		cfg.Name = v.name
@@ -89,13 +89,13 @@ func Table2(o Options) (*Table, error) {
 	const epochs = 4
 	presets := gen.PresetNames()
 	cells := make([]string, len(algs)*len(presets))
-	if err := o.runCells(len(cells), func(i int) error {
+	if err := runCells(len(cells), func(i int) error {
 		a, name := algs[i/len(presets)], presets[i%len(presets)]
 		d, err := o.load(name)
 		if err != nil {
 			return err
 		}
-		fps := cache.CollectEpochFootprintsN(d.Graph, a.alg, d.TrainSet, o.batchSize(), epochs, o.Seed, o.Workers)
+		fps := cache.CollectEpochFootprints(d.Graph, a.alg, d.TrainSet, o.batchSize(), epochs, o.Seed)
 		var sum float64
 		for j := 1; j < len(fps); j++ {
 			sum += cache.Similarity(fps[j-1], fps[j], 0.10)
@@ -148,7 +148,7 @@ func Table4(o Options) (*Table, error) {
 	kinds := workload.Kinds()
 	presets := gen.PresetNames()
 	rows := make([][]string, len(kinds)*len(presets))
-	if err := o.runCells(len(rows), func(i int) error {
+	if err := runCells(len(rows), func(i int) error {
 		kind, name := kinds[i/len(presets)], presets[i%len(presets)]
 		w := o.spec(kind)
 		d, err := o.load(name)
@@ -195,7 +195,7 @@ func Table5(o Options) (*Table, error) {
 	kinds := workload.Kinds()
 	presets := gen.PresetNames()
 	groups := make([][][]string, len(kinds)*len(presets))
-	if err := o.runCells(len(groups), func(i int) error {
+	if err := runCells(len(groups), func(i int) error {
 		kind, name := kinds[i/len(presets)], presets[i%len(presets)]
 		w := o.spec(kind)
 		d, err := o.load(name)
@@ -244,7 +244,7 @@ func Table6(o Options) (*Table, error) {
 	order := []string{"Disk to DRAM (G & F)", "DRAM to GPU (G & $)", "  Load graph topology", "  Load feature cache", "Pre-sampling (PreSC#1)"}
 	presets := gen.PresetNames()
 	cols := make([][]string, len(presets))
-	if err := o.runCells(len(presets), func(i int) error {
+	if err := runCells(len(presets), func(i int) error {
 		d, err := o.load(presets[i])
 		if err != nil {
 			return err

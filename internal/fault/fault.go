@@ -257,10 +257,6 @@ type GenOptions struct {
 	// Permanent crashes are capped at Trainers−1 distinct consumers so
 	// at least one survivor can always drain the queue.
 	Trainers int
-	// AllowAllocFail lets the generator emit KindAllocFail events
-	// (which force OOM outcomes); off by default so generated plans
-	// degrade runs rather than abort them.
-	AllowAllocFail bool
 }
 
 func (o GenOptions) withDefaults() GenOptions {
@@ -279,7 +275,9 @@ func (o GenOptions) withDefaults() GenOptions {
 // Generate builds a deterministic plan of n events from seed: the same
 // (seed, n, options) always yields the same plan. Kinds cycle through
 // transient crashes, slowdown windows, PCIe degradation, queue stalls and
-// permanent crashes (budgeted to leave a survivor).
+// permanent crashes (budgeted to leave a survivor). It never emits
+// KindAllocFail, so generated plans degrade runs rather than abort them;
+// a hand-written plan can still carry one.
 func Generate(seed uint64, n int, o GenOptions) *Plan {
 	o = o.withDefaults()
 	r := rng.New(seed)
@@ -316,11 +314,6 @@ func Generate(seed uint64, n int, o GenOptions) *Plan {
 			} else {
 				permLost[e.Trainer] = true
 			}
-		}
-		if o.AllowAllocFail && i%11 == 10 {
-			// "train-ws" is allocated by every design's memory planner, so
-			// the veto reliably forces an OOM outcome.
-			e = Event{Kind: KindAllocFail, Label: "train-ws"}
 		}
 		p.Events = append(p.Events, e)
 	}

@@ -61,8 +61,6 @@ type Config struct {
 	Kind        Kind
 	NumVertices int
 	NumEdges    int64
-	// Skew is the Zipf exponent used for skewed endpoint selection.
-	Skew float64
 	// Weighted attaches "registration year" edge weights used by the
 	// weighted neighborhood sampling algorithm. Weights depend on the
 	// destination vertex, not its degree, so weighted hotness is
@@ -99,8 +97,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gen: %s: FeatureDim must be positive", c.Name)
 	case c.TrainFraction <= 0 || c.TrainFraction > 1:
 		return fmt.Errorf("gen: %s: TrainFraction must be in (0,1]", c.Name)
-	case c.Skew < 0:
-		return fmt.Errorf("gen: %s: Skew must be non-negative", c.Name)
 	}
 	return nil
 }

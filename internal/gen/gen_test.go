@@ -286,7 +286,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Name: "d", NumVertices: 1, NumEdges: 1, FeatureDim: 0, TrainFraction: 0.1},
 		{Name: "t", NumVertices: 1, NumEdges: 1, FeatureDim: 1, TrainFraction: 0},
 		{Name: "t2", NumVertices: 1, NumEdges: 1, FeatureDim: 1, TrainFraction: 1.5},
-		{Name: "s", NumVertices: 1, NumEdges: 1, FeatureDim: 1, TrainFraction: 0.1, Skew: -1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -105,7 +105,7 @@ func edgeWeight(year float32) float32 {
 func genSocial(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	n := cfg.NumVertices
 	perm := hubPerm(n, r.Split(0))
-	zIn := rng.NewZipf(uint64(n), skewOr(cfg, 1.3))
+	zIn := rng.NewZipf(uint64(n), 1.3)
 	zOut := rng.NewZipf(uint64(n), 0.7)
 	years := vertexYears(n, perm, r.Split(1))
 	b := graph.NewBuilder(n, cfg.Weighted)
@@ -131,7 +131,7 @@ func genWeb(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	permOut := hubPerm(n, r.Split(0))
 	permIn := hubPerm(n, r.Split(1))
 	zOut := rng.NewZipf(uint64(n), 0.7)
-	zIn := rng.NewZipf(uint64(n), skewOr(cfg, 0.95))
+	zIn := rng.NewZipf(uint64(n), 0.95)
 	years := vertexYears(n, permIn, r.Split(2))
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
@@ -158,7 +158,7 @@ func genWeb(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 func genCitation(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	n := cfg.NumVertices
 	permIn := hubPerm(n, r.Split(0))
-	z := rng.NewZipf(uint64(n), skewOr(cfg, 1.2))
+	z := rng.NewZipf(uint64(n), 1.2)
 	years := vertexYears(n, permIn, r.Split(1))
 
 	avg := float64(cfg.NumEdges) / float64(n)
@@ -221,7 +221,7 @@ func genCitation(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 func genCoPurchase(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	n := cfg.NumVertices
 	perm := hubPerm(n, r.Split(0))
-	z := rng.NewZipf(uint64(n), skewOr(cfg, 1.25))
+	z := rng.NewZipf(uint64(n), 1.25)
 	years := vertexYears(n, perm, r.Split(1))
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
@@ -267,13 +267,6 @@ func genCommunity(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 		b.AddEdge(src, dst, edgeWeight(years[dst]))
 	}
 	return b.Build(false)
-}
-
-func skewOr(cfg Config, def float64) float64 {
-	if cfg.Skew > 0 {
-		return cfg.Skew
-	}
-	return def
 }
 
 // genLabels assigns class labels. Community graphs label by community;

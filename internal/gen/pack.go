@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"gnnlab/internal/graph"
-	"gnnlab/internal/par"
 )
 
 // packCache memoizes CSR→Packed conversions by topology identity. Load
@@ -35,7 +34,7 @@ func PackDataset(d *Dataset) *Dataset {
 	e, _ := packCache.LoadOrStore(c, &packEntry{})
 	ent := e.(*packEntry)
 	ent.once.Do(func() {
-		ent.p = graph.Pack(c, par.Workers(0))
+		ent.p = graph.Pack(c, 0)
 	})
 	pd := *d
 	pd.Graph = ent.p

@@ -66,10 +66,12 @@ const packedDirEntry = 32
 const maxSubBits = 57
 
 // Pack compresses g into a Packed topology. Encoding fans the per-block
-// work across Workers(workers) goroutines via internal/par; the output
-// bytes are identical at any worker count (blocks are identified by
-// vertex range and assembled in block order).
-func Pack(g View, workers int) *Packed {
+// work over GOMAXPROCS lanes (par.ForEach); the output bytes are
+// identical at any setting (blocks are identified by vertex range and
+// assembled in block order). The int argument is unused: it stays only
+// because benchmark/, which changes only with the benchmark itself,
+// calls Pack(g, par.Workers(0)).
+func Pack(g View, _ int) *Packed {
 	n := g.NumVertices()
 	e := g.NumEdges()
 	nb := numBlocks(n, PackedBlockSize)
@@ -83,7 +85,7 @@ func Pack(g View, workers int) *Packed {
 		eBits  uint8
 	}
 	blocks := make([]blockEnc, nb)
-	par.ForEach(workers, nb, func(_, b int) {
+	par.ForEach(nb, func(_, b int) {
 		lo := b * PackedBlockSize
 		hi := lo + PackedBlockSize
 		if hi > n {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -121,11 +122,14 @@ func TestPackedCompression(t *testing.T) {
 
 func TestPackedDeterministicAcrossWorkers(t *testing.T) {
 	g := packedTestGraph(t, 3000, true, 11)
-	want := Pack(g, 1).AppendTo(nil)
-	for _, workers := range []int{2, 4, 7} {
-		got := Pack(g, workers).AppendTo(nil)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	want := Pack(g, 0).AppendTo(nil)
+	for _, procs := range []int{2, 4, 7} {
+		runtime.GOMAXPROCS(procs)
+		got := Pack(g, 0).AppendTo(nil)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: serialized bytes differ from workers=1", workers)
+			t.Fatalf("GOMAXPROCS %d: serialized bytes differ from GOMAXPROCS 1", procs)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func (m *Measurement) NumBatches() int {
 // the measured volumes feed the recorder's counters. The spans only
 // observe: the Measurement is bit-identical with rec nil or not, and a
 // nil rec adds no allocations to the loop.
-func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, workers int, rec *obs.Recorder) *Measurement {
+func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, rec *obs.Recorder) *Measurement {
 	cells := sampling.PlanEpochs(d.TrainSet, spec.BatchSize, spec.Epochs, spec.Seed)
 	m := &Measurement{Spec: spec, Dataset: d, Epochs: make([][]Batch, spec.Epochs)}
 	perEpoch := sampling.NumBatches(len(d.TrainSet), spec.BatchSize)
@@ -111,7 +111,7 @@ func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, workers int, rec
 	var lanes []obs.Lane
 	var cCells, cSampled, cScanned, cInput, cBytes *obs.Counter
 	if rec != nil {
-		lanes = make([]obs.Lane, par.Pool(workers, len(cells)))
+		lanes = make([]obs.Lane, par.Pool(len(cells)))
 		for i := range lanes {
 			lanes[i] = rec.Lane("Measure", fmt.Sprintf("worker-%d", i))
 		}
@@ -122,7 +122,7 @@ func Collect(d *gen.Dataset, spec Spec, alg sampling.Algorithm, workers int, rec
 		cInput = reg.Counter("measure.input_vertices")
 		cBytes = reg.Counter("measure.sample_bytes")
 	}
-	st := sampling.ReplayEpochs(d.Graph, alg, cells, workers, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
+	st := sampling.ReplayEpochs(d.Graph, alg, cells, func(worker int, c sampling.EpochCell, alg sampling.Algorithm) {
 		var sp *obs.Span
 		if rec != nil {
 			sp = lanes[worker].Start("sample")

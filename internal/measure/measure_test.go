@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,26 +24,36 @@ func testDataset(t *testing.T) *gen.Dataset {
 	return d
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS procs; the value the
+// test started with comes back at cleanup.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func testSpec(d *gen.Dataset, w workload.Spec, epochs int) (Spec, workload.Spec) {
 	w.BatchSize = workload.DefaultBatchSize / 16
 	alg := w.NewSampler()
 	return SpecFor(d, alg, w.BatchSize, epochs, 42), w
 }
 
-// Collect must be bit-identical at any worker count: cells are planned
+// Collect must be bit-identical at any GOMAXPROCS: cells are planned
 // serially and each writes only its own pre-sized slot.
 func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	d := testDataset(t)
 	spec, w := testSpec(d, workload.NewSpec(workload.GCN), 2)
 
-	ref := Collect(d, spec, w.NewSampler(), 1, nil)
+	setProcs(t, 1)
+	ref := Collect(d, spec, w.NewSampler(), nil)
 	if ref.NumBatches() == 0 {
 		t.Fatal("measurement is empty")
 	}
-	for _, workers := range []int{2, 7} {
-		got := Collect(d, spec, w.NewSampler(), workers, nil)
+	for _, procs := range []int{2, 7} {
+		setProcs(t, procs)
+		got := Collect(d, spec, w.NewSampler(), nil)
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("workers=%d: Measurement differs from serial reference", workers)
+			t.Errorf("GOMAXPROCS %d: Measurement differs from serial reference", procs)
 		}
 	}
 }
@@ -50,7 +61,7 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 func TestCollectShapes(t *testing.T) {
 	d := testDataset(t)
 	spec, w := testSpec(d, workload.NewSpec(workload.GCN), 3)
-	m := Collect(d, spec, w.NewSampler(), 0, nil)
+	m := Collect(d, spec, w.NewSampler(), nil)
 
 	if len(m.Epochs) != 3 {
 		t.Fatalf("epochs = %d, want 3", len(m.Epochs))
@@ -89,7 +100,7 @@ func TestStoreSingleFlight(t *testing.T) {
 			defer wg.Done()
 			results[i] = store.GetOrMeasure(spec, func() *Measurement {
 				collects.Add(1)
-				return Collect(d, spec, w.NewSampler(), 1, nil)
+				return Collect(d, spec, w.NewSampler(), nil)
 			})
 		}(i)
 	}
@@ -118,7 +129,7 @@ func TestStoreKeysAndRankings(t *testing.T) {
 
 	store := NewStore()
 	collect := func(spec Spec) func() *Measurement {
-		return func() *Measurement { return Collect(d, spec, w.NewSampler(), 1, nil) }
+		return func() *Measurement { return Collect(d, spec, w.NewSampler(), nil) }
 	}
 	a1 := store.GetOrMeasure(specA, collect(specA))
 	b1 := store.GetOrMeasure(specB, collect(specB))
@@ -156,7 +167,7 @@ func TestStoreKeysAndRankings(t *testing.T) {
 // TestCollectPooledMatchesFreshReference is the arena differential test:
 // Collect (whose workers reuse one arena each across cells) must produce
 // measurements byte-identical to a hand-rolled serial collection with a
-// new arena per cell, at every worker count. This pins the arena's
+// new arena per cell, at every GOMAXPROCS. This pins the arena's
 // bit-identicality contract end to end — same RNG draw order, same
 // shapes, same input sets.
 func TestCollectPooledMatchesFreshReference(t *testing.T) {
@@ -192,13 +203,14 @@ func TestCollectPooledMatchesFreshReference(t *testing.T) {
 	}
 	refBytes := gobEpochs(t, ref.Epochs)
 
-	for _, workers := range []int{1, 2, 4} {
-		got := Collect(d, spec, w.NewSampler(), workers, nil)
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		got := Collect(d, spec, w.NewSampler(), nil)
 		if !reflect.DeepEqual(ref.Epochs, got.Epochs) {
-			t.Errorf("workers=%d: pooled Collect differs from fresh serial reference", workers)
+			t.Errorf("GOMAXPROCS %d: pooled Collect differs from fresh serial reference", procs)
 		}
 		if !bytes.Equal(refBytes, gobEpochs(t, got.Epochs)) {
-			t.Errorf("workers=%d: serialized measurements differ", workers)
+			t.Errorf("GOMAXPROCS %d: serialized measurements differ", procs)
 		}
 	}
 }
@@ -219,7 +231,8 @@ func TestCollectScratchCounters(t *testing.T) {
 	d := testDataset(t)
 	spec, w := testSpec(d, workload.NewSpec(workload.GCN), 2)
 	rec := obs.NewRecorder()
-	Collect(d, spec, w.NewSampler(), 2, rec)
+	setProcs(t, 2)
+	Collect(d, spec, w.NewSampler(), rec)
 	vals := rec.Registry().Snapshot().Counters
 	cellCount := vals["measure.cells"]
 	if cellCount == 0 {

@@ -9,10 +9,10 @@ import (
 )
 
 // The Optimal oracle's contract (§3 footnote 4): replaying a measured run
-// with cache.CollectFootprintN reproduces, vertex by vertex, how often the
+// with cache.CollectFootprint reproduces, vertex by vertex, how often the
 // run extracted each feature row — the count of batches whose Input held
 // the vertex. Both sides sample through sampling.ReplayEpochs, so this
-// holds for every sampler family and at any worker count.
+// holds for every sampler family and at any GOMAXPROCS.
 func TestOptimalFootprintMatchesMeasuredInputs(t *testing.T) {
 	d := testDataset(t)
 	batch := 64
@@ -26,8 +26,9 @@ func TestOptimalFootprintMatchesMeasuredInputs(t *testing.T) {
 	}
 	for _, a := range algs {
 		spec := SpecFor(d, a.mk(), batch, 2, 42)
-		for _, workers := range []int{1, 4} {
-			m := Collect(d, spec, a.mk(), workers, nil)
+		for _, procs := range []int{1, 4} {
+			setProcs(t, procs)
+			m := Collect(d, spec, a.mk(), nil)
 			want := make([]int64, d.NumVertices())
 			for _, batches := range m.Epochs {
 				for _, b := range batches {
@@ -36,12 +37,12 @@ func TestOptimalFootprintMatchesMeasuredInputs(t *testing.T) {
 					}
 				}
 			}
-			fp := cache.CollectFootprintN(d.Graph, a.mk(), d.TrainSet, batch, spec.Epochs, spec.Seed, workers)
+			fp := cache.CollectFootprint(d.Graph, a.mk(), d.TrainSet, batch, spec.Epochs, spec.Seed)
 			if fp.TotalExtractions == 0 {
 				t.Fatalf("%s: empty footprint", a.name)
 			}
 			if !reflect.DeepEqual(fp.Extractions, want) {
-				t.Errorf("%s workers=%d: footprint extractions differ from the measured inputs", a.name, workers)
+				t.Errorf("%s GOMAXPROCS %d: footprint extractions differ from the measured inputs", a.name, procs)
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func packedDatasets(t *testing.T) (csrD, packedD *gen.Dataset) {
 
 // TestCollectPackedMatchesCSR closes the compressed-topology differential
 // at the measurement layer: a full Collect run is bit-identical between a
-// CSR and its packed encoding, at several worker counts — so every
+// CSR and its packed encoding, at several GOMAXPROCS settings — so every
 // replayed experiment sees the same measurements regardless of which
 // topology representation was loaded.
 func TestCollectPackedMatchesCSR(t *testing.T) {
@@ -48,18 +48,20 @@ func TestCollectPackedMatchesCSR(t *testing.T) {
 	w := workload.NewSpec(workload.GraphSAGE)
 	w.BatchSize = 16
 	spec := SpecFor(csrD, w.NewSampler(), w.BatchSize, 2, 123)
-	ref := Collect(csrD, spec, w.NewSampler(), 1, nil)
+	setProcs(t, 1)
+	ref := Collect(csrD, spec, w.NewSampler(), nil)
 	if ref.NumBatches() == 0 {
 		t.Fatal("reference measurement is empty")
 	}
 	refBytes := gobEpochs(t, ref.Epochs)
-	for _, workers := range []int{1, 2, 4} {
-		got := Collect(packedD, spec, w.NewSampler(), workers, nil)
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		got := Collect(packedD, spec, w.NewSampler(), nil)
 		if got.Spec != spec {
-			t.Fatalf("workers=%d: spec drifted: %+v", workers, got.Spec)
+			t.Fatalf("GOMAXPROCS %d: spec drifted: %+v", procs, got.Spec)
 		}
 		if !bytes.Equal(gobEpochs(t, got.Epochs), refBytes) {
-			t.Errorf("workers=%d: measurement over packed differs from CSR", workers)
+			t.Errorf("GOMAXPROCS %d: measurement over packed differs from CSR", procs)
 		}
 	}
 	// The content key must agree: Spec derives only from View-level

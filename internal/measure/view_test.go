@@ -74,24 +74,26 @@ func deltaDatasets(t *testing.T) (snapD, fullD *gen.Dataset) {
 // TestCollectSnapshotMatchesRebuild closes the differential suite at the
 // measurement layer: a full Collect run (the input to every replayed
 // experiment) is bit-identical between a delta snapshot and a from-scratch
-// rebuild, at several worker counts.
+// rebuild, at several GOMAXPROCS settings.
 func TestCollectSnapshotMatchesRebuild(t *testing.T) {
 	snapD, fullD := deltaDatasets(t)
 	w := workload.NewSpec(workload.GraphSAGE)
 	w.BatchSize = 16
 	spec := SpecFor(fullD, w.NewSampler(), w.BatchSize, 2, 123)
-	ref := Collect(fullD, spec, w.NewSampler(), 1, nil)
+	setProcs(t, 1)
+	ref := Collect(fullD, spec, w.NewSampler(), nil)
 	if ref.NumBatches() == 0 {
 		t.Fatal("reference measurement is empty")
 	}
 	refBytes := gobEpochs(t, ref.Epochs)
-	for _, workers := range []int{1, 2, 4} {
-		got := Collect(snapD, spec, w.NewSampler(), workers, nil)
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		got := Collect(snapD, spec, w.NewSampler(), nil)
 		if got.Spec != spec {
-			t.Fatalf("workers=%d: spec drifted: %+v", workers, got.Spec)
+			t.Fatalf("GOMAXPROCS %d: spec drifted: %+v", procs, got.Spec)
 		}
 		if !bytes.Equal(gobEpochs(t, got.Epochs), refBytes) {
-			t.Errorf("workers=%d: measurement over snapshot differs from rebuild", workers)
+			t.Errorf("GOMAXPROCS %d: measurement over snapshot differs from rebuild", procs)
 		}
 	}
 	// The content key must agree too: Spec is derived only from View-level

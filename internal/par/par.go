@@ -1,10 +1,10 @@
-// Package par provides the deterministic worker-pool primitives behind the
-// measurement engine: an index-space fan-out with per-worker state
-// (ForEach) and an errgroup-style task group with bounded concurrency
-// (Group). Both are designed so callers can prove bit-identical results at
-// any worker count: work is identified by index, outputs go into pre-sized
-// slots, and error selection is by submission order rather than by
-// completion order.
+// Package par provides the deterministic fan-out primitives behind the
+// measurement engine and the Trainer: the row pool (Run), an index-space
+// fan-out with per-worker state on that pool (ForEach) and an
+// errgroup-style task group (Group). All are sized by GOMAXPROCS and
+// designed so callers can prove bit-identical results at any width: work
+// is identified by index, outputs go into pre-sized slots, and error
+// selection is by submission order rather than by completion order.
 package par
 
 import (
@@ -13,8 +13,10 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count knob: n > 0 is taken literally; zero or
-// negative means GOMAXPROCS (the measurement engine's default).
+// Workers resolves a worker count: n > 0 is taken literally; zero or
+// negative means GOMAXPROCS. Nothing in the module takes a count any more;
+// the name stays for the frozen benchmark harness, which calls
+// graph.Pack(g, par.Workers(0)).
 func Workers(n int) int {
 	if n > 0 {
 		return n
@@ -22,75 +24,56 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Pool is the number of goroutines ForEach(workers, n, …) runs:
-// Workers(workers) capped at n. Callers size per-worker state with it.
-func Pool(workers, n int) int {
-	if w := Workers(workers); w < n {
-		return w
-	}
-	return max(n, 0)
+// Pool is the number of lanes ForEach(n, …) runs: GOMAXPROCS capped at n.
+// Callers size per-worker state with it.
+func Pool(n int) int {
+	return max(min(runtime.GOMAXPROCS(0), n), 0)
 }
 
-// ForEach runs fn(worker, i) for every i in [0, n), fanned across
-// Pool(workers, n) goroutines. Indices are handed out by an atomic counter,
-// so which worker executes which index varies between runs; determinism is
-// the caller's contract: fn must write only to slot i of pre-sized outputs
-// and to worker-private state indexed by `worker` (0 <= worker <
-// Pool(workers, n)), merged by the caller afterwards in worker order.
+// lanes is ForEach's Job: each row is one lane, which pulls indices from
+// the shared counter until none is left.
+type lanes struct {
+	next atomic.Int64
+	n    int64
+	fn   func(worker, i int)
+}
+
+func (l *lanes) Rows(lo, hi int) {
+	for w := lo; w < hi; w++ {
+		for i := l.next.Add(1) - 1; i < l.n; i = l.next.Add(1) - 1 {
+			l.fn(w, int(i))
+		}
+	}
+}
+
+// ForEach runs fn(worker, i) for every i in [0, n), on Pool(n) lanes
+// posted to the row pool (Run), one chunk per lane. Indices are handed out
+// by an atomic counter, so which worker executes which index varies
+// between runs; determinism is the caller's contract: fn must write only
+// to slot i of pre-sized outputs and to worker-private state indexed by
+// `worker` (0 <= worker < Pool(n)), merged by the caller afterwards in
+// worker order.
 //
-// With a resolved worker count of 1 (or n <= 1) fn runs inline on the
-// calling goroutine, which is exactly the pre-engine serial behavior. A
-// panic in fn is re-raised on the calling goroutine after all workers
-// drain, like a serial loop would.
-func ForEach(workers, n int, fn func(worker, i int)) {
+// At GOMAXPROCS 1, or when the pool is busy (a ForEach from inside a Run
+// chunk, or beside another goroutine's job), lane 0 runs inline and
+// drains every index. A panic in fn is re-raised on the calling goroutine
+// after the other lanes drain, like a serial loop would.
+func ForEach(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	w := Pool(workers, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	wg.Add(w)
-	for id := 0; id < w; id++ {
-		go func(id int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(id, i)
-			}
-		}(id)
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
+	Run(&lanes{n: int64(n), fn: fn}, Pool(n))
 }
 
-// Group runs heterogeneous tasks with bounded concurrency and returns the
-// first error by submission order (not completion order, which would make
-// the reported error depend on scheduling). Go must be called from a
+// Group runs heterogeneous tasks, at most GOMAXPROCS at once, and returns
+// the first error by submission order (not completion order, which would
+// make the reported error depend on scheduling). Go must be called from a
 // single goroutine; Wait blocks until every submitted task finished.
+//
+// A Group runs on its own goroutines, not on the row pool: its tasks are
+// coarse cells that fan out inside (an experiment cell's core.Run replays
+// through ForEach). If a cell held the pool, that nested work would run
+// inline, and the last long cell of a table would run on one core.
 type Group struct {
 	sem chan struct{}
 	wg  sync.WaitGroup
@@ -103,9 +86,9 @@ type Group struct {
 	submitted int
 }
 
-// NewGroup returns a Group running at most Workers(workers) tasks at once.
-func NewGroup(workers int) *Group {
-	return &Group{sem: make(chan struct{}, Workers(workers)), errIdx: -1}
+// NewGroup returns a Group running at most GOMAXPROCS tasks at once.
+func NewGroup() *Group {
+	return &Group{sem: make(chan struct{}, runtime.GOMAXPROCS(0)), errIdx: -1}
 }
 
 // Go submits one task. It never blocks; the task waits for a worker slot.

@@ -40,27 +40,31 @@ func PlanEpochs(trainSet []int32, batchSize, epochs int, seed uint64) []EpochCel
 	return cells
 }
 
-// ReplayEpochs samples every cell with alg on Pool(workers, len(cells))
-// goroutines. It prepares alg's per-graph tables once and gives each
-// worker one ClonePooled instance; visit(worker, c, clone) runs on that
-// worker and samples c with the clone, so a sample is borrowed until the
-// worker's next cell. visit may write only c's own output slots and
-// state private to worker. The returned stats sum the clones' arenas.
-// An alg that does not implement Cloner has no private instances to hand
-// out, so it runs on one worker; the sampled stream is the same at any
-// worker count.
-func ReplayEpochs(g graph.View, alg Algorithm, cells []EpochCell, workers int, visit func(worker int, c EpochCell, alg Algorithm)) ScratchStats {
+// ReplayEpochs samples every cell with alg on par.Pool(len(cells))
+// lanes of the row pool. It prepares alg's per-graph tables once and
+// gives each worker one ClonePooled instance; visit(worker, c, clone)
+// runs on that worker and samples c with the clone, so a sample is
+// borrowed until the worker's next cell. visit may write only c's own
+// output slots and state private to worker. The returned stats sum the
+// clones' arenas. An alg that does not implement Cloner has no private
+// instances to hand out, so it runs serially; the sampled stream is the
+// same at any GOMAXPROCS.
+func ReplayEpochs(g graph.View, alg Algorithm, cells []EpochCell, visit func(worker int, c EpochCell, alg Algorithm)) ScratchStats {
 	Prepare(alg, g)
-	if _, ok := alg.(Cloner); !ok {
-		workers = 1
-	}
-	algs := make([]Algorithm, par.Pool(workers, len(cells)))
+	algs := make([]Algorithm, par.Pool(len(cells)))
 	for i := range algs {
 		algs[i] = ClonePooled(alg)
 	}
-	par.ForEach(workers, len(cells), func(worker, i int) {
-		visit(worker, cells[i], algs[worker])
-	})
+	if _, ok := alg.(Cloner); ok {
+		par.ForEach(len(cells), func(worker, i int) {
+			visit(worker, cells[i], algs[worker])
+		})
+	} else {
+		algs = algs[:min(len(algs), 1)]
+		for _, c := range cells {
+			visit(0, c, alg)
+		}
+	}
 	var st ScratchStats
 	for _, a := range algs {
 		if s, ok := ScratchStatsOf(a); ok {

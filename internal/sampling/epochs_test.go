@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gnnlab/internal/rng"
@@ -90,21 +91,31 @@ func TestFingerprintDistinguishesParameters(t *testing.T) {
 	}
 }
 
+// setProcs runs the rest of the test at GOMAXPROCS procs; the value the
+// test started with comes back at cleanup.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // noClone hides the wrapped algorithm's Clone: a user-defined sampler
 // that hands out no per-worker instances.
 type noClone struct{ Algorithm }
 
 // TestReplayEpochsNonClonerRunsSerially: an algorithm without Clone has one
 // arena, so ReplayEpochs must not share it across workers. The replay at
-// workers 4 equals workers 1 cell for cell, and is race-free under -race.
+// GOMAXPROCS 4 equals GOMAXPROCS 1 cell for cell, and is race-free under
+// -race.
 func TestReplayEpochsNonClonerRunsSerially(t *testing.T) {
 	g := testGraph(31, 600, 8, 2)
 	trainSet := seeds(240, 600, rng.New(32))
-	replay := func(workers int) [][]byte {
+	replay := func(procs int) [][]byte {
+		setProcs(t, procs)
 		cells := PlanEpochs(trainSet, 6, 2, 33) // cells' RNGs advance as they sample
 		out := make([][]byte, len(cells))
 		alg := noClone{NewKHop([]int{6, 4}, FisherYates)}
-		ReplayEpochs(g, alg, cells, workers, func(_ int, c EpochCell, a Algorithm) {
+		ReplayEpochs(g, alg, cells, func(_ int, c EpochCell, a Algorithm) {
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(a.Sample(g, c.Seeds, c.R)); err != nil {
 				panic(err)
@@ -116,7 +127,7 @@ func TestReplayEpochsNonClonerRunsSerially(t *testing.T) {
 	want, got := replay(1), replay(4)
 	for i := range want {
 		if !bytes.Equal(want[i], got[i]) {
-			t.Fatalf("cell %d: workers 4 sampled differently from workers 1", i)
+			t.Fatalf("cell %d: GOMAXPROCS 4 sampled differently from GOMAXPROCS 1", i)
 		}
 	}
 }

@@ -51,15 +51,16 @@ func withHubSeeds(sd []int32) []int32 { return append(sd, 100, 100+2048) }
 // TestSamplePackedMatchesCSR is the compressed-topology differential:
 // every algorithm family must produce gob-byte-identical samples whether
 // the graph arrives as a CSR or as its Pack'd encoding — at every
-// encoder worker count, on weighted and unweighted graphs. The decode
+// encoder GOMAXPROCS, on weighted and unweighted graphs. The decode
 // fast path (AdjInto + in-place Fisher–Yates) may never move an RNG draw
 // or change a picked neighbor.
 func TestSamplePackedMatchesCSR(t *testing.T) {
 	for _, weighted := range []bool{true, false} {
 		csr := hubbyTestGraph(3, 2500, weighted)
 		n := csr.NumVertices()
-		for _, workers := range []int{1, 2, 4} {
-			packed := graph.Pack(csr, workers)
+		for _, procs := range []int{1, 2, 4} {
+			setProcs(t, procs)
+			packed := graph.Pack(csr, 0)
 			for _, tc := range scratchAlgorithms() {
 				if !weighted && (tc.name == "weighted-cdf" || tc.name == "weighted-alias") {
 					continue
@@ -73,8 +74,8 @@ func TestSamplePackedMatchesCSR(t *testing.T) {
 						s1 := a1.Sample(csr, sd, r1)
 						s2 := a2.Sample(packed, sd, r2)
 						if !bytes.Equal(gobBytes(t, s1), gobBytes(t, s2)) {
-							t.Fatalf("weighted=%v workers=%d call %d: packed sample differs from CSR",
-								weighted, workers, call)
+							t.Fatalf("weighted=%v GOMAXPROCS %d call %d: packed sample differs from CSR",
+								weighted, procs, call)
 						}
 					}
 				})

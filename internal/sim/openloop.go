@@ -129,9 +129,6 @@ type ServeConfig struct {
 	Arrivals ArrivalStream
 	// Requests is how many arrivals to offer.
 	Requests int
-	// Pipelined lets a Trainer's Extract of batch k+1 overlap Forward
-	// of batch k, as in the training pipeline (§5.2).
-	Pipelined bool
 	// Faults injects the epoch loop's deterministic fault set onto the
 	// Trainers (crashes, slowdown windows, PCIe degrade, queue stalls).
 	// Nil injects nothing.
@@ -287,9 +284,10 @@ func Serve(cfg ServeConfig) ServeResult {
 	}
 	formBatches(math.Inf(1))
 
-	// The Trainers drain the sampled batches through the epoch loop.
+	// The Trainers drain the sampled batches through the epoch loop. A
+	// serving Trainer extracts and forwards one microbatch at a time.
 	run := Consume(tasks, ConsumeOptions{NumTrainers: cfg.Trainers,
-		Pipelined: cfg.Pipelined, Faults: cfg.Faults, Trace: true})
+		Pipelined: false, Faults: cfg.Faults, Trace: true})
 	res.Batches = len(tasks)
 	res.Requeued = run.Requeued
 	res.Makespan = run.Makespan

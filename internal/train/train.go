@@ -401,6 +401,27 @@ func (ck *checkpoint) restore(model *nn.Model, replicas []*nn.Model, opt *tensor
 	return nil
 }
 
+// eachTrainer runs fn(i) for every Trainer i in [0, k) and returns when
+// all are done: inline when k == 1, otherwise on one plain goroutine per
+// Trainer. Trainers are long-lived lanes whose products and gathers post
+// to the row pool (par.Run); a round that held the pool itself would run
+// every Trainer's stages inline (DESIGN "Memory discipline", rule 6).
+func eachTrainer(k int, fn func(i int)) {
+	if k == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // runEpochSteps drives one epoch of synchronous data-parallel training:
 // rounds of up to NumTrainers mini-batches run concurrently (one per model
 // replica in workers; the master is workers[0]), gradients are averaged
@@ -475,19 +496,7 @@ func runEpochSteps(workers []*nn.Model, opt *tensor.Adam, execs []*minibatch.Exe
 				return 0, 0, err
 			}
 		}
-		if width == 1 {
-			step(0) // one Trainer: no goroutine to hand the round to
-		} else {
-			var wg sync.WaitGroup
-			for i := 0; i < width; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					step(i)
-				}(i)
-			}
-			wg.Wait()
-		}
+		eachTrainer(width, step)
 		for i := 0; i < width; i++ {
 			if errs[i] != nil {
 				return 0, 0, errs[i]
@@ -779,19 +788,7 @@ func evaluate(workers []*nn.Model, execs []*minibatch.Executor, lanes []obs.Lane
 			sp.End(obs.Attr{Key: "batches", Value: n})
 		}
 	}
-	if k == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(i)
-			}()
-		}
-		wg.Wait()
-	}
+	eachTrainer(k, run)
 	total := 0
 	for i := range correct {
 		if errs[i] != nil {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification gate: static checks, the whole test suite under the
-# race detector (the measurement engine's worker pool is on by default, so
-# every run exercises real concurrency), and one-shot smoke runs of the
-# CLIs and benchmarks. The race detector is ~10-20x slower than a plain
-# run — the explicit -timeout keeps slow single-core machines from
+# race detector (the measurement engine fans out over GOMAXPROCS on the
+# row pool, so on more than one core every run exercises real
+# concurrency), and one-shot smoke runs of the CLIs and benchmarks. The
+# race detector is ~10-20x slower than a plain run — the explicit
+# -timeout keeps slow single-core machines from
 # tripping go test's 600s default. Every test runs in the full -race
 # suite, and a few again at 1, 2 and 4 Ps; the exact performance pins
 # (allocation counts, simulated serving figures, packed sizes) are tests
@@ -34,10 +35,11 @@ go test -race -timeout 3600s ./...
 # Ps: the goroutine interleavings differ, the bits may not.
 go test -race -timeout 3600s -cpu 1,2,4 -run 'TestEvaluateMatchesSerialReference|TestGoldenRuns|TestTrainPooledMatchesFresh' ./internal/train
 # The row pool at 1, 2 and 4 Ps under the race detector: panics, nested and
-# concurrent posts, GOMAXPROCS changes, parking; and the fan-out path of a
-# product, a Conv aggregation and a gather pinned at zero allocations (the
-# step above runs the goldens through the same pool).
-go test -race -timeout 3600s -cpu 1,2,4 -run 'TestRun|TestIdleHelpersPark' ./internal/par
+# concurrent posts, GOMAXPROCS changes, parking, ForEach's lanes on the
+# pool; and the fan-out path of a product, a Conv aggregation and a gather
+# pinned at zero allocations (the step above runs the goldens through the
+# same pool).
+go test -race -timeout 3600s -cpu 1,2,4 -run 'TestRun|TestForEach|TestIdleHelpersPark' ./internal/par
 go test -race -timeout 3600s -cpu 1,2,4 -run 'TestFanOutSteadyStateZeroAllocs' ./internal/nn
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
 # Sampling-arena, matmul-kernel and cache-ranking smoke: one iteration
