@@ -22,7 +22,7 @@ const measureBenchScale = 8 // the Quick() experiment scale
 
 func measureBenchSetup(b *testing.B) (*gen.Dataset, core.Config) {
 	b.Helper()
-	d, err := gen.LoadPresetScaled(gen.PresetPA, measureBenchScale)
+	d, err := LoadDatasetScaled(DatasetPA, measureBenchScale)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func runSweep(b *testing.B, d *gen.Dataset, configs []core.Config, store *measur
 }
 
 func BenchmarkMeasureStoreReplay(b *testing.B) {
-	d, err := gen.LoadPresetScaled(gen.PresetPA, measureBenchScale)
+	d, err := LoadDatasetScaled(DatasetPA, measureBenchScale)
 	if err != nil {
 		b.Fatal(err)
 	}

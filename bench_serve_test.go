@@ -28,7 +28,7 @@ func BenchmarkServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	gcfg.MaterializeFeatures = true
-	d, err := gen.Load(gcfg)
+	d, err := gen.Generate(gcfg)
 	if err != nil {
 		b.Fatal(err)
 	}

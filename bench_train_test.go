@@ -28,7 +28,7 @@ func BenchmarkMinibatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg.MaterializeFeatures = true
-	d, err := gen.Load(cfg)
+	d, err := gen.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func main() {
 	faults := flag.Int("faults", 0, "cap for the resilience experiment's injected-fault sweep (0 = default sweep)")
 	drift := flag.Int("drift", 0, "mutation rounds for the dynamic-graph drift experiment (0 = default sweep)")
 	packed := flag.Bool("packed", false, "run over the compressed packed topology (bit-identical tables; Vol_G reflects the compressed bytes)")
-	noStore := flag.Bool("nostore", false, "disable the shared measurement store (every cell re-measures; results are identical either way)")
+	noStore := flag.Bool("nostore", false, "disable the shared measurement store (every cell re-measures and each experiment generates its own datasets; results are identical either way)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	format := flag.String("format", "table", "output format: table or csv")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run to this path")
@@ -106,7 +106,8 @@ func main() {
 	}
 	if !*noStore {
 		// One content-keyed store across all experiments: cells sharing
-		// sampling work measure once and replay many times.
+		// sampling work measure once and replay many times, and each
+		// dataset is generated once.
 		opts.Store = measure.NewStore()
 		opts.Store.Observe(opts.Obs.Registry())
 	}

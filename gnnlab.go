@@ -29,6 +29,7 @@
 package gnnlab
 
 import (
+	"fmt"
 	"io"
 
 	"gnnlab/internal/core"
@@ -74,12 +75,21 @@ const (
 // DatasetNames lists the four evaluation presets in paper order.
 func DatasetNames() []string { return gen.PresetNames() }
 
-// LoadDataset generates (and memoizes) a preset dataset.
-func LoadDataset(name string) (*Dataset, error) { return gen.LoadPreset(name) }
+// LoadDataset generates a preset dataset. Every call generates anew; the
+// caller owns the result.
+func LoadDataset(name string) (*Dataset, error) { return LoadDatasetScaled(name, 1) }
 
-// LoadDatasetScaled generates a preset shrunk by factor, for quick runs.
+// LoadDatasetScaled generates a preset shrunk by factor (1 = the preset
+// itself), for quick runs. A factor below 1 is an error.
 func LoadDatasetScaled(name string, factor int) (*Dataset, error) {
-	return gen.LoadPresetScaled(name, factor)
+	if factor < 1 {
+		return nil, fmt.Errorf("gnnlab: scale factor %d, want >= 1", factor)
+	}
+	cfg, err := gen.PresetConfig(name)
+	if err != nil {
+		return nil, err
+	}
+	return gen.Generate(gen.ScaleDown(cfg, factor))
 }
 
 // GenerateDataset builds a dataset from an explicit configuration.
@@ -215,7 +225,7 @@ type Measurement = measure.Measurement
 // MeasurementStore memoizes Measurements (and cache rankings) by content
 // key, so configurations sharing sampling work measure once and replay
 // many times. Attach one via SystemConfig.MeasureStore, or pass it to
-// the experiment harness.
+// the experiment harness, which also loads its datasets through it.
 type MeasurementStore = measure.Store
 
 // NewMeasurementStore returns an empty measurement store.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -13,9 +14,12 @@ import (
 
 const testScale = 16
 
+// paData generates PA once for every test that reads it.
+var paData = sync.OnceValues(func() (*Dataset, error) { return LoadDatasetScaled(DatasetPA, testScale) })
+
 func loadPA(t *testing.T) *Dataset {
 	t.Helper()
-	d, err := LoadDatasetScaled(DatasetPA, testScale)
+	d, err := paData()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +321,23 @@ func TestGenerateDatasetFacade(t *testing.T) {
 	}
 	if d.NumVertices() != 1000 {
 		t.Errorf("custom dataset has %d vertices", d.NumVertices())
+	}
+}
+
+// A scale below 1 or an unknown preset is an error, not the full-scale
+// graph or a panic further on.
+func TestLoadDatasetScaledRejectsBadInput(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		factor int
+	}{
+		{DatasetPR, 0},
+		{DatasetPR, -1},
+		{"nope", 8},
+	} {
+		if _, err := LoadDatasetScaled(c.name, c.factor); err == nil {
+			t.Errorf("LoadDatasetScaled(%q, %d) returned no error", c.name, c.factor)
+		}
 	}
 }
 

@@ -43,8 +43,8 @@ type GraphPacked = graph.Packed
 func PackGraph(g GraphView) *GraphPacked { return graph.Pack(g, 0) }
 
 // PackDataset returns a shallow copy of d with its topology converted to
-// the compressed packed layout (memoized per underlying graph); datasets
-// holding non-CSR views are returned unchanged.
+// the compressed packed layout; datasets holding non-CSR views are
+// returned unchanged. Each call encodes the topology anew.
 func PackDataset(d *Dataset) *Dataset { return gen.PackDataset(d) }
 
 // GraphBuilder accumulates edges and produces a Graph. Build does not

@@ -81,8 +81,7 @@ func TestBatchModeEpochIncludesSwapCosts(t *testing.T) {
 		t.Fatalf("unexpected OOM: %s", rep.OOMReason)
 	}
 	cfgd := cfg.withDefaults()
-	rn := newRunner(d, cfgd)
-	plan := planMemory(cfgd, d, rn.vfb)
+	plan := planMemory(cfgd, d)
 	if plan.err != nil {
 		t.Fatal(plan.err)
 	}

@@ -17,10 +17,7 @@ func TestCalibration(t *testing.T) {
 		t.Skip("set GNNLAB_CALIBRATE=1 to run")
 	}
 	for _, name := range []string{gen.PresetPA, gen.PresetTW} {
-		d, err := gen.LoadPreset(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := loadScaled(t, name, 1)
 		w := workload.NewSpec(workload.GCN)
 		alg := w.NewSampler()
 		fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, w.BatchSize, 2, 1)

@@ -59,10 +59,6 @@ type Config struct {
 	// To sweep a zero cache, set CacheEnabled = false.
 	CacheRatioOverride float64
 
-	// FeatureDimOverride, when > 0, replaces the dataset's feature
-	// dimension (used by the feature-dimension sweeps).
-	FeatureDimOverride int
-
 	// Sync couples trainers with per-iteration gradient barriers.
 	Sync bool
 	// Pipelined overlaps Extract and Train inside a trainer (§5.2).

@@ -99,7 +99,7 @@ func (pc planContext) slots(freeBytes int64) int {
 // paper's OOM cells. The design-specific arms live in each Design's
 // PlanMemory method; this wrapper computes the shared scaled footprints
 // and applies the cache-enabled gate.
-func planMemory(cfg Config, d *gen.Dataset, vertexFeatureBytes int64) memPlan {
+func planMemory(cfg Config, d *gen.Dataset) memPlan {
 	topo := topologyBytes(cfg, d)
 	sampleWS := int64(float64(cfg.Workload.SampleWorkspaceBytes()) * cfg.SampleWSMultiplier / cfg.MemScale)
 	if !cfg.Sampler.OnGPU() {
@@ -115,7 +115,7 @@ func planMemory(cfg Config, d *gen.Dataset, vertexFeatureBytes int64) memPlan {
 		sampleWS: sampleWS,
 		trainWS:  int64(float64(cfg.Workload.TrainWorkspaceBytes()) / cfg.MemScale),
 		reserve:  int64(float64(cfg.Cost.RuntimeReserveBytes) / cfg.MemScale),
-		vfb:      vertexFeatureBytes,
+		vfb:      d.VertexFeatureBytes(),
 		n:        d.NumVertices(),
 	}
 
@@ -136,7 +136,7 @@ func planMemory(cfg Config, d *gen.Dataset, vertexFeatureBytes int64) memPlan {
 			plan.standbySlots = 0
 		}
 	}
-	plan.cacheBytes = int64(plan.cacheSlots) * vertexFeatureBytes
+	plan.cacheBytes = int64(plan.cacheSlots) * pc.vfb
 	return plan
 }
 
@@ -157,11 +157,7 @@ func slotsForPlan(cfg Config, freeBytes, vertexFeatureBytes int64, n int) int {
 // allocations of each role under the configured design.
 func LedgerFor(cfg Config, d *gen.Dataset) (sampler, trainer []device.Allocation, err error) {
 	cfg = cfg.withDefaults()
-	dim := d.FeatureDim
-	if cfg.FeatureDimOverride > 0 {
-		dim = cfg.FeatureDimOverride
-	}
-	plan := planMemory(cfg, d, int64(dim)*4)
+	plan := planMemory(cfg, d)
 	if plan.err != nil {
 		return nil, nil, plan.err
 	}

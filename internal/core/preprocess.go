@@ -27,19 +27,13 @@ func (p PreprocessCost) DRAMToGPU() float64 { return p.LoadTopology + p.LoadCach
 // device.ErrOutOfMemory.
 func Preprocess(ds *gen.Dataset, cfg Config) (PreprocessCost, error) {
 	cfg = cfg.withDefaults()
-	dim := ds.FeatureDim
-	if cfg.FeatureDimOverride > 0 {
-		dim = cfg.FeatureDimOverride
-	}
-	vfb := int64(dim) * 4
-
-	plan := planMemory(cfg, ds, vfb)
+	plan := planMemory(cfg, ds)
 	if err := oomError(cfg, plan); err != nil {
 		return PreprocessCost{}, err
 	}
 	p := PreprocessCost{
 		Dataset:      ds.Name,
-		DiskToDRAM:   cfg.Cost.DiskLoadTime(ds.TopologyBytes() + int64(ds.NumVertices())*vfb),
+		DiskToDRAM:   cfg.Cost.DiskLoadTime(ds.TopologyBytes() + ds.FeatureBytes()),
 		LoadTopology: cfg.Cost.PCIeLoadTime(plan.topoBytes),
 		LoadCache:    cfg.Cost.PCIeLoadTime(plan.cacheBytes),
 	}

@@ -66,8 +66,8 @@ func TestMeasureOnceReplayTwoPolicies(t *testing.T) {
 	}
 }
 
-// One measurement replays across designs, cache ratios and feature
-// dimensions — everything outside the sampling content key.
+// One measurement replays across designs, cache ratios and GPU counts —
+// everything outside the sampling content key.
 func TestReplayAcrossDesignsAndSweeps(t *testing.T) {
 	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
@@ -86,9 +86,6 @@ func TestReplayAcrossDesignsAndSweeps(t *testing.T) {
 	ratio := base
 	ratio.CacheRatioOverride = 0.05
 	variants = append(variants, ratio)
-	dim := base
-	dim.FeatureDimOverride = 2 * d.FeatureDim
-	variants = append(variants, dim)
 	gpus := scaledCfg(GNNLab(w, 2), mem, ms)
 	variants = append(variants, gpus)
 

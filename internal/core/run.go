@@ -113,16 +113,12 @@ type batchWork struct {
 // runner carries the run-wide constants the duration helpers need.
 type runner struct {
 	cfg Config
-	dim int   // feature dimension in effect
-	vfb int64 // per-vertex feature bytes in effect
+	dim int   // the dataset's feature dimension
+	vfb int64 // per-vertex feature bytes
 }
 
 func newRunner(d *gen.Dataset, cfg Config) runner {
-	dim := d.FeatureDim
-	if cfg.FeatureDimOverride > 0 {
-		dim = cfg.FeatureDimOverride
-	}
-	return runner{cfg: cfg, dim: dim, vfb: int64(dim) * 4}
+	return runner{cfg: cfg, dim: d.FeatureDim, vfb: d.VertexFeatureBytes()}
 }
 
 func (rn runner) newReport(d *gen.Dataset) *Report {
@@ -156,7 +152,7 @@ func Run(d *gen.Dataset, cfg Config) (*Report, error) {
 	}
 	rn := newRunner(d, cfg)
 	rep := rn.newReport(d)
-	plan := planMemory(cfg, d, rn.vfb)
+	plan := planMemory(cfg, d)
 	if oomPreflight(rep, cfg, plan) {
 		return rep, nil
 	}
@@ -196,7 +192,7 @@ func Replay(m *measure.Measurement, cfg Config) (*Report, error) {
 	}
 	rn := newRunner(m.Dataset, cfg)
 	rep := rn.newReport(m.Dataset)
-	plan := planMemory(cfg, m.Dataset, rn.vfb)
+	plan := planMemory(cfg, m.Dataset)
 	if oomPreflight(rep, cfg, plan) {
 		return rep, nil
 	}

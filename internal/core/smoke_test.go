@@ -12,10 +12,7 @@ import (
 // reports: GNNLab < T_SOTA < DGL < PyG on end-to-end epoch time.
 func TestSmokeAllSystems(t *testing.T) {
 	const scale = 8
-	d, err := gen.LoadPresetScaled(gen.PresetPA, scale)
-	if err != nil {
-		t.Fatalf("load PA/%d: %v", scale, err)
-	}
+	d := loadScaled(t, gen.PresetPA, scale)
 	w := workload.NewSpec(workload.GCN)
 	w.BatchSize = workload.DefaultBatchSize / scale * 8 // keep ~150/8 batches
 

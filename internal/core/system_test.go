@@ -1,24 +1,40 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"gnnlab/internal/cache"
 	"gnnlab/internal/device"
 	"gnnlab/internal/gen"
+	"gnnlab/internal/measure"
 	"gnnlab/internal/workload"
 )
+
+// testData holds every dataset this package's tests load, so each preset
+// and scale is generated once per test binary.
+var testData = measure.NewStore()
+
+// loadScaled returns a preset shrunk by scale from testData.
+func loadScaled(t *testing.T, preset string, scale int) *gen.Dataset {
+	t.Helper()
+	cfg, err := gen.PresetConfig(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := testData.Dataset(gen.ScaleDown(cfg, scale), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // tinyDataset returns a fast scaled dataset plus matching (GPUMemory,
 // MemScale) so capacity ratios stay paper-shaped.
 func tinyDataset(t *testing.T, preset string, scale int) (*gen.Dataset, int64, float64) {
 	t.Helper()
-	d, err := gen.LoadPresetScaled(preset, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, device.DefaultGPUMemory / int64(scale), float64(scale)
+	return loadScaled(t, preset, scale), device.DefaultGPUMemory / int64(scale), float64(scale)
 }
 
 func scaledSpec(kind workload.ModelKind, scale int) workload.Spec {
@@ -84,17 +100,29 @@ func TestCacheRatioOverride(t *testing.T) {
 	}
 }
 
-func TestFeatureDimOverrideIncreasesTraffic(t *testing.T) {
-	d, mem, ms := tinyDataset(t, gen.PresetPA, 16)
+// The dataset's feature dimension sets the extract traffic: the same
+// graph generated at two widths, under distinct names.
+func TestFeatureDimIncreasesTraffic(t *testing.T) {
+	base, err := gen.PresetConfig(gen.PresetPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = gen.ScaleDown(base, 16)
+	mem, ms := device.DefaultGPUMemory/16, 16.0
 	w := scaledSpec(workload.GCN, 16)
 	mk := func(dim int) *Report {
-		cfg := DGL(w, 4)
-		cfg.FeatureDimOverride = dim
-		return runScaled(t, d, cfg, mem, ms)
+		cfg := base
+		cfg.Name = fmt.Sprintf("%s/dim%d", base.Name, dim)
+		cfg.FeatureDim = dim
+		d, err := gen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runScaled(t, d, DGL(w, 4), mem, ms)
 	}
 	small, big := mk(64), mk(512)
 	if big.TransferredBytes <= small.TransferredBytes {
-		t.Errorf("feature dim override did not scale traffic: %d vs %d",
+		t.Errorf("feature dim did not scale traffic: %d vs %d",
 			small.TransferredBytes, big.TransferredBytes)
 	}
 }
@@ -151,10 +179,10 @@ func TestWeightedTopologyCharge(t *testing.T) {
 	d, _, _ := tinyDataset(t, gen.PresetPA, 16)
 	w := scaledSpec(workload.GCN, 16)
 	cfg := GNNLab(w, 2).withDefaults()
-	unweighted := planMemory(cfg, d, 512)
+	unweighted := planMemory(cfg, d)
 	wcfg := cfg
 	wcfg.Workload.Weighted = true
-	weighted := planMemory(wcfg, d, 512)
+	weighted := planMemory(wcfg, d)
 	wantExtra := int64(d.NumVertices()) * 4
 	if weighted.topoBytes-unweighted.topoBytes != wantExtra {
 		t.Errorf("weighted topo extra %d, want %d (per-vertex years)",

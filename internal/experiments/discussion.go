@@ -23,7 +23,7 @@ func AblationBatchSize(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	conv, err := convDataset(o)
+	conv, err := o.loadCSR(gen.PresetConv)
 	if err != nil {
 		return nil, err
 	}
@@ -64,28 +64,16 @@ func AblationBatchSize(o Options) (*Table, error) {
 	return t, nil
 }
 
-// convDataset loads the labelled community dataset at experiment scale.
-func convDataset(o Options) (*gen.Dataset, error) {
-	cfg, err := gen.PresetConfig(gen.PresetConv)
-	if err != nil {
-		return nil, err
-	}
-	cfg = gen.ScaleDown(cfg, o.Scale)
-	cfg.MaterializeFeatures = true
-	return gen.Load(cfg)
-}
-
 // AblationTrainSet tests the §8 "Training set" discussion: a larger
 // training set grows every stage, the Extract stage fastest — and
 // GNNLab's advantage over the time-sharing baseline widens because the
 // baseline's small degree cache absorbs none of the extra traffic.
 func AblationTrainSet(o Options) (*Table, error) {
 	o = o.withDefaults()
-	base, err := gen.PresetConfig(gen.PresetPA)
+	base, err := o.preset(gen.PresetPA)
 	if err != nil {
 		return nil, err
 	}
-	base = gen.ScaleDown(base, o.Scale)
 	w := o.spec(workload.GCN)
 	t := &Table{
 		ID:     "ablation-trainset",
@@ -96,7 +84,7 @@ func AblationTrainSet(o Options) (*Table, error) {
 		cfg := base
 		cfg.TrainFraction = base.TrainFraction * mult
 		cfg.Name = fmt.Sprintf("%s/ts%.1f", base.Name, mult)
-		d, err := gen.Load(cfg)
+		d, err := o.datasets.Dataset(cfg, false)
 		if err != nil {
 			return nil, err
 		}

@@ -23,6 +23,7 @@ func parsePct(t *testing.T, cell string) float64 {
 func TestDriftDegreeDegradesFasterThanPreSC(t *testing.T) {
 	o := Quick()
 	o.Drift = 3
+	o.datasets = testDatasets
 	tbl, err := Drift(o)
 	if err != nil {
 		t.Fatal(err)

@@ -33,9 +33,10 @@ type Options struct {
 	// Store, when non-nil, is a shared measurement store: experiment
 	// cells whose sampling work has the same content key (dataset,
 	// effective sampler, batch size, seed, epochs) measure once and
-	// replay many times, as do cache-ranking computations. Tables are
-	// bit-identical with or without it; only wall-clock changes.
-	// cmd/gnnlab-bench shares one store across all experiments.
+	// replay many times, as do cache-ranking computations. It also owns
+	// the datasets the experiments load, so each is generated once.
+	// Tables are bit-identical with or without it; only wall-clock
+	// changes. cmd/gnnlab-bench shares one store across all experiments.
 	Store *measure.Store
 	// Obs, when non-nil, records cross-layer observability (Measure and
 	// Cost spans, pipeline counters) for every cell into one recorder.
@@ -55,6 +56,13 @@ type Options struct {
 	// bit-identical to CSR runs; only topology bytes and sampling
 	// wall-clock change.
 	Packed bool
+
+	// datasets owns every dataset the experiment loads: Store when the
+	// caller gave one, otherwise a store of this call's own, so the cells
+	// of one experiment generate each preset once and nothing outlives
+	// the call. withDefaults sets it. Measurements never go through it:
+	// without a Store, every cell still re-measures.
+	datasets *measure.Store
 }
 
 // Validate rejects negative sizes, which the defaults would pass through
@@ -87,6 +95,12 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 0x9E1AB
 	}
+	if o.datasets == nil {
+		o.datasets = o.Store
+	}
+	if o.datasets == nil {
+		o.datasets = measure.NewStore()
+	}
 	return o
 }
 
@@ -97,18 +111,28 @@ func Quick() Options { return Options{Scale: 8, Epochs: 2} }
 // load fetches a preset at the configured scale, converting the topology
 // to the compressed layout when Packed is set.
 func (o Options) load(name string) (*gen.Dataset, error) {
-	d, err := o.loadCSR(name)
-	if err == nil && o.Packed {
-		d = gen.PackDataset(d)
-	}
-	return d, err
+	return o.loadPreset(name, o.Packed)
 }
 
 // loadCSR fetches a preset at the configured scale with its topology left
 // as concrete CSR storage regardless of Packed — for experiments that
 // mutate the graph (the drift experiment builds a Delta over the base).
 func (o Options) loadCSR(name string) (*gen.Dataset, error) {
-	return gen.LoadPresetScaled(name, o.Scale)
+	return o.loadPreset(name, false)
+}
+
+func (o Options) loadPreset(name string, packed bool) (*gen.Dataset, error) {
+	cfg, err := o.preset(name)
+	if err != nil {
+		return nil, err
+	}
+	return o.datasets.Dataset(cfg, packed)
+}
+
+// preset returns a preset's Config at the configured scale.
+func (o Options) preset(name string) (gen.Config, error) {
+	cfg, err := gen.PresetConfig(name)
+	return gen.ScaleDown(cfg, o.Scale), err
 }
 
 // apply adapts a system config to the experiment scale.

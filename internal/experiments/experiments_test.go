@@ -8,8 +8,17 @@ import (
 	"gnnlab/internal/measure"
 )
 
+// testDatasets owns every dataset this package's tests load, whatever
+// measurement store a test runs with: a render without a store, or with
+// a fresh one, reuses the datasets earlier tests generated instead of
+// regenerating them. Tables do not depend on which store holds a
+// dataset.
+var testDatasets = measure.NewStore()
+
 // quickOpts shrinks the experiments enough to run in test time.
-func quickOpts() Options { return Options{Scale: 16, Epochs: 2, NumGPUs: 8} }
+func quickOpts() Options {
+	return Options{Scale: 16, Epochs: 2, NumGPUs: 8, datasets: testDatasets}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
@@ -108,7 +117,7 @@ func TestTable4GNNLabWins(t *testing.T) {
 // dataset's Table 6 column reads OOM in every row exactly where Table 4's
 // GNNLab GCN cell does.
 func TestTable6OOMMatchesTable4(t *testing.T) {
-	o := Options{Scale: 16, Epochs: 2, NumGPUs: 1, Store: measure.NewStore()}
+	o := Options{Scale: 16, Epochs: 2, NumGPUs: 1, Store: measure.NewStore(), datasets: testDatasets}
 	t4, err := Table4(o)
 	if err != nil {
 		t.Fatal(err)
@@ -234,6 +243,22 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.batchSize() != 80 {
 		t.Errorf("batch size %d at scale 1", o.batchSize())
+	}
+}
+
+// Without a Store, each call loads into a store of its own; with one,
+// the Store also owns the datasets.
+func TestDatasetsOwnedByStore(t *testing.T) {
+	a, b := Options{}.withDefaults(), Options{}.withDefaults()
+	if a.datasets == nil || a.datasets == b.datasets {
+		t.Error("calls without a Store must each get a dataset store of their own")
+	}
+	if a.withDefaults().datasets != a.datasets {
+		t.Error("withDefaults replaced a dataset store already set")
+	}
+	s := measure.NewStore()
+	if o := (Options{Store: s}).withDefaults(); o.datasets != s {
+		t.Error("the caller's Store does not own the datasets")
 	}
 }
 

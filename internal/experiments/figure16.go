@@ -22,13 +22,7 @@ import (
 // Epoch times come from the simulated systems on the same dataset.
 func Figure16(o Options) (*Table, error) {
 	o = o.withDefaults()
-	cfg, err := gen.PresetConfig(gen.PresetConv)
-	if err != nil {
-		return nil, err
-	}
-	cfg = gen.ScaleDown(cfg, o.Scale)
-	cfg.MaterializeFeatures = true
-	d, err := gen.Load(cfg)
+	d, err := o.loadCSR(gen.PresetConv)
 	if err != nil {
 		return nil, err
 	}

@@ -71,10 +71,10 @@ func skipOffAMD64(t *testing.T) {
 }
 
 // checkGolden renders experiment id at the options of `gnnlab-bench
-// -scale 16 -gpus 4 -epochs 2 -format csv`, with o's Store,
-// checks the table's structure, and compares it with testdata/<id>.csv
-// (whose body is that command's table), first rewriting the file when
-// write is set.
+// -scale 16 -gpus 4 -epochs 2 -format csv`, with o's Store and the
+// package's shared datasets, checks the table's structure, and compares
+// it with testdata/<id>.csv (whose body is that command's table), first
+// rewriting the file when write is set.
 func checkGolden(t *testing.T, id string, o Options, write bool) {
 	t.Helper()
 	fn, ok := Lookup(id)
@@ -82,6 +82,7 @@ func checkGolden(t *testing.T, id string, o Options, write bool) {
 		t.Fatalf("unknown experiment %s", id)
 	}
 	o.Scale, o.NumGPUs, o.Epochs = 16, 4, 2
+	o.datasets = testDatasets
 	tbl, err := fn(o)
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,10 @@ import (
 // degree heuristic is graph-dependent and pre-sampling is not (§6).
 func AblationCoupling(o Options) (*Table, error) {
 	o = o.withDefaults()
-	base, err := gen.PresetConfig(gen.PresetPA)
+	base, err := o.preset(gen.PresetPA)
 	if err != nil {
 		return nil, err
 	}
-	base = gen.ScaleDown(base, o.Scale)
 	t := &Table{
 		ID:     "ablation-coupling",
 		Title:  "Citation graph: Degree vs PreSC hit rate (10% cache) as out-degree couples to popularity",
@@ -36,7 +35,7 @@ func AblationCoupling(o Options) (*Table, error) {
 		cfg := base
 		cfg.Name = fmt.Sprintf("%s/c%.2f", base.Name, coupling)
 		cfg.DegreeCoupling = coupling
-		d, err := gen.Load(cfg)
+		d, err := o.datasets.Dataset(cfg, false)
 		if err != nil {
 			return nil, err
 		}

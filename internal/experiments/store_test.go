@@ -18,6 +18,7 @@ func TestFigure13StoreReuseBitIdentical(t *testing.T) {
 	render := func(store *measure.Store) string {
 		o := Quick() // cells run concurrently: exercises the single-flight path
 		o.Store = store
+		o.datasets = testDatasets
 		tbl, err := fn(o)
 		if err != nil {
 			t.Fatal(err)

@@ -264,21 +264,6 @@ func TestScaleDown(t *testing.T) {
 	}
 }
 
-func TestLoadMemoizes(t *testing.T) {
-	cfg := tiny(KindWeb)
-	a, err := Load(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("Load did not memoize")
-	}
-}
-
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad := []Config{
 		{Name: "v", NumVertices: 0, NumEdges: 1, FeatureDim: 1, TrainFraction: 0.1},
@@ -455,9 +440,6 @@ func TestPackedDatasetRoundTrip(t *testing.T) {
 	}
 	if &d.TrainSet[0] != &base.TrainSet[0] || &d.Features[0] != &base.Features[0] {
 		t.Error("sidecar sections were copied, not shared")
-	}
-	if PackDataset(base).Graph != d.Graph {
-		t.Error("conversion not memoized per CSR")
 	}
 	if PackDataset(d) != d {
 		t.Error("re-packing a packed dataset should be a no-op")

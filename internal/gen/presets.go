@@ -1,9 +1,6 @@
 package gen
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Preset names follow the paper's dataset abbreviations. Each preset is a
 // 1/100-scale analogue (see DESIGN.md): vertex and edge counts divide the
@@ -88,51 +85,4 @@ func ScaleDown(cfg Config, factor int) Config {
 		cfg.NumEdges = 256
 	}
 	return cfg
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = map[Config]*Dataset{}
-)
-
-// Load generates the dataset for cfg, memoizing per process so the large
-// presets are built once no matter how many experiments use them.
-func Load(cfg Config) (*Dataset, error) {
-	cacheMu.Lock()
-	d, ok := cache[cfg]
-	cacheMu.Unlock()
-	if ok {
-		return d, nil
-	}
-	d, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cacheMu.Lock()
-	// Another goroutine may have raced us; keep the first.
-	if prior, ok := cache[cfg]; ok {
-		d = prior
-	} else {
-		cache[cfg] = d
-	}
-	cacheMu.Unlock()
-	return d, nil
-}
-
-// LoadPreset loads a preset by name via the process-wide cache.
-func LoadPreset(name string) (*Dataset, error) {
-	cfg, err := PresetConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	return Load(cfg)
-}
-
-// LoadPresetScaled loads a preset shrunk by factor via the cache.
-func LoadPresetScaled(name string, factor int) (*Dataset, error) {
-	cfg, err := PresetConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	return Load(ScaleDown(cfg, factor))
 }

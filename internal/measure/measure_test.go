@@ -15,9 +15,17 @@ import (
 	"gnnlab/internal/workload"
 )
 
+// testData holds the datasets this package's tests load, so each is
+// generated once per test binary.
+var testData = NewStore()
+
 func testDataset(t *testing.T) *gen.Dataset {
 	t.Helper()
-	d, err := gen.LoadPresetScaled(gen.PresetPA, 16)
+	cfg, err := gen.PresetConfig(gen.PresetPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := testData.Dataset(gen.ScaleDown(cfg, 16), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gnnlab/internal/gen"
 	"gnnlab/internal/obs"
 	"gnnlab/internal/sampling"
 )
@@ -14,15 +15,18 @@ import (
 // single-flight guard (the second requester blocks until the first
 // finishes, rather than duplicating the work). The store also memoizes
 // cache rankings (RankKey), whose policies replay sampling of their own —
-// PreSC pre-samples the training set, Optimal replays the full run.
+// PreSC pre-samples the training set, Optimal replays the full run — and
+// the generated datasets those entries are measured on (Dataset).
 //
-// A Store never invalidates: Specs are content keys, so an entry is
-// valid for as long as the process holds the (memoized) dataset it was
-// measured on.
+// A Store never invalidates: Specs and gen.Configs are content keys, so
+// an entry stays valid for the store's lifetime. The store is the only
+// owner of what it holds: dropping it frees its measurements, rankings
+// and datasets together.
 type Store struct {
 	mu       sync.Mutex
 	measures map[Spec]*entry[*Measurement]
 	rankings map[RankKey]*entry[Ranking]
+	datasets map[datasetKey]*entry[loaded]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -46,6 +50,7 @@ func NewStore() *Store {
 	return &Store{
 		measures: make(map[Spec]*entry[*Measurement]),
 		rankings: make(map[RankKey]*entry[Ranking]),
+		datasets: make(map[datasetKey]*entry[loaded]),
 	}
 }
 
@@ -79,24 +84,30 @@ func (s *Store) account(ok, inFlight bool) {
 	}
 }
 
+// getOrDo returns the value stored under key in m, producing it with do
+// on first request. Concurrent requests for one key share one do call.
+func getOrDo[K comparable, T any](s *Store, m map[K]*entry[T], key K, do func() T) T {
+	s.mu.Lock()
+	e, ok := m[key]
+	if !ok {
+		e = &entry[T]{}
+		m[key] = e
+	}
+	s.mu.Unlock()
+	s.account(ok, ok && !e.done.Load())
+	e.once.Do(func() {
+		e.v = do()
+		e.done.Store(true)
+	})
+	return e.v
+}
+
 // GetOrMeasure returns the measurement stored under spec, producing it
 // with collect on first request. Concurrent requests for the same spec
 // share one collect call; a request that blocks on another's in-flight
 // collect counts as a coalesced wait.
 func (s *Store) GetOrMeasure(spec Spec, collect func() *Measurement) *Measurement {
-	s.mu.Lock()
-	e, ok := s.measures[spec]
-	if !ok {
-		e = &entry[*Measurement]{}
-		s.measures[spec] = e
-	}
-	s.mu.Unlock()
-	s.account(ok, ok && !e.done.Load())
-	e.once.Do(func() {
-		e.v = collect()
-		e.done.Store(true)
-	})
-	return e.v
+	return getOrDo(s, s.measures, spec, collect)
 }
 
 // RankKey is the content key of a cache-ranking computation. Policy
@@ -127,19 +138,41 @@ type Ranking struct {
 // on first request, single-flight like GetOrMeasure. Rankings count
 // toward the same hit/miss/coalesced statistics.
 func (s *Store) GetOrRank(key RankKey, rank func() Ranking) Ranking {
-	s.mu.Lock()
-	e, ok := s.rankings[key]
-	if !ok {
-		e = &entry[Ranking]{}
-		s.rankings[key] = e
-	}
-	s.mu.Unlock()
-	s.account(ok, ok && !e.done.Load())
-	e.once.Do(func() {
-		e.v = rank()
-		e.done.Store(true)
+	return getOrDo(s, s.rankings, key, rank)
+}
+
+type datasetKey struct {
+	cfg    gen.Config
+	packed bool
+}
+
+// loaded is a dataset entry: the generated dataset, or the error that
+// generating it returned (kept, so a bad config fails every request
+// without regenerating).
+type loaded struct {
+	d   *gen.Dataset
+	err error
+}
+
+// Dataset returns the dataset cfg generates, with its topology converted
+// to the compressed packed layout when packed is set, generating it on
+// first request, single-flight like GetOrMeasure. A packed entry is
+// packed once from the store's own CSR entry for cfg (one more request),
+// so the two share features, labels and training set. Datasets count
+// toward the same hit/miss/coalesced statistics.
+func (s *Store) Dataset(cfg gen.Config, packed bool) (*gen.Dataset, error) {
+	l := getOrDo(s, s.datasets, datasetKey{cfg, packed}, func() loaded {
+		if !packed {
+			d, err := gen.Generate(cfg)
+			return loaded{d, err}
+		}
+		d, err := s.Dataset(cfg, false)
+		if err != nil {
+			return loaded{err: err}
+		}
+		return loaded{d: gen.PackDataset(d)}
 	})
-	return e.v
+	return l.d, l.err
 }
 
 // Stats reports how often the store was consulted: hits are requests

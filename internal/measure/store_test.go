@@ -1,9 +1,13 @@
 package measure
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"gnnlab/internal/gen"
+	"gnnlab/internal/graph"
 	"gnnlab/internal/obs"
 )
 
@@ -113,5 +117,128 @@ func TestStoreObserveSeedsExistingCounts(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["store.misses"] != 1 || snap.Counters["store.hits"] != 1 {
 		t.Errorf("seeded counters = %v, want hits 1 misses 1", snap.Counters)
+	}
+}
+
+func storeDatasetConfig() gen.Config {
+	return gen.Config{
+		Name: "tiny", Kind: gen.KindWeb,
+		NumVertices: 2000, NumEdges: 30000,
+		FeatureDim: 16, TrainFraction: 0.05,
+		Weighted: true, Seed: 77,
+	}
+}
+
+// Eight goroutines asking for one dataset at once generate it once: one
+// miss, seven hits, one *gen.Dataset.
+func TestStoreDatasetSingleFlight(t *testing.T) {
+	s := NewStore()
+	cfg := storeDatasetConfig()
+	const n = 8
+	got := make([]*gen.Dataset, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			d, err := s.Dataset(cfg, false)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = d
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, d := range got {
+		if d == nil || d != got[0] {
+			t.Fatalf("request %d returned %p, want %p", i, d, got[0])
+		}
+	}
+	if hits, misses := s.Stats(); hits != n-1 || misses != 1 {
+		t.Errorf("Stats() = (%d hits, %d misses), want (%d, 1)", hits, misses, n-1)
+	}
+}
+
+// A packed request packs once, from the store's own CSR entry: the two
+// share their sidecars, the CSR entry keeps its CSR, and a second packed
+// request returns the same *graph.Packed.
+func TestStoreDatasetPackedOnce(t *testing.T) {
+	s := NewStore()
+	cfg := storeDatasetConfig()
+	p1, err := s.Dataset(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := s.Dataset(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, ok := p1.Graph.(*graph.Packed)
+	if !ok {
+		t.Fatalf("packed request returned a %T", p1.Graph)
+	}
+	if p2.Graph != pg {
+		t.Error("a second packed request packed again")
+	}
+	c, err := s.Dataset(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.CSR() == nil {
+		t.Errorf("the CSR entry holds a %T", c.Graph)
+	}
+	if &c.TrainSet[0] != &p1.TrainSet[0] {
+		t.Error("the packed entry was not packed from the store's CSR entry")
+	}
+	// Two packed requests, the CSR request the first one made, and the
+	// direct CSR request.
+	if hits, misses := s.Stats(); hits != 2 || misses != 2 {
+		t.Errorf("Stats() = (%d hits, %d misses), want (2, 2)", hits, misses)
+	}
+}
+
+// A config that fails to generate fails every request, CSR or packed,
+// from one attempt: the entry keeps the error.
+func TestStoreDatasetRemembersError(t *testing.T) {
+	s := NewStore()
+	cfg := storeDatasetConfig()
+	cfg.NumVertices = 0
+	for i := 0; i < 3; i++ {
+		if d, err := s.Dataset(cfg, i == 2); err == nil {
+			t.Fatalf("request %d returned %v and no error", i, d)
+		}
+	}
+	if hits, misses := s.Stats(); hits != 2 || misses != 2 {
+		t.Errorf("Stats() = (%d hits, %d misses), want (2, 2)", hits, misses)
+	}
+}
+
+// The store is a dataset's only owner: once the caller drops the store
+// and the datasets it handed out, both its entries are collected.
+func TestStoreDatasetReleasedWithStore(t *testing.T) {
+	collected := make(chan struct{}, 2)
+	func() {
+		s := NewStore()
+		for _, packed := range []bool{false, true} {
+			d, err := s.Dataset(storeDatasetConfig(), packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(d, func(*gen.Dataset) { collected <- struct{}{} })
+		}
+	}()
+	deadline := time.After(time.Second)
+	for seen := 0; seen < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			seen++
+		case <-time.After(20 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("datasets loaded through a dropped store were not collected")
+		}
 	}
 }

@@ -23,7 +23,7 @@ func convDataset(t *testing.T) *gen.Dataset {
 	}
 	cfg = gen.ScaleDown(cfg, 4)
 	cfg.MaterializeFeatures = true
-	d, err := gen.Load(cfg)
+	d, err := gen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

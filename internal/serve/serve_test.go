@@ -24,7 +24,7 @@ func dataset(t testing.TB) *gen.Dataset {
 			t.Fatal(err)
 		}
 		cfg.MaterializeFeatures = true
-		d, err := gen.Load(cfg)
+		d, err := gen.Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,11 @@ func TestPipelinedSamplingMatchesInline(t *testing.T) {
 }
 
 func TestTrainRejectsUnlabelledDataset(t *testing.T) {
-	d, err := gen.LoadPresetScaled(gen.PresetPA, 32)
+	cfg, err := gen.PresetConfig(gen.PresetPA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gen.Generate(gen.ScaleDown(cfg, 32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func convDataset(t *testing.T) *gen.Dataset {
 	}
 	cfg = gen.ScaleDown(cfg, 4)
 	cfg.MaterializeFeatures = true
-	d, err := gen.Load(cfg)
+	d, err := gen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTrainReleasesDataset(t *testing.T) {
 	cfg.MaterializeFeatures = true
 	collected := make(chan struct{})
 	func() {
-		d, err := gen.Generate(cfg) // not gen.Load, whose cache keeps every dataset
+		d, err := gen.Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,6 +40,11 @@ go test -race -timeout 3600s -cpu 1,2,4 -run 'TestEvaluateMatchesSerialReference
 # pinned at zero allocations (the step above runs the goldens through the
 # same pool).
 go test -race -timeout 3600s -cpu 1,2,4 -run 'TestRun|TestForEach|TestIdleHelpersPark' ./internal/par
+# The dataset store at 1, 2 and 4 Ps under the race detector: concurrent
+# requests for one dataset generate it once, a packed entry packs once
+# from the store's CSR entry, a failed generation is remembered, and a
+# dropped store frees what it loaded.
+go test -race -timeout 3600s -cpu 1,2,4 -run 'TestStoreDataset' ./internal/measure
 go test -race -timeout 3600s -cpu 1,2,4 -run 'TestFanOutSteadyStateZeroAllocs' ./internal/nn
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
 # Sampling-arena, matmul-kernel and cache-ranking smoke: one iteration
