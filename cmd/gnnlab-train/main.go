@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"gnnlab"
-	"gnnlab/internal/gen"
 	"gnnlab/internal/obs"
 )
 
@@ -67,13 +66,7 @@ func main() {
 		log.Fatalf("gnnlab-train: unknown model %q", *model)
 	}
 
-	cfg, err := gen.PresetConfig(gnnlab.DatasetConv)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg = gen.ScaleDown(cfg, *scale)
-	cfg.MaterializeFeatures = true
-	d, err := gnnlab.GenerateDataset(cfg)
+	d, err := gnnlab.LoadDatasetScaled(gnnlab.DatasetConv, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -492,3 +492,23 @@ func TestPackedDatasetRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGenerate times Generate on PA/8 (citation: batched Zipf draws)
+// and TW/8 (social: two alternating Zipfs drawn one at a time), so
+// generation can be measured on its own.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range []string{PresetPA, PresetTW} {
+		cfg, err := PresetConfig(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg = ScaleDown(cfg, 8)
+		b.Run(cfg.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

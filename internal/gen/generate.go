@@ -56,19 +56,23 @@ func Generate(cfg Config) (*Dataset, error) {
 	return d, nil
 }
 
+// drawRound is how many Zipf values genCitation and genCoPurchase take
+// from one DrawN call.
+const drawRound = 1 << 16
+
 // hubPerm returns a permutation mapping Zipf rank to vertex ID, so that the
 // identity of "hub" vertices is randomized rather than always being the low
 // IDs.
 func hubPerm(n int, r *rng.Rand) []int32 { return r.Perm(n) }
 
-// vertexYears assigns each vertex a "registration year" in [0,1) used to
-// derive edge weights (0 = oldest). Years anti-correlate with hub rank:
-// early adopters accumulate the most followers/citations, so the heaviest
-// hubs are old. Weighted sampling prefers *recent* destinations, which is
-// exactly why degree-based caching collapses under it (§3, Fig 5b): the
-// cached old hubs stop being sampled.
-func vertexYears(n int, perm []int32, r *rng.Rand) []float32 {
-	years := make([]float32, n)
+// vertexWeights returns the weight of every edge into each vertex:
+// edgeWeight of the vertex's "registration year" in [0,1) (0 = oldest).
+// Years anti-correlate with hub rank: early adopters accumulate the most
+// followers/citations, so the heaviest hubs are old. Weighted sampling
+// prefers *recent* destinations, which is exactly why degree-based caching
+// collapses under it (§3, Fig 5b): the cached old hubs stop being sampled.
+func vertexWeights(n int, perm []int32, r *rng.Rand) []float32 {
+	weights := make([]float32, n)
 	for rank := 0; rank < n; rank++ {
 		base := math.Pow(float64(rank)/float64(n), 0.6)
 		y := base + 0.15*r.NormFloat64()
@@ -78,9 +82,9 @@ func vertexYears(n int, perm []int32, r *rng.Rand) []float32 {
 		if y > 0.999 {
 			y = 0.999
 		}
-		years[perm[rank]] = float32(y)
+		weights[perm[rank]] = edgeWeight(float32(y))
 	}
-	return years
+	return weights
 }
 
 // edgeWeight maps the destination's year to a sampling weight: only the
@@ -107,7 +111,7 @@ func genSocial(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	perm := hubPerm(n, r.Split(0))
 	zIn := rng.NewZipf(uint64(n), 1.3)
 	zOut := rng.NewZipf(uint64(n), 0.7)
-	years := vertexYears(n, perm, r.Split(1))
+	weights := vertexWeights(n, perm, r.Split(1))
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
 	for int64(b.NumEdges()) < cfg.NumEdges {
@@ -116,7 +120,7 @@ func genSocial(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 		if src == dst {
 			continue
 		}
-		b.AddEdge(src, dst, edgeWeight(years[dst]))
+		b.AddEdge(src, dst, weights[dst])
 	}
 	return b.Build(false)
 }
@@ -132,7 +136,7 @@ func genWeb(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	permIn := hubPerm(n, r.Split(1))
 	zOut := rng.NewZipf(uint64(n), 0.7)
 	zIn := rng.NewZipf(uint64(n), 0.95)
-	years := vertexYears(n, permIn, r.Split(2))
+	weights := vertexWeights(n, permIn, r.Split(2))
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
 	const hubOverlap = 0.35 // fraction of out-link mass placed on popular pages
@@ -147,7 +151,7 @@ func genWeb(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 		if src == dst {
 			continue
 		}
-		b.AddEdge(src, dst, edgeWeight(years[dst]))
+		b.AddEdge(src, dst, weights[dst])
 	}
 	return b.Build(false)
 }
@@ -159,7 +163,7 @@ func genCitation(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	n := cfg.NumVertices
 	permIn := hubPerm(n, r.Split(0))
 	z := rng.NewZipf(uint64(n), 1.2)
-	years := vertexYears(n, permIn, r.Split(1))
+	weights := vertexWeights(n, permIn, r.Split(1))
 
 	avg := float64(cfg.NumEdges) / float64(n)
 	// Out-degrees (reference-list lengths) are lognormal — narrow, so
@@ -202,15 +206,31 @@ func genCitation(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 		outDeg[permIn[inRank]] = deg
 	}
 
+	// Vertex v draws outDeg[v] destinations, in vertex order, and nothing
+	// else draws from r: the draws come in rounds of DrawN.
+	left := 0
+	for _, d := range outDeg {
+		left += d
+	}
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
-	for v := 0; v < n; v++ {
-		for k := 0; k < outDeg[v]; k++ {
-			dst := permIn[z.Draw(r)]
+	draws := make([]uint64, min(drawRound, left))
+	v, refs := 0, outDeg[0] // the vertex whose draws come next, and how many it still takes
+	for left > 0 {
+		round := draws[:min(len(draws), left)]
+		z.DrawN(r, round)
+		left -= len(round)
+		for _, k := range round {
+			for refs == 0 {
+				v++
+				refs = outDeg[v]
+			}
+			refs--
+			dst := permIn[k]
 			if dst == int32(v) {
 				continue
 			}
-			b.AddEdge(int32(v), dst, edgeWeight(years[dst]))
+			b.AddEdge(int32(v), dst, weights[dst])
 		}
 	}
 	return b.Build(false)
@@ -222,17 +242,24 @@ func genCoPurchase(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	n := cfg.NumVertices
 	perm := hubPerm(n, r.Split(0))
 	z := rng.NewZipf(uint64(n), 1.25)
-	years := vertexYears(n, perm, r.Split(1))
+	weights := vertexWeights(n, perm, r.Split(1))
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
-	for int64(b.NumEdges())+1 < cfg.NumEdges {
-		u := perm[z.Draw(r)]
-		v := perm[z.Draw(r)]
-		if u == v {
-			continue
+	// Draw pairs until the edge count reaches cfg.NumEdges−1, in rounds of
+	// DrawN. A round never holds more pairs than are still needed if every
+	// one is kept, so the serial loop would have drawn each of them.
+	draws := make([]uint64, drawRound)
+	for e := int64(b.NumEdges()); e+1 < cfg.NumEdges; e = int64(b.NumEdges()) {
+		round := draws[:2*min(int64(len(draws)/2), (cfg.NumEdges-e)/2)]
+		z.DrawN(r, round)
+		for i := 0; i < len(round); i += 2 {
+			u, v := perm[round[i]], perm[round[i+1]]
+			if u == v {
+				continue
+			}
+			b.AddEdge(u, v, weights[v])
+			b.AddEdge(v, u, weights[u])
 		}
-		b.AddEdge(u, v, edgeWeight(years[v]))
-		b.AddEdge(v, u, edgeWeight(years[u]))
 	}
 	return b.Build(false)
 }
@@ -246,7 +273,7 @@ func genCommunity(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 	}
 	n := cfg.NumVertices
 	c := cfg.NumClasses
-	years := vertexYears(n, graph.Identity(n), r.Split(1))
+	weights := vertexWeights(n, graph.Identity(n), r.Split(1))
 	const intra = 0.8
 	b := graph.NewBuilder(n, cfg.Weighted)
 	b.Grow(int(cfg.NumEdges))
@@ -264,7 +291,7 @@ func genCommunity(cfg Config, r *rng.Rand) (*graph.CSR, error) {
 		if src == dst || int(dst) >= n {
 			continue
 		}
-		b.AddEdge(src, dst, edgeWeight(years[dst]))
+		b.AddEdge(src, dst, weights[dst])
 	}
 	return b.Build(false)
 }

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"slices"
+
+	"gnnlab/internal/par"
 )
 
 // Edge is a directed edge with an optional weight, used while building.
@@ -63,7 +65,8 @@ func (b *Builder) Grow(n int) {
 //
 // It counts each source's edges into RowPtr, scatters the edges in
 // insertion order straight into ColIdx and Weights, and sorts each row on
-// its own: no sort over the whole edge list and no second edge array.
+// its own, on the row pool: no sort over the whole edge list and no second
+// edge array. Only dedup's compaction, which moves rows, is serial.
 func (b *Builder) Build(dedup bool) (*CSR, error) {
 	n := b.numVertices
 	rowPtr := make([]int64, n+1)
@@ -94,30 +97,21 @@ func (b *Builder) Build(dedup bool) (*CSR, error) {
 	copy(rowPtr[1:], rowPtr[:n])
 	rowPtr[0] = 0
 
-	var keys []uint64 // a weighted row's (dst, position) sort keys
-	var rowW []float32
+	sorter := rowSorter{rowPtr, colIdx, weights}
+	if len(colIdx) >= parallelBuildEdges {
+		par.Run(sorter, n)
+	} else {
+		sorter.Rows(0, n)
+	}
+	if !dedup {
+		return &CSR{RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}, nil
+	}
 	out := int64(0)
 	for v := 0; v < n; v++ {
 		lo, hi := rowPtr[v], rowPtr[v+1]
-		row := colIdx[lo:hi]
-		switch {
-		case slices.IsSorted(row):
-		case weights == nil: // equal destinations cannot be told apart
-			slices.Sort(row)
-		default: // stable by construction: the position breaks ties
-			keys = keys[:0]
-			for i, d := range row {
-				keys = append(keys, uint64(d)<<32|uint64(i))
-			}
-			slices.Sort(keys)
-			rowW = append(rowW[:0], weights[lo:hi]...)
-			for i, key := range keys {
-				row[i], weights[lo+int64(i)] = int32(key>>32), rowW[uint32(key)]
-			}
-		}
 		rowPtr[v] = out
 		for i := lo; i < hi; i++ {
-			if !dedup || out == rowPtr[v] || colIdx[i] != colIdx[out-1] {
+			if out == rowPtr[v] || colIdx[i] != colIdx[out-1] {
 				colIdx[out] = colIdx[i]
 				if weights != nil {
 					weights[out] = weights[i]
@@ -131,6 +125,43 @@ func (b *Builder) Build(dedup bool) (*CSR, error) {
 		weights = weights[:out]
 	}
 	return &CSR{RowPtr: rowPtr, ColIdx: colIdx[:out], Weights: weights}, nil
+}
+
+// parallelBuildEdges is the edge count from which Build sorts its rows on
+// the row pool.
+const parallelBuildEdges = 1 << 14
+
+// rowSorter sorts rows of a scattered CSR in place, each by destination
+// and, among equal destinations, by insertion position. Rows are disjoint
+// ranges of ColIdx and Weights, so any goroutine may sort any row.
+type rowSorter struct {
+	rowPtr  []int64
+	colIdx  []int32
+	weights []float32
+}
+
+func (s rowSorter) Rows(lo, hi int) {
+	var keys []uint64 // a weighted row's (dst, position) sort keys
+	var rowW []float32
+	for v := lo; v < hi; v++ {
+		start, end := s.rowPtr[v], s.rowPtr[v+1]
+		row := s.colIdx[start:end]
+		switch {
+		case slices.IsSorted(row):
+		case s.weights == nil: // equal destinations cannot be told apart
+			slices.Sort(row)
+		default: // stable by construction: the position breaks ties
+			keys = keys[:0]
+			for i, d := range row {
+				keys = append(keys, uint64(d)<<32|uint64(i))
+			}
+			slices.Sort(keys)
+			rowW = append(rowW[:0], s.weights[start:end]...)
+			for i, key := range keys {
+				row[i], s.weights[start+int64(i)] = int32(key>>32), rowW[uint32(key)]
+			}
+		}
+	}
 }
 
 // FromAdjacency builds a CSR directly from an adjacency list, mainly for

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gnnlab/internal/par"
 	"gnnlab/internal/rng"
 )
 
@@ -363,6 +364,31 @@ func TestBuilderRepeatedBuild(t *testing.T) {
 				}
 				checkSameCSR(t, fmt.Sprintf("%d edges, dedup %v", i+1, dedup), g, refBuild(50, true, stream[:i+1], dedup))
 			}
+		}
+	}
+}
+
+// TestBuildRowSortsFanOut: at sizes where Build sorts its rows on the row
+// pool, it still equals the comparator reference, weighted or not, in both
+// dedup modes, and at GOMAXPROCS above 1 the sorts really went to the pool.
+func TestBuildRowSortsFanOut(t *testing.T) {
+	const n = 3000
+	for _, weighted := range []bool{false, true} {
+		stream := randomStream(9, n, 4*parallelBuildEdges, weighted)
+		b := NewBuilder(n, weighted)
+		for _, e := range stream {
+			b.AddEdge(e.Src, e.Dst, e.Weight)
+		}
+		for _, dedup := range []bool{false, true} {
+			posts := par.Posts()
+			g, err := b.Build(dedup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runtime.GOMAXPROCS(0) > 1 && par.Posts() == posts {
+				t.Errorf("weighted %v, dedup %v: rows were sorted inline", weighted, dedup)
+			}
+			checkSameCSR(t, fmt.Sprintf("weighted %v, dedup %v", weighted, dedup), g, refBuild(n, weighted, stream, dedup))
 		}
 	}
 }

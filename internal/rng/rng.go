@@ -4,7 +4,11 @@
 // *rng.Rand seeded by the caller instead of relying on global state.
 package rng
 
-import "math"
+import (
+	"math"
+
+	"gnnlab/internal/par"
+)
 
 // Rand is a xoshiro256** generator seeded via splitmix64. It is not safe
 // for concurrent use; give each goroutine its own instance (Split).
@@ -124,9 +128,10 @@ func mul64(x, y uint64) (hi, lo uint64) {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *Rand) Float64() float64 { return unitFloat(r.Uint64()) }
+
+// unitFloat maps 64 random bits to a uniform float64 in [0, 1).
+func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Rand) NormFloat64() float64 {
@@ -169,17 +174,27 @@ func (r *Rand) ShuffleInt32(p []int32) {
 }
 
 // Zipf samples from a bounded Zipf distribution over [0, n) with exponent s,
-// using rejection-inversion. Precompute with NewZipf for repeated draws.
+// using rejection-inversion. NewZipf does the per-(n, s) work once; a Zipf
+// is immutable after it and safe to share between goroutines.
 type Zipf struct {
 	n         uint64
 	s         float64
 	oneMinusS float64
 	hx0       float64
 	hxm       float64
+	// acc[k-1] is the acceptance bound hIntegral(k+0.5) − h(k) of rank k.
+	// It depends on k alone, so the table holds the very bits the formula
+	// would give at draw time.
+	acc []float64
 }
 
+// parallelMin is the row count from which NewZipf's table and DrawN's
+// trials post to the row pool: below it a post costs more than it saves.
+const parallelMin = 1 << 12
+
 // NewZipf prepares a Zipf sampler over [0, n) with exponent s > 0, s != 1
-// handled as well as s == 1 via a small epsilon shift.
+// handled as well as s == 1 via a small epsilon shift. It computes the
+// acceptance table (8n bytes) on the row pool.
 func NewZipf(n uint64, s float64) *Zipf {
 	if n == 0 {
 		panic("rng: NewZipf with zero n")
@@ -190,10 +205,31 @@ func NewZipf(n uint64, s float64) *Zipf {
 	if s == 1 {
 		s = 1 + 1e-9
 	}
-	z := &Zipf{n: n, s: s, oneMinusS: 1 - s}
+	z := &Zipf{n: n, s: s, oneMinusS: 1 - s, acc: make([]float64, n)}
 	z.hx0 = z.hIntegral(0.5) - 1
 	z.hxm = z.hIntegral(float64(n) + 0.5)
+	runRows(accJob{z}, len(z.acc))
 	return z
+}
+
+// accJob fills rows of a Zipf's acceptance table.
+type accJob struct{ z *Zipf }
+
+func (j accJob) Rows(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		k := float64(i + 1)
+		j.z.acc[i] = j.z.hIntegral(k+0.5) - j.z.h(k)
+	}
+}
+
+// runRows computes job over [0, n) on the row pool from parallelMin rows up,
+// and inline below that.
+func runRows(job par.Job, n int) {
+	if n >= parallelMin {
+		par.Run(job, n)
+	} else {
+		job.Rows(0, n)
+	}
 }
 
 func (z *Zipf) hIntegral(x float64) float64 {
@@ -227,20 +263,71 @@ func helper2(x float64) float64 {
 	return 1 + x/2 + x*x/6
 }
 
+// trial is one rejection-inversion trial on the uniform f: the rank it
+// proposes and whether it is accepted. Its outcome depends on f alone.
+func (z *Zipf) trial(f float64) (uint64, bool) {
+	u := z.hxm + f*(z.hx0-z.hxm)
+	x := z.hIntegralInverse(u)
+	k := math.Floor(x + 0.5)
+	if k < 1 {
+		k = 1
+	} else if k > float64(z.n) {
+		k = float64(z.n)
+	} else if k != k {
+		return 0, false // x is NaN, and no comparison with it holds
+	}
+	return uint64(k) - 1, k-x <= z.hx0 || u >= z.acc[int(k)-1]
+}
+
 // Draw returns a Zipf-distributed value in [0, n); rank 0 is the most
 // probable.
 func (z *Zipf) Draw(r *Rand) uint64 {
 	for {
-		u := z.hxm + r.Float64()*(z.hx0-z.hxm)
-		x := z.hIntegralInverse(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		} else if k > float64(z.n) {
-			k = float64(z.n)
+		if k, ok := z.trial(r.Float64()); ok {
+			return k
 		}
-		if k-x <= z.hx0 || u >= z.hIntegral(k+0.5)-z.h(k) {
-			return uint64(k) - 1
+	}
+}
+
+// rejected marks a rejected trial in DrawN's buffer; no rank reaches it.
+const rejected = math.MaxUint64
+
+// DrawN sets out to the values of len(out) successive Draw(r) calls and
+// leaves r where those calls would. Each round takes as many of r's
+// uniforms as values are still missing, runs their trials on the row pool
+// and keeps the accepted ones in stream order. That is exact because a
+// trial's outcome depends only on its uniform, and because a round never
+// takes more uniforms than the serial calls would: each still-missing
+// value needs at least one.
+func (z *Zipf) DrawN(r *Rand, out []uint64) {
+	for filled := 0; filled < len(out); {
+		round := out[filled:]
+		for i := range round {
+			round[i] = r.Uint64()
 		}
+		runRows(trialJob{z, round}, len(round))
+		for _, k := range round {
+			if k != rejected {
+				out[filled] = k
+				filled++
+			}
+		}
+	}
+}
+
+// trialJob turns rows of raw stream words into trial outcomes in place:
+// the accepted rank, or rejected.
+type trialJob struct {
+	z   *Zipf
+	buf []uint64
+}
+
+func (j trialJob) Rows(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		k, ok := j.z.trial(unitFloat(j.buf[i]))
+		if !ok {
+			k = rejected
+		}
+		j.buf[i] = k
 	}
 }

@@ -218,6 +218,66 @@ func TestZipfPanics(t *testing.T) {
 	}
 }
 
+// refDraw is the rejection-inversion draw as it was before the acceptance
+// table: it evaluates hIntegral(k+0.5) − h(k) on every trial. Draw and
+// DrawN must return its values bit for bit.
+func refDraw(z *Zipf, r *Rand) uint64 {
+	for {
+		u := z.hxm + r.Float64()*(z.hx0-z.hxm)
+		x := z.hIntegralInverse(u)
+		k := math.Floor(x + 0.5)
+		if k < 1 {
+			k = 1
+		} else if k > float64(z.n) {
+			k = float64(z.n)
+		}
+		if k-x <= z.hx0 || u >= z.hIntegral(k+0.5)-z.h(k) {
+			return uint64(k) - 1
+		}
+	}
+}
+
+// FuzzZipfDraw: for any (n, s, seed, count), the table-driven Draw, the
+// batched DrawN and the reference formula give the same count values from
+// streams seeded alike, and leave the streams in the same state. n is
+// folded into [1, 2^16], count into [0, 3·parallelMin) and s into (0, 8]:
+// from about s = 20 up nearly every trial is rejected and a draw does not
+// finish. The seeds cover n = 1, s < 1, s = 1, and tables and rounds both
+// below parallelMin and on the row pool.
+func FuzzZipfDraw(f *testing.F) {
+	f.Add(uint64(1), 1.2, uint64(1), uint16(10))
+	f.Add(uint64(10), 0.5, uint64(2), uint16(5000))
+	f.Add(uint64(1000), 1.0, uint64(3), uint16(100))
+	f.Add(uint64(1<<13), 0.7, uint64(4), uint16(3*parallelMin-1))
+	f.Add(uint64(1<<13), 1.3, uint64(5), uint16(parallelMin))
+	f.Add(uint64(1<<16), 0.95, uint64(6), uint16(2*parallelMin))
+	f.Fuzz(func(t *testing.T, n uint64, s float64, seed uint64, count uint16) {
+		n = 1 + (n-1)%(1<<16)
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Skip()
+		}
+		if !(s > 0 && s <= 8) {
+			s = 0.05 + math.Mod(math.Abs(s), 4)
+		}
+		z := NewZipf(n, s)
+		ref, serial, batched := New(seed), New(seed), New(seed)
+		out := make([]uint64, int(count)%(3*parallelMin))
+		z.DrawN(batched, out)
+		for i := range out {
+			want := refDraw(z, ref)
+			if got := z.Draw(serial); got != want {
+				t.Fatalf("NewZipf(%d, %v) seed %d: Draw %d = %d, reference %d", n, s, seed, i, got, want)
+			}
+			if out[i] != want {
+				t.Fatalf("NewZipf(%d, %v) seed %d: DrawN value %d = %d, reference %d", n, s, seed, i, out[i], want)
+			}
+		}
+		if serial.State() != ref.State() || batched.State() != ref.State() {
+			t.Fatalf("NewZipf(%d, %v) seed %d: stream states differ after %d draws", n, s, seed, len(out))
+		}
+	})
+}
+
 func TestSplitNMatchesSequentialSplits(t *testing.T) {
 	a := New(77)
 	b := New(77)
@@ -251,5 +311,16 @@ func BenchmarkZipfDraw(b *testing.B) {
 	z := NewZipf(1<<20, 1.2)
 	for i := 0; i < b.N; i++ {
 		_ = z.Draw(r)
+	}
+}
+
+// BenchmarkZipfDrawN is BenchmarkZipfDraw through the batched path, in
+// rounds of 64Ki values.
+func BenchmarkZipfDrawN(b *testing.B) {
+	r := New(1)
+	z := NewZipf(1<<20, 1.2)
+	out := make([]uint64, 1<<16)
+	for i := 0; i < b.N; i += len(out) {
+		z.DrawN(r, out[:min(len(out), b.N-i)])
 	}
 }

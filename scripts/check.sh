@@ -46,6 +46,12 @@ go test -race -timeout 3600s -cpu 1,2,4 -run 'TestRun|TestForEach|TestIdleHelper
 # dropped store frees what it loaded.
 go test -race -timeout 3600s -cpu 1,2,4 -run 'TestStoreDataset' ./internal/measure
 go test -race -timeout 3600s -cpu 1,2,4 -run 'TestFanOutSteadyStateZeroAllocs' ./internal/nn
+# Generation's fan-outs at 1, 2 and 4 Ps under the race detector: the Zipf
+# acceptance table and batched draws (against the reference formula),
+# Build's row sorts, and every generator's bytes against the digests.
+go test -race -timeout 3600s -cpu 1,2,4 ./internal/rng
+go test -race -timeout 3600s -cpu 1,2,4 -run 'TestBuild' ./internal/graph
+go test -race -timeout 3600s -cpu 1,2,4 -run 'TestDatasetBytesGolden' ./internal/gen
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 table1 > /dev/null
 # Sampling-arena, matmul-kernel and cache-ranking smoke: one iteration
 # each keeps the allocation-sensitive paths (pooled scratch, top-k
@@ -57,12 +63,14 @@ go test -timeout 3600s -run xxx -bench=BenchmarkCacheRank -benchtime=1x ./intern
 # Every fuzz target, 10 s each beyond its seed corpus (the suite above
 # runs only the seeds): the byte decoders (packed topology, dataset files,
 # model checkpoints) and the linear-time Build and ranker against their
-# comparator-sort references.
+# comparator-sort references, and the Zipf draw's table and batched paths
+# against the formula they replace.
 go test -run xxx -fuzz='^FuzzPackedFromBytes$' -fuzztime=10s -parallel 2 ./internal/graph
 go test -run xxx -fuzz='^FuzzReadDataset$' -fuzztime=10s -parallel 2 ./internal/gen
 go test -run xxx -fuzz='^FuzzLoadCheckpoint$' -fuzztime=10s -parallel 2 ./internal/nn
 go test -run xxx -fuzz='^FuzzBuild$' -fuzztime=10s -parallel 2 ./internal/graph
 go test -run xxx -fuzz='^FuzzRank$' -fuzztime=10s -parallel 2 ./internal/cache
+go test -run xxx -fuzz='^FuzzZipfDraw$' -fuzztime=10s -parallel 2 ./internal/rng
 # One iteration of every root benchmark: sampling arena, minibatch, live
 # serve cycle, snapshot/delta/packed graph storage, measurement engine.
 go test -timeout 3600s -run xxx -bench=. -benchtime=1x .
